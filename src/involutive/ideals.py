@@ -15,7 +15,7 @@ from .division import (
     is_stably_complete,
 )
 from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable
-from .terms import Term, TermSet, terms_of_degree
+from .terms import Term, TermSet, terms_of_degree, variable
 
 ESCALIER = "escalier"
 IDEAL_SLICE = "ideal-slice"
@@ -77,17 +77,46 @@ def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     return [t for t in terms_of_degree(J.n, d) if not J.contains(t)]
 
 
-def _in_star_set(J: MonomialIdeal, t: Term) -> bool:
-    return J.contains(t) and not J.contains(t.predecessor(t.min_index))
+def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
+    """Star terms of J of degree <= D, and whether J has a star term past D.
 
-
-def _star_scan(J: MonomialIdeal, lo: int, hi: int) -> list[Term]:
-    found = []
-    for d in range(max(lo, 1), hi + 1):
-        for t in terms_of_degree(J.n, d):
-            if _in_star_set(J, t):
-                found.append(t)
-    return found
+    A star term gamma with m = min(gamma) factors as g * eta with g a minimal
+    generator, min(g) = m and eta in x_{m+1}..x_n: the generator dividing
+    gamma cannot divide gamma/x_m, so it carries all of gamma's x_m.  For a
+    fixed g, the eta with (g/x_m) * eta outside J are closed under division,
+    so a depth-first search over eta in non-decreasing variable order can
+    stop a branch as soon as the predecessor enters J.  By the same closure,
+    a star term past D is a generator of degree > D or implies one at D+1,
+    a child of a degree-D survivor.
+    """
+    if J.is_zero:
+        raise ValueError("the zero ideal has no star set")
+    n = J.n
+    xs = [variable(n, j) for j in range(1, n + 1)]
+    found: set[Term] = set()
+    beyond = False
+    for g in J.generators:
+        m = g.min_index
+        if m is None:
+            continue
+        if g.degree > D:
+            beyond = True
+            continue
+        # (star term, its predecessor, index of the smallest variable to add)
+        stack = [(g, g.predecessor(m), m + 1)]
+        while stack:
+            gamma, pred, lo = stack.pop()
+            found.add(gamma)
+            if gamma.degree == D:
+                beyond = beyond or any(
+                    not J.contains(pred * xs[j - 1]) for j in range(lo, n + 1)
+                )
+                continue
+            for j in range(lo, n + 1):
+                child_pred = pred * xs[j - 1]
+                if not J.contains(child_pred):
+                    stack.append((gamma * xs[j - 1], child_pred, j))
+    return TermSet(found, n), beyond
 
 
 @dataclass(frozen=True)
@@ -149,8 +178,10 @@ def classify(J: MonomialIdeal) -> StabilityReport:
                         break
                 if not strongly:
                     break
-    assert not strongly or stable
-    assert not stable or quasi
+    if (strongly and not stable) or (stable and not quasi):
+        raise AssertionError(
+            f"stability hierarchy violated: strongly={strongly}, stable={stable}, quasi={quasi}"
+        )
     return StabilityReport(strongly, stable, quasi, sw, stw, qw)
 
 
@@ -202,35 +233,32 @@ def pommaret_termination_degree(J: MonomialIdeal) -> int:
 def star_set(J: MonomialIdeal, degree_bound: int) -> tuple[TermSet, bool]:
     """Terms of J whose min-variable predecessor escapes J, up to degree_bound.
 
+    Each star term is a minimal generator g times a term in the variables
+    above min(g), and for fixed g those cofactors are closed under division;
+    the search walks them and prunes a branch once its predecessor lies in J.
     The returned flag reports whether the truncation is exhaustive: it is
-    computed, never assumed, and requires J quasi-stable, degree_bound at or
-    past the termination bound, and an explicitly verified empty window of n
-    further degrees.
+    computed, never assumed, and requires degree_bound at or past the
+    termination bound of a quasi-stable J and no star term of degree
+    degree_bound + 1.  By the division closure that last condition rules out
+    star terms of every higher degree, and it always fails when J is not
+    quasi-stable, since then the star set is infinite.
     """
-    if J.is_zero:
-        raise ValueError("the zero ideal has no star set")
-    found = _star_scan(J, 1, degree_bound)
-    exhaustive = False
-    if classify(J).quasi_stable:
-        d = pommaret_termination_degree(J)
-        if degree_bound >= d - 1:
-            window = _star_scan(J, degree_bound + 1, degree_bound + J.n)
-            exhaustive = not window
-    return TermSet(found, J.n), exhaustive
+    terms, beyond = _star_terms(J, degree_bound)
+    exhaustive = not beyond and degree_bound >= pommaret_termination_degree(J) - 1
+    return terms, exhaustive
 
 
 def pommaret_basis(J: MonomialIdeal) -> TermSet:
     """The finite star set of a quasi-stable ideal (its Pommaret basis)."""
-    report = classify(J)
-    if not report.quasi_stable:
-        w = report.quasi_stable_witness
+    try:
+        d = pommaret_termination_degree(J)
+    except NotQuasiStable as exc:
         raise NotQuasiStable(
             "the ideal is not quasi-stable, its star set is infinite",
-            witness=(w.generator, w.variable) if w else None,
-        )
-    d = pommaret_termination_degree(J)
-    basis, exhaustive = star_set(J, d - 1)
-    if not exhaustive:
+            witness=exc.witness,
+        ) from None
+    basis, beyond = _star_terms(J, d - 1)
+    if beyond:
         raise AssertionError("star set failed to stabilize below the proven bound")
     ok, witness = is_stably_complete(basis)
     if not ok:
@@ -248,12 +276,13 @@ def hilbert_function(
 ) -> int:
     """dim of the degree-k slice of P/(M) counted through offspring sizes.
 
-    Requires M complete.  The ambient count is C(k+n-1, n-1) = dim P_k;
-    binomials with a negative numerator or denominator contribute 0.
+    Requires M complete for ``assignment`` (Janet by default).  The ambient
+    count is C(k+n-1, n-1) = dim P_k; binomials with a negative numerator or
+    denominator contribute 0.
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)
-    ok, witness = is_complete(M)
+    ok, witness = is_complete(M, assignment)
     if not ok:
         raise NotComplete("Hilbert formula needs a complete set", witness=witness)
     if k < 0:

@@ -223,7 +223,10 @@ def prolongation_residues(
         for j in range(k + 1, gm.basis.n + 1):
             h = G.polys[head].times(variable(gm.basis.n, j))
             trace = reduce(G, h)
-            assert trace.status == REDUCED
+            if trace.status != REDUCED:
+                raise AssertionError(
+                    f"prolongation of {head} by x_{j} did not reduce: {trace.status}"
+                )
             out.append((head, j, trace.result))
     return out
 

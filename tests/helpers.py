@@ -58,6 +58,21 @@ def brute_offspring_member(members, tau, gamma):
     )
 
 
+def brute_star_set(gens, n, top):
+    """Star terms of degree 1..top by a dense scan: in the ideal, with the
+    predecessor by the minimal variable outside it."""
+    found = set()
+    for d in range(1, top + 1):
+        for t in exp_tuples(n, d):
+            if not tuple_in_ideal(gens, t):
+                continue
+            k = next(i for i, e in enumerate(t) if e)
+            pred = t[:k] + (t[k] - 1,) + t[k + 1:]
+            if not tuple_in_ideal(gens, pred):
+                found.add(t)
+    return found
+
+
 def divisor_tuples(gamma):
     return itertools.product(*(range(e + 1) for e in gamma))
 

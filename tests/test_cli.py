@@ -103,6 +103,17 @@ def test_star_set(capsys):
     assert report["exhaustive"] is False
 
 
+def test_star_set_at_a_huge_degree_bound(tmp_path, capsys):
+    source = tmp_path / "x3.json"
+    source.write_text(json.dumps({"generators": [[0, 0, 1]], "vars": 3}))
+    code, report = run_json(
+        capsys, "star-set", "--input", str(source), "--degree-bound", "400"
+    )
+    assert code == 0
+    assert report["terms"] == [[0, 0, 1]]
+    assert report["exhaustive"] is True
+
+
 def test_classify(capsys):
     code, report = run_json(
         capsys, "classify", "--input", str(CORPUS / "ideal_quasi_stable.json")

@@ -1,7 +1,11 @@
+import ast
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import involutive
 from involutive import (
     ESCALIER,
     IDEAL_SLICE,
@@ -24,7 +28,10 @@ from involutive import (
     sigma_profile,
     star_set,
 )
-from helpers import escalier_count, random_ideal, random_term_of_degree
+from involutive.serialize import parse_ideal
+from helpers import brute_star_set, escalier_count, random_ideal, random_term_of_degree
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def t(*exps):
@@ -87,6 +94,45 @@ def test_star_set_flag_needs_the_termination_bound():
     assert [x.exponents for x in terms] == [(0, 1), (5, 0)]
 
 
+def test_star_set_matches_the_dense_scan():
+    # the pruned search against a dense scan of every degree, on seeded
+    # quasi-stable and non-quasi-stable ideals, for every bound 1..d+n
+    rng = random.Random(59)
+    kinds = {True: 0, False: 0}
+    while min(kinds.values()) < 12:
+        J = random_ideal(rng, max_vars=4, max_gens=4, max_deg=4)
+        if J.generators.max_degree() == 0:
+            continue
+        quasi = classify(J).quasi_stable
+        d = pommaret_termination_degree(J) if quasi else J.generators.max_degree() + J.n
+        if d > 12 or kinds[quasi] >= 12:
+            continue
+        kinds[quasi] += 1
+        n = J.n
+        gens = [g.exponents for g in J.generators]
+        brute = brute_star_set(gens, n, d + 2 * n)
+        for D in range(1, d + n + 1):
+            terms, exhaustive = star_set(J, D)
+            assert {x.exponents for x in terms} == {x for x in brute if sum(x) <= D}
+            window = [x for x in brute if D < sum(x) <= D + n]
+            expected = quasi and D >= d - 1 and not window
+            assert exhaustive == expected, (J, D)
+
+
+def test_star_set_of_a_principal_ideal_at_a_huge_bound():
+    J = MonomialIdeal([t(0, 0, 1)], 3)
+    assert star_set(J, 400) == (TermSet([t(0, 0, 1)]), True)
+
+
+def test_pommaret_basis_not_quasi_stable_witness():
+    J = parse_ideal(json.loads((CORPUS / "ideal_not_quasi_stable.json").read_text()))
+    with pytest.raises(NotQuasiStable) as info:
+        pommaret_basis(J)
+    assert str(info.value) == "the ideal is not quasi-stable, its star set is infinite"
+    w = classify(J).quasi_stable_witness
+    assert info.value.witness == (w.generator, w.variable)
+
+
 def test_classify_examples():
     assert classify(STABLE).stable
     rep = classify(QUASI)
@@ -105,6 +151,14 @@ def test_classify_hierarchy_on_random_ideals():
             assert rep.stable
         if rep.stable:
             assert rep.quasi_stable
+
+
+def test_library_checks_survive_optimized_mode():
+    # `python -O` strips assert statements, so internal checks must raise
+    for path in Path(involutive.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, (path.name, asserts)
 
 
 def test_strongly_stable_detection():
@@ -204,6 +258,15 @@ def test_hilbert_function_examples():
 def test_hilbert_function_requires_complete_set():
     with pytest.raises(NotComplete):
         hilbert_function(TermSet([t(1, 0), t(0, 2)]), 3)
+
+
+def test_hilbert_function_checks_the_given_assignment():
+    # {x1} is Janet-complete but not Pommaret-complete in two variables
+    M = TermSet([t(1, 0)])
+    with pytest.raises(NotComplete):
+        hilbert_function(M, 3, DivisionAssignment.pommaret(M))
+    janet = DivisionAssignment.janet(M)
+    assert [hilbert_function(M, k, janet) for k in range(4)] == [1, 1, 1, 1]
 
 
 def test_hilbert_function_matches_enumeration():
