@@ -7,13 +7,48 @@ can surface actionable diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le
 from typing import Mapping, Optional
 
-from .errors import DegreeCapExceeded, NotComplete, NotInIdeal, NotInSet
+from .errors import (
+    DegreeCapExceeded,
+    MismatchedVariableCount,
+    NotComplete,
+    NotInIdeal,
+    NotInSet,
+)
 from .terms import Term, TermSet, variable
 
 JANET = "janet"
 POMMARET = "pommaret"
+
+
+def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
+    """Janet multiplicative variables of every term of ``M``, one pass per variable.
+
+    x_j is multiplicative for tau iff tau has the largest x_j exponent among
+    the terms of M that agree with tau in every exponent above position j.
+    Equal variable sets are shared between terms, which keeps an assignment
+    (and the index built from it) small.
+    """
+    mult: dict[Term, list[int]] = {t: [] for t in M}
+    for j in range(1, M.n + 1):
+        top: dict[tuple[int, ...], int] = {}
+        for t in M:
+            e = t.exponents
+            if top.get(e[j:], -1) < e[j - 1]:
+                top[e[j:]] = e[j - 1]
+        for t, vars_ in mult.items():
+            e = t.exponents
+            if e[j - 1] == top[e[j:]]:
+                vars_.append(j)
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    table = {}
+    for t, vars_ in mult.items():
+        fs = frozenset(vars_)
+        table[t] = shared.setdefault(fs, fs)
+    return table
 
 
 def janet_multiplicative_vars(M: TermSet, tau: Term) -> frozenset[int]:
@@ -25,18 +60,7 @@ def janet_multiplicative_vars(M: TermSet, tau: Term) -> frozenset[int]:
     """
     if tau not in M:
         raise NotInSet(f"{tau} is not in the set")
-    exps = tau.exponents
-    mult = set()
-    for j in range(1, M.n + 1):
-        blocked = False
-        for other in M:
-            oe = other.exponents
-            if oe[j:] == exps[j:] and oe[j - 1] > exps[j - 1]:
-                blocked = True
-                break
-        if not blocked:
-            mult.add(j)
-    return frozenset(mult)
+    return _janet_table(M)[tau]
 
 
 def pommaret_multiplicative_vars(tau: Term, n: Optional[int] = None) -> frozenset[int]:
@@ -59,11 +83,15 @@ class DivisionAssignment:
 
     @classmethod
     def janet(cls, M: TermSet) -> "DivisionAssignment":
-        return cls(JANET, M, {t: janet_multiplicative_vars(M, t) for t in M})
+        return cls(JANET, M, _janet_table(M))
 
     @classmethod
     def pommaret(cls, M: TermSet) -> "DivisionAssignment":
         return cls(POMMARET, M, {t: pommaret_multiplicative_vars(t, M.n) for t in M})
+
+    @cached_property
+    def _cover_index(self) -> _CoverIndex:
+        return _index_terms(self.basis, self.mult)
 
 
 @dataclass(frozen=True)
@@ -74,11 +102,64 @@ class StarFactorization:
     cofactor: Term
 
 
-def _covers(tau: Term, mult: frozenset[int], gamma: Term) -> bool:
-    if not tau.divides(gamma):
-        return False
-    quot = gamma / tau
-    return all(e == 0 or (i + 1) in mult for i, e in enumerate(quot.exponents))
+# One (positions, table) pair per set of non-multiplicative positions: the
+# table maps the exponents at those positions to the terms that have them.
+_CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[Term]]]]
+
+
+def _index_terms(M: TermSet, mult: Mapping[Term, frozenset[int]]) -> _CoverIndex:
+    """Group the terms of M by their non-multiplicative positions.
+
+    tau covers gamma (gamma lies in the involutive cone of tau) exactly when
+    gamma agrees with tau at every non-multiplicative position of tau and
+    tau <= gamma elsewhere, so a lookup is one probe per group.
+    """
+    groups: dict[frozenset[int], list[Term]] = {}
+    for tau in M:
+        groups.setdefault(mult[tau], []).append(tau)
+    index: _CoverIndex = []
+    for vars_, members in groups.items():
+        fixed = [i for i in range(M.n) if i + 1 not in vars_]
+        table: dict[tuple[int, ...], list[Term]] = {}
+        for tau in members:
+            table.setdefault(tuple([tau.exponents[i] for i in fixed]), []).append(tau)
+        index.append((fixed, table))
+    return index
+
+
+def _cover_index_for(M: TermSet, assignment: DivisionAssignment) -> _CoverIndex:
+    """The assignment's own index, or one over M when M is not its basis."""
+    if M is assignment.basis or M == assignment.basis:
+        return assignment._cover_index
+    return _index_terms(M, assignment.mult)
+
+
+def _covering(index: _CoverIndex, exps: tuple[int, ...]) -> list[Term]:
+    """The indexed terms whose involutive cone contains the exponent vector exps."""
+    return [
+        tau
+        for fixed, table in index
+        for tau in table.get(tuple([exps[i] for i in fixed]), ())
+        if all(map(le, tau.exponents, exps))
+    ]
+
+
+def _first_uncovered(
+    M: TermSet, mult: Mapping[Term, frozenset[int]], index: _CoverIndex
+) -> Optional[tuple[Term, int]]:
+    """First (tau, j) in canonical order with x_j * tau in no involutive cone."""
+    for tau in M:
+        e = tau.exponents
+        vars_ = mult[tau]
+        for j in range(1, M.n + 1):
+            if j not in vars_ and not _covering(index, e[: j - 1] + (e[j - 1] + 1,) + e[j:]):
+                return tau, j
+    return None
+
+
+def _check_nvars(n: int, gamma: Term) -> None:
+    if gamma.nvars != n:
+        raise MismatchedVariableCount(f"{n} variables vs {gamma.nvars}")
 
 
 def offspring_contains(
@@ -88,7 +169,11 @@ def offspring_contains(
     if tau not in M:
         raise NotInSet(f"{tau} is not in the set")
     mult = assignment.mult[tau] if assignment else janet_multiplicative_vars(M, tau)
-    return _covers(tau, mult, gamma)
+    _check_nvars(tau.nvars, gamma)
+    return all(
+        a == b or (a < b and j in mult)
+        for j, (a, b) in enumerate(zip(tau.exponents, gamma.exponents), 1)
+    )
 
 
 def star_decompose(
@@ -98,12 +183,12 @@ def star_decompose(
     *,
     check_complete: bool = False,
 ) -> StarFactorization:
-    """Unique factorization gamma = tau * eta with gamma in the offspring of tau.
+    """Factorization gamma = tau * eta with gamma in the offspring of tau.
 
-    Divisors of gamma inside M are scanned in decreasing lex order; since
-    distinct offsprings are disjoint, the first (and only) hit is returned.
-    Pass ``check_complete=False`` (the default) to trust the caller that M is
-    complete and skip an O(|M|^2) verification on every call.
+    The head is the lex-greatest element of M whose involutive cone contains
+    gamma; for a Janet assignment the cones are disjoint, so it is the only
+    one.  Pass ``check_complete=False`` (the default) to trust the caller that
+    M is complete and skip the completeness check on every call.
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)
@@ -111,12 +196,14 @@ def star_decompose(
         ok, witness = is_complete(M, assignment)
         if not ok:
             raise NotComplete("the set is not complete", witness=witness)
-    divisors = [t for t in M if t.divides(gamma)]
-    if not divisors:
+    if len(M):
+        _check_nvars(M.n, gamma)
+    heads = _covering(_cover_index_for(M, assignment), gamma.exponents)
+    if heads:
+        head = max(heads, key=lambda t: t.lex_key)
+        return StarFactorization(head, gamma / head)
+    if not any(t.divides(gamma) for t in M):
         raise NotInIdeal(f"{gamma} is not in the generated ideal")
-    for tau in sorted(divisors, key=lambda t: t.lex_key, reverse=True):
-        if _covers(tau, assignment.mult[tau], gamma):
-            return StarFactorization(tau, gamma / tau)
     raise NotComplete(
         f"{gamma} has no star factorization; the set is not complete",
         witness=None,
@@ -134,17 +221,8 @@ def is_complete(
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)
-    for tau in M:
-        mult = assignment.mult[tau]
-        for j in range(1, M.n + 1):
-            if j in mult:
-                continue
-            prod = tau * variable(M.n, j)
-            if not any(
-                _covers(other, assignment.mult[other], prod) for other in M
-            ):
-                return False, (tau, j)
-    return True, None
+    witness = _first_uncovered(M, assignment.mult, _cover_index_for(M, assignment))
+    return witness is None, witness
 
 
 def is_stably_complete(
@@ -175,28 +253,17 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
-    current = set(M)
+    current = M
     while True:
-        ts = TermSet(current, M.n)
-        assignment = DivisionAssignment.janet(ts)
-        addition = None
-        for tau in ts:
-            for j in range(1, ts.n + 1):
-                if j in assignment.mult[tau]:
-                    continue
-                prod = tau * variable(ts.n, j)
-                if not any(
-                    _covers(other, assignment.mult[other], prod) for other in ts
-                ):
-                    addition = prod
-                    break
-            if addition is not None:
-                break
-        if addition is None:
-            return ts
+        assignment = DivisionAssignment.janet(current)
+        witness = _first_uncovered(current, assignment.mult, assignment._cover_index)
+        if witness is None:
+            return current
+        tau, j = witness
+        addition = tau * variable(current.n, j)
         if addition.degree > degree_cap:
             raise DegreeCapExceeded(
                 f"completion needs degree {addition.degree} > cap {degree_cap}",
-                partial=ts,
+                partial=current,
             )
-        current.add(addition)
+        current = TermSet(current.terms + (addition,), current.n)

@@ -153,7 +153,7 @@ def classify(J: MonomialIdeal) -> StabilityReport:
             continue
         base = g.predecessor(k)
         for j in range(k + 1, n + 1):
-            if stable and not J.contains(base * _var_cache(n, j)):
+            if stable and not J.contains(base * variable(n, j)):
                 stable = False
                 stw = StabilityWitness(g, j, k)
             if quasi and not any(
@@ -172,7 +172,7 @@ def classify(J: MonomialIdeal) -> StabilityReport:
                     continue
                 swap_base = g.predecessor(i)
                 for j in range(i + 1, n + 1):
-                    if not J.contains(swap_base * _var_cache(n, j)):
+                    if not J.contains(swap_base * variable(n, j)):
                         strongly = False
                         sw = StabilityWitness(g, j, i)
                         break
@@ -183,16 +183,6 @@ def classify(J: MonomialIdeal) -> StabilityReport:
             f"stability hierarchy violated: strongly={strongly}, stable={stable}, quasi={quasi}"
         )
     return StabilityReport(strongly, stable, quasi, sw, stw, qw)
-
-
-_VAR_CACHE: dict[tuple[int, int], Term] = {}
-
-
-def _var_cache(n: int, j: int) -> Term:
-    key = (n, j)
-    if key not in _VAR_CACHE:
-        _VAR_CACHE[key] = Term(1 if i == j - 1 else 0 for i in range(n))
-    return _VAR_CACHE[key]
 
 
 def _uniform_quasi_stable_exponent(J: MonomialIdeal) -> int:

@@ -15,7 +15,7 @@ from .division import DivisionAssignment
 from .errors import InvolutiveError
 from .ideals import MonomialIdeal
 from .marked import MarkedBasisResult, MarkedSet, ReductionTrace, make_marked_set
-from .scheme import GenericMarkedSet, ParamVar, SchemeEquations, _mono_key, specialize
+from .scheme import GenericMarkedSet, ParamVar, SchemeEquations, _mono_key
 from .terms import Term, TermSet
 
 
@@ -231,7 +231,3 @@ def parse_assignment(gm: GenericMarkedSet, data) -> dict[ParamVar, Fraction]:
             raise InputFormatError(f"unknown parameter {name!r}")
         values[by_name[name]] = parse_coeff(raw)
     return values
-
-
-def specialized_set_json(gm: GenericMarkedSet, values) -> dict:
-    return marked_set_json(specialize(gm, values))

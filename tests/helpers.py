@@ -49,13 +49,68 @@ def brute_mult_vars(members, tau):
     return mult
 
 
-def brute_offspring_member(members, tau, gamma):
-    if not tuple_divides(tau, gamma):
-        return False
-    mult = brute_mult_vars(members, tau)
-    return all(
+def brute_pommaret_vars(tau):
+    """Pommaret multiplicative variables: x_1..x_min(tau), all for the constant."""
+    m = next((i + 1 for i, e in enumerate(tau) if e), len(tau))
+    return set(range(1, m + 1))
+
+
+def tuple_covers(tau, mult, gamma):
+    """gamma lies in the involutive cone of tau with multiplicative set mult."""
+    return tuple_divides(tau, gamma) and all(
         g == t or (i + 1) in mult for i, (t, g) in enumerate(zip(tau, gamma))
     )
+
+
+def brute_offspring_member(members, tau, gamma):
+    return tuple_covers(tau, brute_mult_vars(members, tau), gamma)
+
+
+def canonical_order(members):
+    """Sort exponent tuples by degree, then lex from x_n down to x_1."""
+    return sorted(members, key=lambda t: (sum(t), t[::-1]))
+
+
+def brute_is_complete(members, mult):
+    """The scanning completeness test: the first (tau, j) in canonical order
+    whose prolongation x_j * tau lies in no cone, or None."""
+    for tau in canonical_order(members):
+        for j in range(1, len(tau) + 1):
+            if j in mult[tau]:
+                continue
+            prod = tau[: j - 1] + (tau[j - 1] + 1,) + tau[j:]
+            if not any(tuple_covers(other, mult[other], prod) for other in members):
+                return tau, j
+    return None
+
+
+def brute_star_decompose(members, mult, gamma):
+    """(head, cofactor) with the lex-greatest covering head, or the name of
+    the error: NotInIdeal when nothing divides gamma, else NotComplete."""
+    heads = [tau for tau in members if tuple_covers(tau, mult[tau], gamma)]
+    if heads:
+        head = max(heads, key=lambda t: t[::-1])
+        return head, tuple(g - h for g, h in zip(gamma, head))
+    if any(tuple_divides(tau, gamma) for tau in members):
+        return "NotComplete"
+    return "NotInIdeal"
+
+
+def brute_janet_complete(members, degree_cap):
+    """Dense Janet completion: recompute every multiplicative set, adjoin the
+    first uncovered prolongation, repeat.  Returns (terms, capped) where
+    capped means the next addition would pass degree_cap."""
+    current = set(members)
+    while True:
+        mult = {tau: brute_mult_vars(current, tau) for tau in current}
+        witness = brute_is_complete(current, mult)
+        if witness is None:
+            return current, False
+        tau, j = witness
+        prod = tau[: j - 1] + (tau[j - 1] + 1,) + tau[j:]
+        if sum(prod) > degree_cap:
+            return current, True
+        current.add(prod)
 
 
 def brute_star_set(gens, n, top):

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involutive import (
     DegreeCapExceeded,
     DivisionAssignment,
+    MismatchedVariableCount,
     NotComplete,
     NotInIdeal,
     NotInSet,
@@ -22,8 +25,13 @@ from involutive import (
     variable,
 )
 from helpers import (
+    brute_is_complete,
+    brute_janet_complete,
     brute_mult_vars,
     brute_offspring_member,
+    brute_pommaret_vars,
+    brute_star_decompose,
+    canonical_order,
     divisor_tuples,
     random_term_of_degree,
 )
@@ -299,3 +307,122 @@ def test_smaller_cofactor_lemma_on_stably_complete_sets():
                         continue
                     eta_prime = gamma / sigma
                     assert lex_compare(eta_prime, fact.cofactor) == 1
+
+
+# ------------------------------------------- the cover index against brute force
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def term_sets(draw, max_vars=5, max_exp=3, max_size=7):
+    """(members, probes): a set of exponent tuples in 1..max_vars variables
+    and a few terms to decompose, some of them multiples of members."""
+    n = draw(st.integers(1, max_vars))
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    members = draw(st.lists(exps, min_size=1, max_size=max_size, unique=True))
+    probes = draw(st.lists(exps, min_size=1, max_size=6))
+    probes += [tuple(a + b for a, b in zip(m, p)) for m, p in zip(members, probes)]
+    return members, probes
+
+
+def tuples_of(M):
+    return [t.exponents for t in M]
+
+
+def star_outcome(M, gamma, assignment):
+    try:
+        fact = star_decompose(M, Term(gamma), assignment)
+    except (NotInIdeal, NotComplete) as exc:
+        return type(exc).__name__
+    assert fact.head * fact.cofactor == Term(gamma)
+    return fact.head.exponents, fact.cofactor.exponents
+
+
+def check_against_brute_force(members, probes, assignment, mult):
+    """is_complete and star_decompose over ``members`` (a subset of the
+    assignment's basis, or all of it) agree with the scanning oracles."""
+    M = TermSet([Term(m) for m in members])
+    expected = brute_is_complete(members, mult)
+    assert is_complete(M, assignment) == (
+        (True, None) if expected is None else (False, (Term(expected[0]), expected[1]))
+    )
+    for gamma in probes:
+        assert star_outcome(M, gamma, assignment) == brute_star_decompose(members, mult, gamma)
+
+
+@PROPERTY
+@given(term_sets(), st.data())
+def test_cover_index_matches_brute_force(drawn, data):
+    members, probes = drawn
+    M = TermSet([Term(m) for m in members])
+    ordered = canonical_order(members)
+    subset = ordered[: data.draw(st.integers(1, len(ordered)))]
+    for assignment, rule in (
+        (DivisionAssignment.janet(M), lambda t: brute_mult_vars(members, t)),
+        (DivisionAssignment.pommaret(M), brute_pommaret_vars),
+    ):
+        mult = {m: rule(m) for m in members}
+        assert {t.exponents: set(v) for t, v in assignment.mult.items()} == mult
+        check_against_brute_force(members, probes, assignment, mult)
+        check_against_brute_force(subset, probes, assignment, mult)
+
+
+@PROPERTY
+@given(term_sets(max_vars=4, max_exp=2, max_size=5), st.integers(0, 3))
+def test_janet_complete_matches_the_dense_oracle(drawn, slack):
+    members, probes = drawn
+    M = TermSet([Term(m) for m in members])
+    cap = max(sum(m) for m in members) + slack
+    expected, capped = brute_janet_complete(members, cap)
+    if capped:
+        with pytest.raises(DegreeCapExceeded) as info:
+            janet_complete(M, cap)
+        assert set(tuples_of(info.value.partial)) == expected
+        return
+    completed = janet_complete(M, cap)
+    assert tuples_of(completed) == canonical_order(expected)
+    # the completion is complete, and its decompositions agree too
+    assignment = DivisionAssignment.janet(completed)
+    assert is_complete(completed, assignment) == (True, None)
+    mult = {m: brute_mult_vars(expected, m) for m in expected}
+    check_against_brute_force(sorted(expected), probes, assignment, mult)
+
+
+def test_star_decompose_takes_the_lex_greatest_of_nested_pommaret_cones():
+    # x1 and x1^2 both have x1 as their only Pommaret variable: the cone of
+    # x1^2 sits inside that of x1, and the lex-greatest head wins.
+    M = ts((1, 0), (2, 0))
+    assignment = DivisionAssignment.pommaret(M)
+    fact = star_decompose(M, t(3, 0), assignment)
+    assert (fact.head, fact.cofactor) == (t(2, 0), t(1, 0))
+    fact = star_decompose(M, t(1, 0), assignment)
+    assert (fact.head, fact.cofactor) == (t(1, 0), t(0, 0))
+    with pytest.raises(NotComplete):
+        star_decompose(M, t(2, 1), assignment)
+    with pytest.raises(NotInIdeal):
+        star_decompose(M, t(0, 4), assignment)
+    assert is_complete(M, assignment) == (False, (t(1, 0), 2))
+
+
+def test_lookups_range_over_a_subset_of_the_assignment_basis():
+    # M0 = {x1^2, x1x2, x3} is complete; without x3 the cone of x3 is gone
+    assignment = DivisionAssignment.janet(M0)
+    sub = ts((2, 0, 0), (1, 1, 0))
+    assert star_decompose(M0, t(0, 0, 1), assignment).head == t(0, 0, 1)
+    with pytest.raises(NotInIdeal):
+        star_decompose(sub, t(0, 0, 1), assignment)
+    assert star_decompose(M0, t(1, 1, 1), assignment).head == t(0, 0, 1)
+    with pytest.raises(NotComplete):
+        star_decompose(sub, t(1, 1, 1), assignment)
+    fact = star_decompose(sub, t(3, 1, 0), assignment)
+    assert (fact.head, fact.cofactor) == (t(1, 1, 0), t(2, 0, 0))
+    assert is_complete(M0, assignment) == (True, None)
+    assert is_complete(sub, assignment) == (False, (t(2, 0, 0), 3))
+
+
+def test_mismatched_variable_counts_are_rejected():
+    with pytest.raises(MismatchedVariableCount):
+        star_decompose(M0, t(1, 1))
+    with pytest.raises(MismatchedVariableCount):
+        offspring_contains(M0, t(1, 1, 0), t(1, 1))
