@@ -45,7 +45,6 @@ from .ideals import (
     hilbert_function,
     ideal_slice,
     involutive_test,
-    membership,
     pommaret_basis,
     pommaret_termination_degree,
     regularity,
@@ -83,12 +82,10 @@ from .scheme import (
 from .terms import (
     Term,
     TermSet,
-    extremal_vars,
     lex_compare,
     one,
     terms_of_degree,
     variable,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

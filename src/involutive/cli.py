@@ -13,12 +13,7 @@ import sys
 from typing import Optional
 
 from . import division, ideals, marked, scheme, serialize
-from .errors import (
-    DegreeCapExceeded,
-    InvolutiveError,
-    MissingAssignment,
-    NotQuasiStable,
-)
+from .errors import DegreeCapExceeded, InvolutiveError, NotQuasiStable
 from .serialize import InputFormatError
 
 EXIT_OK = 0
@@ -64,7 +59,8 @@ def _cmd_stably_complete_check(data, opts):
 
 def _cmd_complete(data, opts):
     M = serialize.parse_termset(data)
-    completed = division.janet_complete(M, opts.degree_bound)
+    cap = 32 if opts.degree_bound is None else opts.degree_bound
+    completed = division.janet_complete(M, cap)
     report = serialize.termset_json(completed)
     report["added"] = [serialize.term_json(t) for t in completed if t not in M]
     return report, EXIT_OK
@@ -137,14 +133,10 @@ def _cmd_sigma(data, opts):
 
 def _cmd_involutive_test(data, opts):
     J = serialize.parse_ideal(data)
-    p = opts.degree_bound
-    sp = ideals.sigma_profile(J, p, opts.sigma_mode)
-    sp1 = ideals.sigma_profile(J, p + 1, opts.sigma_mode)
-    lhs = sum(sp1.counts)
-    rhs = sum(i * c for i, c in enumerate(sp.counts, start=1))
+    lhs, rhs = ideals.sigma_totals(J, opts.degree_bound, opts.sigma_mode)
     holds = lhs == rhs
     report = {
-        "degree": p,
+        "degree": opts.degree_bound,
         "mode": opts.sigma_mode,
         "holds": holds,
         "next_degree_total": lhs,
@@ -173,7 +165,9 @@ def _cmd_is_marked_basis(data, opts):
 
 def _cmd_oracle_check(data, opts):
     G = serialize.parse_marked_set(data)
-    max_degree = opts.degree_bound or G.basis.max_degree() + 1
+    max_degree = opts.degree_bound
+    if max_degree is None:
+        max_degree = G.basis.max_degree() + 1
     ok = marked.oracle_check(G, max_degree)
     report = {"ok": ok, "max_degree": max_degree}
     return report, EXIT_OK if ok else EXIT_NEGATIVE
@@ -215,7 +209,9 @@ _COMMANDS = {
     "specialize": _cmd_specialize,
 }
 
-_NEEDS_DEGREE = {"complete", "star-set", "hilbert", "sigma", "involutive-test"}
+_NEEDS_DEGREE = {"star-set", "hilbert", "sigma", "involutive-test"}
+# These read --degree-bound when it is given and fall back to a default.
+_DEFAULTS_DEGREE = {"complete", "oracle-check"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,57 +249,38 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _usage_problem(opts) -> Optional[str]:
+    """Why the parsed options cannot be run, or None."""
+    if opts.step_cap < 1:
+        return "step cap must be >= 1"
+    bound = opts.degree_bound
+    missing = bound is None and opts.command in _NEEDS_DEGREE
+    negative = bound is not None and bound < 0
+    if missing or (negative and opts.command in _NEEDS_DEGREE | _DEFAULTS_DEGREE):
+        return f"{opts.command} needs --degree-bound >= 0"
+    return None
+
+
+def _error_report(kind: str, message: str, **extra) -> dict:
+    """The machine-readable error object of an exit-2 report."""
+    return {"error": {"type": kind, "message": message, **extra}}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     opts = parser.parse_args(argv)
-    if opts.step_cap < 1:
-        _emit(serialize.dumps({"error": {"type": "usage", "message": "step cap must be >= 1"}}), opts.output)
-        return EXIT_USAGE
-    if opts.command in _NEEDS_DEGREE:
-        if opts.degree_bound is None:
-            opts.degree_bound = 32 if opts.command == "complete" else None
-        if opts.degree_bound is None or opts.degree_bound < 0:
-            _emit(
-                serialize.dumps(
-                    {
-                        "error": {
-                            "type": "usage",
-                            "message": f"{opts.command} needs --degree-bound >= 0",
-                        }
-                    }
-                ),
-                opts.output,
-            )
-            return EXIT_USAGE
-    try:
-        data = _load(opts.input)
-        report, code = _COMMANDS[opts.command](data, opts)
-    except (InputFormatError, MissingAssignment, ValueError) as exc:
-        _emit(
-            serialize.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            ),
-            opts.output,
-        )
-        return EXIT_USAGE
-    except DegreeCapExceeded as exc:
-        body = {
-            "error": {
-                "type": "DegreeCapExceeded",
-                "message": str(exc),
-                "partial": serialize.termset_json(exc.partial) if exc.partial else None,
-            }
-        }
-        _emit(serialize.dumps(body), opts.output)
-        return EXIT_USAGE
-    except InvolutiveError as exc:
-        _emit(
-            serialize.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            ),
-            opts.output,
-        )
-        return EXIT_USAGE
+    problem = _usage_problem(opts)
+    if problem is not None:
+        report, code = _error_report("usage", problem), EXIT_USAGE
+    else:
+        try:
+            data = _load(opts.input)
+            report, code = _COMMANDS[opts.command](data, opts)
+        except (InvolutiveError, ValueError) as exc:
+            extra = {}
+            if isinstance(exc, DegreeCapExceeded):
+                extra["partial"] = serialize.termset_json(exc.partial) if exc.partial else None
+            report, code = _error_report(type(exc).__name__, str(exc), **extra), EXIT_USAGE
     _emit(serialize.dumps(report), opts.output)
     return code
 

@@ -93,6 +93,11 @@ class DivisionAssignment:
     def _cover_index(self) -> _CoverIndex:
         return _index_terms(self.basis, self.mult)
 
+    @cached_property
+    def _uncovered(self) -> Optional[tuple[Term, int]]:
+        """The completeness witness of the basis, None when it is complete."""
+        return _first_uncovered(self.basis, self.mult, self._cover_index)
+
 
 @dataclass(frozen=True)
 class StarFactorization:
@@ -127,9 +132,13 @@ def _index_terms(M: TermSet, mult: Mapping[Term, frozenset[int]]) -> _CoverIndex
     return index
 
 
+def _is_basis_of(M: TermSet, assignment: DivisionAssignment) -> bool:
+    return M is assignment.basis or M == assignment.basis
+
+
 def _cover_index_for(M: TermSet, assignment: DivisionAssignment) -> _CoverIndex:
     """The assignment's own index, or one over M when M is not its basis."""
-    if M is assignment.basis or M == assignment.basis:
+    if _is_basis_of(M, assignment):
         return assignment._cover_index
     return _index_terms(M, assignment.mult)
 
@@ -202,7 +211,7 @@ def star_decompose(
     if heads:
         head = max(heads, key=lambda t: t.lex_key)
         return StarFactorization(head, gamma / head)
-    if not any(t.divides(gamma) for t in M):
+    if not M.generates(gamma):
         raise NotInIdeal(f"{gamma} is not in the generated ideal")
     raise NotComplete(
         f"{gamma} has no star factorization; the set is not complete",
@@ -221,7 +230,10 @@ def is_complete(
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)
-    witness = _first_uncovered(M, assignment.mult, _cover_index_for(M, assignment))
+    if _is_basis_of(M, assignment):
+        witness = assignment._uncovered
+    else:
+        witness = _first_uncovered(M, assignment.mult, _index_terms(M, assignment.mult))
     return witness is None, witness
 
 
@@ -255,8 +267,7 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
         raise ValueError("cannot complete an empty set")
     current = M
     while True:
-        assignment = DivisionAssignment.janet(current)
-        witness = _first_uncovered(current, assignment.mult, assignment._cover_index)
+        witness = DivisionAssignment.janet(current)._uncovered
         if witness is None:
             return current
         tau, j = witness

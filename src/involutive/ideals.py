@@ -47,7 +47,7 @@ class MonomialIdeal:
     def contains(self, t: Term) -> bool:
         if t.nvars != self.n:
             raise MismatchedVariableCount(f"{t} has {t.nvars} variables, expected {self.n}")
-        return any(g.divides(t) for g in self.generators)
+        return self.generators.generates(t)
 
     @property
     def is_zero(self) -> bool:
@@ -61,10 +61,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.generators!r})"
-
-
-def membership(J: MonomialIdeal, t: Term) -> bool:
-    return J.contains(t)
 
 
 def ideal_slice(J: MonomialIdeal, d: int) -> list[Term]:
@@ -139,15 +135,19 @@ class StabilityReport:
 def classify(J: MonomialIdeal) -> StabilityReport:
     """Stability hierarchy of J, decided on the minimal generators alone.
 
-    Quasi-stability avoids the unbounded exponent search: x_j^t * g/min(g)
-    lands in J for some t iff some generator fits under g/min(g) in every
-    exponent except the j-th.
+    Quasi-stability is the test of :func:`_uniform_quasi_stable_exponent`,
+    whose witness is the first failing (generator, variable) pair.
     """
     strongly, stable, quasi = True, True, True
     sw = stw = qw = None
     n = J.n
-    gens = list(J.generators)
-    for g in gens:
+    try:
+        _uniform_quasi_stable_exponent(J)
+    except NotQuasiStable as exc:
+        g, j = exc.witness
+        quasi = False
+        qw = StabilityWitness(g, j, g.min_index)
+    for g in J.generators:
         k = g.min_index
         if k is None:
             continue
@@ -156,16 +156,6 @@ def classify(J: MonomialIdeal) -> StabilityReport:
             if stable and not J.contains(base * variable(n, j)):
                 stable = False
                 stw = StabilityWitness(g, j, k)
-            if quasi and not any(
-                all(
-                    gamma.exponents[i] <= base.exponents[i]
-                    for i in range(n)
-                    if i != j - 1
-                )
-                for gamma in gens
-            ):
-                quasi = False
-                qw = StabilityWitness(g, j, k)
         if strongly:
             for i in range(1, n + 1):
                 if g.exponents[i - 1] == 0:
@@ -186,7 +176,13 @@ def classify(J: MonomialIdeal) -> StabilityReport:
 
 
 def _uniform_quasi_stable_exponent(J: MonomialIdeal) -> int:
-    """Smallest t >= 1 with x_j^t * g/min(g) in J for every generator g, x_j > min(g)."""
+    """Smallest t >= 1 with x_j^t * g/min(g) in J for every generator g, x_j > min(g).
+
+    This avoids the unbounded exponent search: x_j^t * g/min(g) lands in J
+    for some t iff some generator fits under g/min(g) in every exponent
+    except the j-th.  Raises NotQuasiStable with the first (g, j) in
+    canonical order that has no such t.
+    """
     t = 1
     gens = list(J.generators)
     for g in gens:
@@ -195,21 +191,23 @@ def _uniform_quasi_stable_exponent(J: MonomialIdeal) -> int:
             continue
         base = g.predecessor(k)
         for j in range(k + 1, J.n + 1):
-            needed = [
-                max(0, gamma.exponents[j - 1] - base.exponents[j - 1])
-                for gamma in gens
+            need = None
+            for gamma in gens:
                 if all(
                     gamma.exponents[i] <= base.exponents[i]
                     for i in range(J.n)
                     if i != j - 1
-                )
-            ]
-            if not needed:
+                ):
+                    e = max(0, gamma.exponents[j - 1] - base.exponents[j - 1])
+                    need = e if need is None else min(need, e)
+                    if need <= t:
+                        break  # this (g, j) cannot raise t
+            if need is None:
                 raise NotQuasiStable(
                     f"no power of x_{j} pushes {g}/min back into the ideal",
                     witness=(g, j),
                 )
-            t = max(t, min(needed))
+            t = max(t, need)
     return t
 
 
@@ -316,8 +314,14 @@ def sigma_profile(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> SigmaPro
     return SigmaProfile(p, mode, tuple(counts))
 
 
-def involutive_test(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> bool:
-    """Whether sum(sigma^(p+1)) equals sum(i * sigma^(p)_i) in the chosen mode."""
+def sigma_totals(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> tuple[int, int]:
+    """(sum(sigma^(p+1)), sum(i * sigma^(p)_i)): the two sides of the involutive test."""
     sp = sigma_profile(J, p, mode)
     sp1 = sigma_profile(J, p + 1, mode)
-    return sum(sp1.counts) == sum(i * c for i, c in enumerate(sp.counts, start=1))
+    return sum(sp1.counts), sum(i * c for i, c in enumerate(sp.counts, start=1))
+
+
+def involutive_test(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> bool:
+    """Whether sum(sigma^(p+1)) equals sum(i * sigma^(p)_i) in the chosen mode."""
+    next_degree_total, weighted_total = sigma_totals(J, p, mode)
+    return next_degree_total == weighted_total

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from . import _linalg
@@ -76,8 +77,9 @@ class MarkedSet:
     """Marked polynomials indexed by a complete division basis M.
 
     Construct through :func:`make_marked_set`, which validates the tails.
-    Completeness and stable completeness of M are computed lazily and cached;
-    star decompositions are memoized since reduction revisits the same terms.
+    Stable completeness of M is computed lazily and cached (the assignment
+    caches the completeness verdict); star decompositions are memoized since
+    reduction revisits the same terms.
     """
 
     def __init__(self, basis: TermSet, polys: dict[Term, MarkedPolynomial]):
@@ -85,25 +87,15 @@ class MarkedSet:
         self.n = basis.n
         self.polys = polys
         self.assignment = DivisionAssignment.janet(basis)
-        self._complete: Optional[tuple[bool, Optional[tuple[Term, int]]]] = None
-        self._stably: Optional[tuple[bool, Optional[tuple[Term, int]]]] = None
         self._decompositions: dict[Term, StarFactorization] = {}
 
-    @property
-    def completeness(self) -> tuple[bool, Optional[tuple[Term, int]]]:
-        if self._complete is None:
-            self._complete = is_complete(self.basis, self.assignment)
-        return self._complete
-
-    @property
+    @cached_property
     def stable_completeness(self) -> tuple[bool, Optional[tuple[Term, int]]]:
-        if self._stably is None:
-            self._stably = is_stably_complete(self.basis, self.assignment)
-        return self._stably
+        return is_stably_complete(self.basis, self.assignment)
 
     def contains(self, t: Term) -> bool:
         """Membership in the ideal generated by the heads."""
-        return any(g.divides(t) for g in self.basis)
+        return self.basis.generates(t)
 
     def decompose(self, t: Term) -> StarFactorization:
         fact = self._decompositions.get(t)
@@ -134,9 +126,8 @@ def make_marked_set(
     for head in tails:
         if head not in M:
             raise HeadNotInM(f"{head} is not in the division basis")
-    members = list(M)
     polys: dict[Term, MarkedPolynomial] = {}
-    for head in members:
+    for head in M:
         tail = tails.get(head, {})
         clean: dict[Term, object] = {}
         for t, c in tail.items():
@@ -148,7 +139,7 @@ def make_marked_set(
                 raise DegreeMismatch(
                     f"tail term {t} has degree {t.degree}, head {head} has {head.degree}"
                 )
-            if any(g.divides(t) for g in members):
+            if M.generates(t):
                 raise TailInIdeal(f"tail term {t} lies in the ideal")
             clean[t] = c
         polys[head] = MarkedPolynomial(head, clean)
@@ -220,7 +211,7 @@ def reduce(
         work[t] = c
     if len(degrees) > 1:
         raise NonHomogeneousInput(f"mixed degrees {sorted(degrees)}")
-    ok, witness = G.completeness
+    ok, witness = is_complete(G.basis, G.assignment)
     if not ok:
         raise NotComplete("reduction needs a complete basis", witness=witness)
     track_states = not G.stable_completeness[0]
@@ -323,16 +314,8 @@ def is_marked_basis(G: MarkedSet, *, step_cap: int = DEFAULT_STEP_CAP) -> Marked
 def s_polynomial(f: MarkedPolynomial, g: MarkedPolynomial) -> dict[Term, object]:
     """lcm(heads)/head_f * f - lcm(heads)/head_g * g as a term-to-coefficient map."""
     lcm = Term(max(a, b) for a, b in zip(f.head.exponents, g.head.exponents))
-    result: dict[Term, object] = {}
-    for poly, sign in ((f.times(lcm / f.head), 1), (g.times(lcm / g.head), -1)):
-        for t, c in poly.items():
-            cur = result.get(t)
-            val = sign * c
-            new = val if cur is None else cur + val
-            if new:
-                result[t] = new
-            else:
-                result.pop(t, None)
+    result = f.times(lcm / f.head)
+    _subtract_scaled(result, g, lcm / g.head, 1)
     return result
 
 

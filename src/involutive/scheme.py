@@ -184,12 +184,6 @@ class GenericMarkedSet:
     def marked_set(self) -> MarkedSet:
         return make_marked_set(self.basis, self.tails)
 
-    def param_for(self, name: str) -> ParamVar:
-        for pv in self.params:
-            if pv.name == name:
-                return pv
-        raise MissingAssignment(f"unknown parameter {name}")
-
 
 def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
     """One generic polynomial per star-set element, tails spanning the escalier."""

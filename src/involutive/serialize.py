@@ -27,10 +27,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def coeff_str(c) -> str:
-    return str(c)
-
-
 def parse_coeff(s) -> Fraction:
     try:
         if isinstance(s, bool):
@@ -47,7 +43,9 @@ def term_json(t: Term) -> list[int]:
 
 
 def parse_term(data, n: Optional[int] = None) -> Term:
-    if not isinstance(data, list) or not all(isinstance(e, int) and e >= 0 for e in data):
+    if not isinstance(data, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in data
+    ):
         raise InputFormatError(f"a term must be a list of non-negative integers, got {data!r}")
     if n is not None and len(data) != n:
         raise InputFormatError(f"term {data!r} must have {n} exponents")
@@ -58,7 +56,7 @@ def _require_vars(data) -> int:
     if not isinstance(data, dict):
         raise InputFormatError("document must be a JSON object")
     n = data.get("vars")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputFormatError('"vars" must be a positive integer')
     return n
 
@@ -96,7 +94,7 @@ def assignment_json(assignment: DivisionAssignment) -> list[dict]:
 
 def poly_json(poly: Mapping[Term, object]) -> list[dict]:
     return [
-        {"term": term_json(t), "coeff": coeff_str(poly[t])}
+        {"term": term_json(t), "coeff": str(poly[t])}
         for t in sorted(poly, key=lambda t: t.sort_key)
     ]
 
@@ -163,7 +161,7 @@ def trace_json(trace: ReductionTrace, include_steps: bool) -> dict:
                 "term": term_json(s.term),
                 "head": term_json(s.head),
                 "cofactor": term_json(s.cofactor),
-                "coefficient": coeff_str(s.coefficient),
+                "coefficient": str(s.coefficient),
             }
             for s in trace.steps
         ]

@@ -30,21 +30,10 @@ class Term:
         return len(self.exponents)
 
     @property
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
-    @property
     def min_index(self) -> Optional[int]:
         """1-based index of the smallest variable dividing the term, None for 1."""
         for i, e in enumerate(self.exponents):
             if e:
-                return i + 1
-        return None
-
-    @property
-    def max_index(self) -> Optional[int]:
-        for i in range(len(self.exponents) - 1, -1, -1):
-            if self.exponents[i]:
                 return i + 1
         return None
 
@@ -125,11 +114,6 @@ def lex_compare(s: Term, t: Term) -> int:
     return (a > b) - (a < b)
 
 
-def extremal_vars(t: Term) -> tuple[Optional[int], Optional[int]]:
-    """(min, max) 1-based indices of variables appearing in t; (None, None) for 1."""
-    return (t.min_index, t.max_index)
-
-
 def terms_of_degree(n: int, d: int) -> Iterator[Term]:
     """All degree-d terms in n variables, in increasing lex order."""
 
@@ -176,6 +160,10 @@ class TermSet:
 
     def __contains__(self, t) -> bool:
         return t in self._members
+
+    def generates(self, t: Term) -> bool:
+        """Membership of t in the monomial ideal generated by the set."""
+        return any(g.divides(t) for g in self.terms)
 
     def __eq__(self, other) -> bool:
         return (

@@ -128,6 +128,25 @@ def brute_star_set(gens, n, top):
     return found
 
 
+def brute_quasi_stable_witness(gens, n):
+    """The first (g, j) in canonical order, j above min(g), such that no
+    x_j^t with 1 <= t <= the maximal generator degree pushes g/x_min(g)
+    into the ideal; None when there is none (the ideal is quasi-stable)."""
+    top = max(sum(g) for g in gens)
+    for g in canonical_order(gens):
+        k = next((i for i, e in enumerate(g) if e), None)
+        if k is None:
+            continue
+        base = g[:k] + (g[k] - 1,) + g[k + 1:]
+        for j in range(k + 2, n + 1):
+            if not any(
+                tuple_in_ideal(gens, base[: j - 1] + (base[j - 1] + t,) + base[j:])
+                for t in range(1, top + 1)
+            ):
+                return g, j
+    return None
+
+
 def divisor_tuples(gamma):
     return itertools.product(*(range(e + 1) for e in gamma))
 

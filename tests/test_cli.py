@@ -293,3 +293,90 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(target.read_text())
     assert report["terms"] == [[0, 0, 1], [0, 2, 0]]
+
+
+def error_text(**error):
+    return json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+
+
+def test_error_objects_are_byte_stable(tmp_path, capsys):
+    no_generators = tmp_path / "no_generators.json"
+    no_generators.write_text(json.dumps({"vars": 2}))
+    missing_value = tmp_path / "missing_value.json"
+    missing_value.write_text(
+        json.dumps(
+            {
+                "ideal": {"vars": 2, "generators": [[3, 0], [1, 1], [0, 3]]},
+                "assignment": {"C[1][0,2]": "-1"},
+            }
+        )
+    )
+    incomplete = str(CORPUS / "termset_incomplete_pair.json")
+    cases = [
+        (
+            ["classify", "--input", str(no_generators)],
+            error_text(type="InputFormatError", message='"generators" must be a non-empty list'),
+        ),
+        (
+            ["specialize", "--input", str(missing_value)],
+            error_text(type="MissingAssignment", message="no value for C[1][2,0]"),
+        ),
+        (
+            ["sigma", "--input", str(CORPUS / "ideal_stable.json"), "--degree-bound", "0"],
+            error_text(type="ValueError", message="sigma invariants are defined for degree >= 1"),
+        ),
+        (
+            ["complete", "--input", incomplete, "--degree-bound", "1"],
+            error_text(
+                type="DegreeCapExceeded",
+                message="completion needs degree 2 > cap 1",
+                partial={"vars": 2, "terms": [[1, 0], [0, 2]]},
+            ),
+        ),
+        (
+            ["hilbert", "--input", incomplete, "--degree-bound", "2"],
+            error_text(type="NotComplete", message="Hilbert formula needs a complete set"),
+        ),
+        (
+            ["classify", "--input", str(CORPUS / "ideal_stable.json"), "--step-cap", "0"],
+            error_text(type="usage", message="step cap must be >= 1"),
+        ),
+        (
+            ["star-set", "--input", str(CORPUS / "ideal_stable.json")],
+            error_text(type="usage", message="star-set needs --degree-bound >= 0"),
+        ),
+    ]
+    for argv, expected in cases:
+        assert run(capsys, *argv) == (2, expected), argv
+
+
+def test_json_booleans_are_not_integers(tmp_path, capsys):
+    source = tmp_path / "booleans.json"
+    for doc, message in [
+        ({"vars": True, "generators": [[True]]}, '"vars" must be a positive integer'),
+        (
+            {"vars": 1, "generators": [[True]]},
+            "a term must be a list of non-negative integers, got [True]",
+        ),
+    ]:
+        source.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "pommaret", "--input", str(source))
+        assert code == 2
+        assert report == {"error": {"type": "InputFormatError", "message": message}}
+
+
+def test_oracle_check_degree_bound(capsys):
+    example = str(CORPUS / "marked_basis_example.json")
+    code, report = run_json(
+        capsys, "oracle-check", "--input", example, "--degree-bound", "-3"
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "usage",
+        "message": "oracle-check needs --degree-bound >= 0",
+    }
+    # an explicit 0 is honoured, not replaced by the default
+    code, report = run_json(
+        capsys, "oracle-check", "--input", example, "--degree-bound", "0"
+    )
+    assert code == 0 and report == {"ok": True, "max_degree": 0}

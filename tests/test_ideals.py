@@ -13,6 +13,7 @@ from involutive import (
     MonomialIdeal,
     NotComplete,
     NotQuasiStable,
+    StabilityWitness,
     Term,
     TermSet,
     classify,
@@ -21,7 +22,6 @@ from involutive import (
     ideal_slice,
     involutive_test,
     janet_complete,
-    membership,
     pommaret_basis,
     pommaret_termination_degree,
     regularity,
@@ -29,7 +29,13 @@ from involutive import (
     star_set,
 )
 from involutive.serialize import parse_ideal
-from helpers import brute_star_set, escalier_count, random_ideal, random_term_of_degree
+from helpers import (
+    brute_quasi_stable_witness,
+    brute_star_set,
+    escalier_count,
+    random_ideal,
+    random_term_of_degree,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -51,8 +57,8 @@ TWO_PARAMS = ideal((2, 0), (1, 1), (0, 3))
 
 def test_membership():
     J = MonomialIdeal([t(1, 0)])
-    assert membership(J, t(1, 5))
-    assert not membership(J, t(0, 5))
+    assert J.contains(t(1, 5))
+    assert not J.contains(t(0, 5))
     J2 = ideal((0, 0, 1), (0, 2, 0))
     assert J2.contains(t(0, 1, 1))
 
@@ -152,6 +158,25 @@ def test_classify_hierarchy_on_random_ideals():
         if rep.stable:
             assert rep.quasi_stable
 
+
+def test_classify_quasi_stable_witness_matches_brute_force():
+    # the witness is the first (g, j) in canonical order for which no power
+    # of x_j pushes g/min(g) back into the ideal
+    rng = random.Random(61)
+    kinds = {True: 0, False: 0}
+    for _ in range(300):
+        J = random_ideal(rng, max_vars=4, max_gens=4, max_deg=4)
+        gens = [g.exponents for g in J.generators]
+        expected = brute_quasi_stable_witness(gens, J.n)
+        rep = classify(J)
+        kinds[rep.quasi_stable] += 1
+        if expected is None:
+            assert rep.quasi_stable and rep.quasi_stable_witness is None
+        else:
+            g, j = expected
+            assert not rep.quasi_stable
+            assert rep.quasi_stable_witness == StabilityWitness(Term(g), j, Term(g).min_index)
+    assert min(kinds.values()) >= 50, kinds
 
 def test_library_checks_survive_optimized_mode():
     # `python -O` strips assert statements, so internal checks must raise

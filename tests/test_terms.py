@@ -7,7 +7,6 @@ from involutive import (
     NotDivisible,
     Term,
     TermSet,
-    extremal_vars,
     lex_compare,
     one,
     terms_of_degree,
@@ -32,9 +31,9 @@ def test_divides_rejects_mismatched_lengths():
 
 
 def test_extremal_vars():
-    assert extremal_vars(t(1, 2)) == (1, 2)
-    assert extremal_vars(t(0, 0, 2)) == (3, 3)
-    assert extremal_vars(one(3)) == (None, None)
+    assert t(1, 2).min_index == 1
+    assert t(0, 0, 2).min_index == 3
+    assert one(3).min_index is None
 
 
 def test_predecessor():
