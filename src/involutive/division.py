@@ -73,9 +73,32 @@ def pommaret_multiplicative_vars(tau: Term, n: Optional[int] = None) -> frozense
     return frozenset(range(1, m + 1))
 
 
+def _check_nvars(n: int, gamma: Term) -> None:
+    if gamma.nvars != n:
+        raise MismatchedVariableCount(f"{n} variables vs {gamma.nvars}")
+
+
+# One (positions, table) pair per set of non-multiplicative positions: the
+# table maps the exponents at those positions to the terms that have them.
+_CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[Term]]]]
+
+
+@dataclass(frozen=True)
+class StarFactorization:
+    """gamma = head * cofactor with the cofactor made of multiplicative variables."""
+
+    head: Term
+    cofactor: Term
+
+
 @dataclass(frozen=True, eq=False)
 class DivisionAssignment:
-    """One multiplicative-variable set per term of a fixed TermSet."""
+    """One multiplicative-variable set per term of a fixed TermSet.
+
+    The assignment answers every cover question about its own basis: which
+    terms' involutive cones hold a term (:meth:`cover`) and whether the cones
+    cover the ideal (``_uncovered``).
+    """
 
     flavor: str
     basis: TermSet
@@ -91,84 +114,65 @@ class DivisionAssignment:
 
     @cached_property
     def _cover_index(self) -> _CoverIndex:
-        return _index_terms(self.basis, self.mult)
+        """The basis grouped by non-multiplicative positions.
+
+        tau covers gamma (gamma lies in the involutive cone of tau) exactly
+        when gamma agrees with tau at every non-multiplicative position of tau
+        and tau <= gamma elsewhere, so a lookup is one probe per group.
+        """
+        groups: dict[frozenset[int], list[Term]] = {}
+        for tau in self.basis:
+            groups.setdefault(self.mult[tau], []).append(tau)
+        index: _CoverIndex = []
+        for vars_, members in groups.items():
+            fixed = [i for i in range(self.basis.n) if i + 1 not in vars_]
+            table: dict[tuple[int, ...], list[Term]] = {}
+            for tau in members:
+                table.setdefault(tuple([tau.exponents[i] for i in fixed]), []).append(tau)
+            index.append((fixed, table))
+        return index
+
+    def _heads(self, exps: tuple[int, ...]) -> list[Term]:
+        """The basis terms whose involutive cone contains the exponent vector exps."""
+        return [
+            tau
+            for fixed, table in self._cover_index
+            for tau in table.get(tuple([exps[i] for i in fixed]), ())
+            if all(map(le, tau.exponents, exps))
+        ]
+
+    def cover(self, gamma: Term) -> Optional[StarFactorization]:
+        """gamma as the lex-greatest covering head times its cofactor; None
+        when no involutive cone holds gamma.  Over a complete basis that means
+        gamma lies outside the ideal."""
+        _check_nvars(self.basis.n, gamma)
+        heads = self._heads(gamma.exponents)
+        if not heads:
+            return None
+        head = max(heads, key=lambda t: t.lex_key)
+        return StarFactorization(head, gamma / head)
 
     @cached_property
     def _uncovered(self) -> Optional[tuple[Term, int]]:
-        """The completeness witness of the basis, None when it is complete."""
-        return _first_uncovered(self.basis, self.mult, self._cover_index)
+        """The completeness witness of the basis: the first (tau, j) in
+        canonical order with x_j * tau in no involutive cone, None when the
+        basis is complete."""
+        for tau in self.basis:
+            e = tau.exponents
+            vars_ = self.mult[tau]
+            for j in range(1, self.basis.n + 1):
+                if j not in vars_ and not self._heads(e[: j - 1] + (e[j - 1] + 1,) + e[j:]):
+                    return tau, j
+        return None
 
 
-@dataclass(frozen=True)
-class StarFactorization:
-    """gamma = head * cofactor with the cofactor made of multiplicative variables."""
-
-    head: Term
-    cofactor: Term
-
-
-# One (positions, table) pair per set of non-multiplicative positions: the
-# table maps the exponents at those positions to the terms that have them.
-_CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[Term]]]]
-
-
-def _index_terms(M: TermSet, mult: Mapping[Term, frozenset[int]]) -> _CoverIndex:
-    """Group the terms of M by their non-multiplicative positions.
-
-    tau covers gamma (gamma lies in the involutive cone of tau) exactly when
-    gamma agrees with tau at every non-multiplicative position of tau and
-    tau <= gamma elsewhere, so a lookup is one probe per group.
-    """
-    groups: dict[frozenset[int], list[Term]] = {}
-    for tau in M:
-        groups.setdefault(mult[tau], []).append(tau)
-    index: _CoverIndex = []
-    for vars_, members in groups.items():
-        fixed = [i for i in range(M.n) if i + 1 not in vars_]
-        table: dict[tuple[int, ...], list[Term]] = {}
-        for tau in members:
-            table.setdefault(tuple([tau.exponents[i] for i in fixed]), []).append(tau)
-        index.append((fixed, table))
-    return index
-
-
-def _is_basis_of(M: TermSet, assignment: DivisionAssignment) -> bool:
-    return M is assignment.basis or M == assignment.basis
-
-
-def _cover_index_for(M: TermSet, assignment: DivisionAssignment) -> _CoverIndex:
-    """The assignment's own index, or one over M when M is not its basis."""
-    if _is_basis_of(M, assignment):
-        return assignment._cover_index
-    return _index_terms(M, assignment.mult)
-
-
-def _covering(index: _CoverIndex, exps: tuple[int, ...]) -> list[Term]:
-    """The indexed terms whose involutive cone contains the exponent vector exps."""
-    return [
-        tau
-        for fixed, table in index
-        for tau in table.get(tuple([exps[i] for i in fixed]), ())
-        if all(map(le, tau.exponents, exps))
-    ]
-
-
-def _first_uncovered(
-    M: TermSet, mult: Mapping[Term, frozenset[int]], index: _CoverIndex
-) -> Optional[tuple[Term, int]]:
-    """First (tau, j) in canonical order with x_j * tau in no involutive cone."""
-    for tau in M:
-        e = tau.exponents
-        vars_ = mult[tau]
-        for j in range(1, M.n + 1):
-            if j not in vars_ and not _covering(index, e[: j - 1] + (e[j - 1] + 1,) + e[j:]):
-                return tau, j
-    return None
-
-
-def _check_nvars(n: int, gamma: Term) -> None:
-    if gamma.nvars != n:
-        raise MismatchedVariableCount(f"{n} variables vs {gamma.nvars}")
+def _own_assignment(M: TermSet, assignment: Optional[DivisionAssignment]) -> DivisionAssignment:
+    """The assignment of M: the given one, which must belong to M, or Janet's."""
+    if assignment is None:
+        return DivisionAssignment.janet(M)
+    if M is not assignment.basis and M != assignment.basis:
+        raise ValueError("the assignment belongs to another set of terms")
+    return assignment
 
 
 def offspring_contains(
@@ -177,7 +181,7 @@ def offspring_contains(
     """True iff gamma is tau times a product of multiplicative variables of tau."""
     if tau not in M:
         raise NotInSet(f"{tau} is not in the set")
-    mult = assignment.mult[tau] if assignment else janet_multiplicative_vars(M, tau)
+    mult = _own_assignment(M, assignment).mult[tau]
     _check_nvars(tau.nvars, gamma)
     return all(
         a == b or (a < b and j in mult)
@@ -186,36 +190,25 @@ def offspring_contains(
 
 
 def star_decompose(
-    M: TermSet,
-    gamma: Term,
-    assignment: Optional[DivisionAssignment] = None,
-    *,
-    check_complete: bool = False,
+    M: TermSet, gamma: Term, assignment: Optional[DivisionAssignment] = None
 ) -> StarFactorization:
     """Factorization gamma = tau * eta with gamma in the offspring of tau.
 
     The head is the lex-greatest element of M whose involutive cone contains
     gamma; for a Janet assignment the cones are disjoint, so it is the only
-    one.  Pass ``check_complete=False`` (the default) to trust the caller that
-    M is complete and skip the completeness check on every call.
+    one.  ``assignment`` must be M's own (Janet by default).  A gamma in no
+    cone raises NotInIdeal when it lies outside the ideal, and otherwise
+    NotComplete with the completeness witness of M.
     """
-    if assignment is None:
-        assignment = DivisionAssignment.janet(M)
-    if check_complete:
-        ok, witness = is_complete(M, assignment)
-        if not ok:
-            raise NotComplete("the set is not complete", witness=witness)
-    if len(M):
-        _check_nvars(M.n, gamma)
-    heads = _covering(_cover_index_for(M, assignment), gamma.exponents)
-    if heads:
-        head = max(heads, key=lambda t: t.lex_key)
-        return StarFactorization(head, gamma / head)
+    assignment = _own_assignment(M, assignment)
+    fact = assignment.cover(gamma)
+    if fact is not None:
+        return fact
     if not M.generates(gamma):
         raise NotInIdeal(f"{gamma} is not in the generated ideal")
     raise NotComplete(
         f"{gamma} has no star factorization; the set is not complete",
-        witness=None,
+        witness=assignment._uncovered,
     )
 
 
@@ -226,14 +219,9 @@ def is_complete(
 
     Only the products x_j * tau for non-multiplicative x_j need checking:
     coverage of the whole semigroup ideal follows from the offspring
-    partition property.
+    partition property.  ``assignment`` must be M's own (Janet by default).
     """
-    if assignment is None:
-        assignment = DivisionAssignment.janet(M)
-    if _is_basis_of(M, assignment):
-        witness = assignment._uncovered
-    else:
-        witness = _first_uncovered(M, assignment.mult, _index_terms(M, assignment.mult))
+    witness = _own_assignment(M, assignment)._uncovered
     return witness is None, witness
 
 
@@ -241,8 +229,7 @@ def is_stably_complete(
     M: TermSet, assignment: Optional[DivisionAssignment] = None
 ) -> tuple[bool, Optional[tuple[Term, int]]]:
     """Complete, and Janet multiplicative variables agree with the Pommaret ones."""
-    if assignment is None:
-        assignment = DivisionAssignment.janet(M)
+    assignment = _own_assignment(M, assignment)
     ok, witness = is_complete(M, assignment)
     if not ok:
         return False, witness

@@ -93,10 +93,11 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
     beyond = False
     for g in J.generators:
         m = g.min_index
-        if m is None:
-            continue
         if g.degree > D:
             beyond = True
+            continue
+        if m is None:  # J is the unit ideal, whose only star term is 1
+            found.add(g)
             continue
         # (star term, its predecessor, index of the smallest variable to add)
         stack = [(g, g.predecessor(m), m + 1)]
@@ -264,9 +265,9 @@ def hilbert_function(
 ) -> int:
     """dim of the degree-k slice of P/(M) counted through offspring sizes.
 
-    Requires M complete for ``assignment`` (Janet by default).  The ambient
-    count is C(k+n-1, n-1) = dim P_k; binomials with a negative numerator or
-    denominator contribute 0.
+    Requires M complete for ``assignment``, which must be M's own (Janet by
+    default).  The ambient count is C(k+n-1, n-1) = dim P_k; binomials with a
+    negative numerator or denominator contribute 0.
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)

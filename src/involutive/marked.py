@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from . import _linalg
-from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete, star_decompose
+from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
 from .errors import (
     DegreeMismatch,
     HeadNotInM,
@@ -78,8 +78,9 @@ class MarkedSet:
 
     Construct through :func:`make_marked_set`, which validates the tails.
     Stable completeness of M is computed lazily and cached (the assignment
-    caches the completeness verdict); star decompositions are memoized since
-    reduction revisits the same terms.
+    caches the completeness verdict).  Star decompositions come from the
+    Janet assignment of M itself and are memoized, since reduction revisits
+    the same terms.
     """
 
     def __init__(self, basis: TermSet, polys: dict[Term, MarkedPolynomial]):
@@ -87,22 +88,26 @@ class MarkedSet:
         self.n = basis.n
         self.polys = polys
         self.assignment = DivisionAssignment.janet(basis)
-        self._decompositions: dict[Term, StarFactorization] = {}
+        self._decompositions: dict[Term, Optional[StarFactorization]] = {}
 
     @cached_property
     def stable_completeness(self) -> tuple[bool, Optional[tuple[Term, int]]]:
         return is_stably_complete(self.basis, self.assignment)
 
     def contains(self, t: Term) -> bool:
-        """Membership in the ideal generated by the heads."""
+        """Membership in the ideal generated by the heads, by a scan that is
+        independent of the cover lookup behind :meth:`decompose`."""
         return self.basis.generates(t)
 
-    def decompose(self, t: Term) -> StarFactorization:
-        fact = self._decompositions.get(t)
-        if fact is None:
-            fact = star_decompose(self.basis, t, self.assignment)
-            self._decompositions[t] = fact
-        return fact
+    def decompose(self, t: Term) -> Optional[StarFactorization]:
+        """The star factorization of t, None when no cone of M holds t.
+
+        Over a complete M (which reduction checks first) None means t lies
+        outside the ideal.
+        """
+        if t not in self._decompositions:
+            self._decompositions[t] = self.assignment.cover(t)
+        return self._decompositions[t]
 
     def __iter__(self):
         return iter(self.polys.values())
@@ -221,9 +226,9 @@ def reduce(
     while True:
         best = None
         for t in work:
-            if not G.contains(t):
-                continue
             fact = G.decompose(t)
+            if fact is None:
+                continue
             key = (fact.cofactor.lex_key, t.lex_key)
             if best is None or key > best[0]:
                 best = (key, t, fact)
@@ -257,10 +262,9 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
         raise NotStablyComplete("G^(s) needs a stably complete basis", witness=witness)
     out = []
     for gamma in terms_of_degree(G.n, s):
-        if not G.contains(gamma):
-            continue
         fact = G.decompose(gamma)
-        out.append((gamma, G.polys[fact.head].times(fact.cofactor)))
+        if fact is not None:
+            out.append((gamma, G.polys[fact.head].times(fact.cofactor)))
     return out
 
 
@@ -334,7 +338,13 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     polynomials equals the span of the star-compatible multiples G^(s), and
     that the latter together with the escalier monomials fills the degree-s
     slice with trivial intersection.  Independent of the reduction relation.
+    ``max_degree`` must reach the largest basis degree, or some marked
+    polynomials would go unchecked.
     """
+    if max_degree < G.basis.max_degree():
+        raise ValueError(
+            f"degree bound {max_degree} is below the largest basis degree {G.basis.max_degree()}"
+        )
     ok, witness = G.stable_completeness
     if not ok:
         raise NotStablyComplete("oracle needs a stably complete basis", witness=witness)

@@ -14,8 +14,8 @@ from typing import Mapping, Optional
 
 from .errors import MissingAssignment
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
-from .marked import REDUCED, MarkedSet, make_marked_set, reduce
-from .terms import Term, TermSet, variable
+from .marked import REDUCED, MarkedSet, is_marked_basis, make_marked_set
+from .terms import Term, TermSet
 
 
 @dataclass(frozen=True)
@@ -208,20 +208,14 @@ def prolongation_residues(
     gm: GenericMarkedSet,
 ) -> list[tuple[Term, int, dict[Term, ParamPolynomial]]]:
     """Reduced non-multiplicative prolongations of the generic set, in canonical order."""
-    G = gm.marked_set()
     out = []
-    for head in gm.basis:
-        k = head.min_index
-        if k is None:
-            continue
-        for j in range(k + 1, gm.basis.n + 1):
-            h = G.polys[head].times(variable(gm.basis.n, j))
-            trace = reduce(G, h)
-            if trace.status != REDUCED:
-                raise AssertionError(
-                    f"prolongation of {head} by x_{j} did not reduce: {trace.status}"
-                )
-            out.append((head, j, trace.result))
+    for check in is_marked_basis(gm.marked_set()).checks:
+        if check.trace.status != REDUCED:
+            raise AssertionError(
+                f"prolongation of {check.head} by x_{check.variable} did not reduce: "
+                f"{check.trace.status}"
+            )
+        out.append((check.head, check.variable, check.trace.result))
     return out
 
 

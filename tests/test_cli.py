@@ -141,6 +141,17 @@ def test_pommaret_negative(capsys):
     assert report["witness"]["term"] == [0, 1, 0]
 
 
+def test_unit_ideal(tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text('{"vars": 2, "generators": [[0, 0]]}')
+    code, report = run_json(capsys, "pommaret", "--input", str(path))
+    assert code == 0 and report == {"regularity": 0, "terms": [[0, 0]], "vars": 2}
+    code, report = run_json(capsys, "scheme-equations", "--input", str(path))
+    assert code == 0
+    assert report["generic_set"]["polynomials"] == [{"head": [0, 0], "tail": []}]
+    assert report["equations"] == []
+
+
 def test_hilbert(capsys):
     code, report = run_json(
         capsys,
@@ -375,8 +386,13 @@ def test_oracle_check_degree_bound(capsys):
         "type": "usage",
         "message": "oracle-check needs --degree-bound >= 0",
     }
-    # an explicit 0 is honoured, not replaced by the default
+    # an explicit 0 is honoured, not replaced by the default, and refused:
+    # a bound below the largest basis degree would leave polynomials unchecked
     code, report = run_json(
         capsys, "oracle-check", "--input", example, "--degree-bound", "0"
     )
-    assert code == 0 and report == {"ok": True, "max_degree": 0}
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "degree bound 0 is below the largest basis degree 3",
+    }

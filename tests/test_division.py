@@ -13,11 +13,13 @@ from involutive import (
     NotInSet,
     Term,
     TermSet,
+    hilbert_function,
     is_complete,
     is_stably_complete,
     janet_complete,
     janet_multiplicative_vars,
     lex_compare,
+    make_marked_set,
     offspring_contains,
     pommaret_multiplicative_vars,
     star_decompose,
@@ -34,6 +36,7 @@ from helpers import (
     canonical_order,
     divisor_tuples,
     random_term_of_degree,
+    tuple_in_ideal,
 )
 
 
@@ -176,10 +179,11 @@ def test_star_decompose_errors():
     with pytest.raises(NotInIdeal):
         star_decompose(M0, t(0, 5, 0))
     incomplete = ts((1, 0), (0, 2))
-    with pytest.raises(NotComplete):
+    # x1*x2 lies in the ideal but in no cone; the error names the first
+    # uncovered prolongation, as is_complete does
+    with pytest.raises(NotComplete) as info:
         star_decompose(incomplete, t(1, 1))
-    with pytest.raises(NotComplete):
-        star_decompose(incomplete, t(1, 3), check_complete=True)
+    assert info.value.witness == (t(1, 0), 2) == is_complete(incomplete)[1]
 
 
 def test_is_complete_examples():
@@ -340,8 +344,8 @@ def star_outcome(M, gamma, assignment):
 
 
 def check_against_brute_force(members, probes, assignment, mult):
-    """is_complete and star_decompose over ``members`` (a subset of the
-    assignment's basis, or all of it) agree with the scanning oracles."""
+    """is_complete and star_decompose over ``members`` (the assignment's
+    basis) agree with the scanning oracles."""
     M = TermSet([Term(m) for m in members])
     expected = brute_is_complete(members, mult)
     assert is_complete(M, assignment) == (
@@ -365,7 +369,13 @@ def test_cover_index_matches_brute_force(drawn, data):
         mult = {m: rule(m) for m in members}
         assert {t.exponents: set(v) for t, v in assignment.mult.items()} == mult
         check_against_brute_force(members, probes, assignment, mult)
-        check_against_brute_force(subset, probes, assignment, mult)
+        if len(subset) < len(members):
+            # lookups answer for the assignment's own basis only
+            sub = TermSet([Term(m) for m in subset], M.n)
+            with pytest.raises(ValueError):
+                is_complete(sub, assignment)
+            with pytest.raises(ValueError):
+                star_decompose(sub, Term(probes[0]), assignment)
 
 
 @PROPERTY
@@ -389,6 +399,28 @@ def test_janet_complete_matches_the_dense_oracle(drawn, slack):
     check_against_brute_force(sorted(expected), probes, assignment, mult)
 
 
+@PROPERTY
+@given(term_sets(max_vars=4, max_exp=2, max_size=5))
+def test_marked_set_lookup_answers_membership_and_factorization(drawn):
+    # over a Janet completion, the one cover lookup is None exactly outside
+    # the ideal and otherwise gives the scanning oracle's factorization
+    members, probes = drawn
+    lcm_degree = sum(max(col) for col in zip(*members))
+    C = janet_complete(TermSet([Term(m) for m in members]), lcm_degree)
+    G = make_marked_set(C)
+    completed = tuples_of(C)
+    mult = {m: brute_mult_vars(completed, m) for m in completed}
+    for gamma in probes + completed:
+        fact = G.decompose(Term(gamma))
+        assert G.decompose(Term(gamma)) is fact
+        if not tuple_in_ideal(members, gamma):
+            assert fact is None
+        else:
+            assert fact is not None
+            expected = brute_star_decompose(completed, mult, gamma)
+            assert (fact.head.exponents, fact.cofactor.exponents) == expected
+
+
 def test_star_decompose_takes_the_lex_greatest_of_nested_pommaret_cones():
     # x1 and x1^2 both have x1 as their only Pommaret variable: the cone of
     # x1^2 sits inside that of x1, and the lex-greatest head wins.
@@ -405,20 +437,26 @@ def test_star_decompose_takes_the_lex_greatest_of_nested_pommaret_cones():
     assert is_complete(M, assignment) == (False, (t(1, 0), 2))
 
 
-def test_lookups_range_over_a_subset_of_the_assignment_basis():
-    # M0 = {x1^2, x1x2, x3} is complete; without x3 the cone of x3 is gone
+def test_lookups_refuse_a_foreign_assignment():
+    # M0 = {x1^2, x1x2, x3}; an assignment answers for its own basis only,
+    # and an equal set built apart counts as that basis
     assignment = DivisionAssignment.janet(M0)
     sub = ts((2, 0, 0), (1, 1, 0))
-    assert star_decompose(M0, t(0, 0, 1), assignment).head == t(0, 0, 1)
-    with pytest.raises(NotInIdeal):
-        star_decompose(sub, t(0, 0, 1), assignment)
-    assert star_decompose(M0, t(1, 1, 1), assignment).head == t(0, 0, 1)
-    with pytest.raises(NotComplete):
-        star_decompose(sub, t(1, 1, 1), assignment)
-    fact = star_decompose(sub, t(3, 1, 0), assignment)
-    assert (fact.head, fact.cofactor) == (t(1, 1, 0), t(2, 0, 0))
-    assert is_complete(M0, assignment) == (True, None)
-    assert is_complete(sub, assignment) == (False, (t(2, 0, 0), 3))
+    for other in (sub, m_i(1)):
+        with pytest.raises(ValueError):
+            star_decompose(other, t(3, 1, 0), assignment)
+        with pytest.raises(ValueError):
+            is_complete(other, assignment)
+        with pytest.raises(ValueError):
+            is_stably_complete(other, assignment)
+        with pytest.raises(ValueError):
+            offspring_contains(other, t(1, 1, 0), t(3, 1, 0), assignment)
+        with pytest.raises(ValueError):
+            hilbert_function(other, 2, assignment)
+    same = ts((0, 0, 1), (1, 1, 0), (2, 0, 0))
+    assert star_decompose(same, t(1, 1, 1), assignment).head == t(0, 0, 1)
+    assert is_complete(same, assignment) == (True, None)
+    assert offspring_contains(same, t(1, 1, 0), t(3, 1, 0), assignment)
 
 
 def test_mismatched_variable_counts_are_rejected():

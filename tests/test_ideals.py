@@ -364,6 +364,17 @@ def test_regularity_examples():
     assert regularity(MonomialIdeal([t(4, 0)], 2).__class__([t(0, 4)], 2)) == 4
 
 
+def test_unit_ideal_has_the_star_set_one():
+    # (1) is the cone of 1 with every variable multiplicative
+    one = Term([0, 0])
+    J = MonomialIdeal([one], 2)
+    assert star_set(J, 3) == (TermSet([one]), True)
+    basis = pommaret_basis(J)
+    assert basis == TermSet([one])
+    for assignment in (DivisionAssignment.janet(basis), DivisionAssignment.pommaret(basis)):
+        assert assignment.mult[one] == {1, 2}
+
+
 def test_zero_ideal_is_rejected_by_star_set():
     J = MonomialIdeal([], 2)
     assert J.is_zero
