@@ -19,11 +19,13 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = Fraction(1) / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
+        # Zero entries are kept as they are: rows are mostly zeros, and
+        # skipping them saves most of the Fraction arithmetic.
+        mat[r] = [v * inv if v else v for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
                 factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -35,19 +37,13 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def residual(
-    vec: list[Fraction], basis: list[list[Fraction]], pivots: list[int]
-) -> list[Fraction]:
-    """vec minus its projection onto the row space of an RREF basis."""
-    out = list(vec)
-    for row, col in zip(basis, pivots):
-        factor = out[col]
-        if factor:
-            out = [a - factor * b for a, b in zip(out, row)]
-    return out
-
-
 def in_rowspace(
     vec: list[Fraction], basis: list[list[Fraction]], pivots: list[int]
 ) -> bool:
-    return not any(residual(vec, basis, pivots))
+    """Whether vec lies in the row space of an RREF basis: its residual after
+    subtracting the projection is zero."""
+    for row, col in zip(basis, pivots):
+        factor = vec[col]
+        if factor:
+            vec = [a - factor * b if b else a for a, b in zip(vec, row)]
+    return not any(vec)

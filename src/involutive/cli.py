@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per analysis, JSON in and out.
+"""Command-line front end: one command per analysis, JSON in and out.
 
 Exit codes: 0 success, 1 negative mathematical verdict (with a witness in the
 report), 2 malformed input or usage error (with a machine-readable error
@@ -220,24 +220,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Involutive structure, marked bases and marked-scheme equations "
         "for monomial ideals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="path to the JSON input file")
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--step-cap", type=int, default=marked.DEFAULT_STEP_CAP)
-        p.add_argument(
-            "--degree-bound",
-            type=int,
-            default=None,
-            help="degree bound / degree argument for commands that need one",
-        )
-        p.add_argument(
-            "--sigma-mode",
-            choices=[ideals.ESCALIER, ideals.IDEAL_SLICE],
-            default=ideals.IDEAL_SLICE,
-        )
-        p.add_argument("--trace", action="store_true", help="include reduction steps")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--input", required=True, help="path to the JSON input file")
+    parser.add_argument("--output", help="write the JSON report here instead of stdout")
+    parser.add_argument("--step-cap", type=int, default=marked.DEFAULT_STEP_CAP)
+    parser.add_argument(
+        "--degree-bound",
+        type=int,
+        default=None,
+        help="degree bound / degree argument for commands that need one",
+    )
+    parser.add_argument(
+        "--sigma-mode",
+        choices=[ideals.ESCALIER, ideals.IDEAL_SLICE],
+        default=ideals.IDEAL_SLICE,
+    )
+    parser.add_argument("--trace", action="store_true", help="include reduction steps")
     return parser
 
 

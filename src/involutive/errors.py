@@ -21,20 +21,20 @@ class NotInIdeal(InvolutiveError):
     """The term does not belong to the generated semigroup ideal."""
 
 
-class NotComplete(InvolutiveError):
+class WitnessError(InvolutiveError):
+    """A negative verdict; ``witness`` is the failing pair that shows it, if known."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotComplete(WitnessError):
     """The term set is not complete; ``witness`` is a failing (term, variable) pair."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotStablyComplete(InvolutiveError):
+class NotStablyComplete(WitnessError):
     """The term set is not stably complete; ``witness`` is a failing (term, variable) pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class DegreeCapExceeded(InvolutiveError):
@@ -45,12 +45,8 @@ class DegreeCapExceeded(InvolutiveError):
         self.partial = partial
 
 
-class NotQuasiStable(InvolutiveError):
+class NotQuasiStable(WitnessError):
     """The ideal is not quasi-stable; ``witness`` is a failing (generator, variable) pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class TailInIdeal(InvolutiveError):

@@ -148,27 +148,34 @@ def classify(J: MonomialIdeal) -> StabilityReport:
         g, j = exc.witness
         quasi = False
         qw = StabilityWitness(g, j, g.min_index)
+    # One scan of the moves g/x_i * x_j, x_i dividing g and j > i, in (g, i, j)
+    # order; stability is the i = min(g) part.  A failure there fails both
+    # levels, and nothing is left to decide.
     for g in J.generators:
         k = g.min_index
         if k is None:
             continue
-        base = g.predecessor(k)
-        for j in range(k + 1, n + 1):
-            if stable and not J.contains(base * variable(n, j)):
+        for i in range(k, n + 1):
+            if i > k and not strongly:
+                break
+            if g.exponents[i - 1] == 0:
+                continue
+            base = g.predecessor(i)
+            j = next(
+                (j for j in range(i + 1, n + 1) if not J.contains(base * variable(n, j))),
+                None,
+            )
+            if j is None:
+                continue
+            if strongly:
+                strongly = False
+                sw = StabilityWitness(g, j, i)
+            if i == k:
                 stable = False
                 stw = StabilityWitness(g, j, k)
-        if strongly:
-            for i in range(1, n + 1):
-                if g.exponents[i - 1] == 0:
-                    continue
-                swap_base = g.predecessor(i)
-                for j in range(i + 1, n + 1):
-                    if not J.contains(swap_base * variable(n, j)):
-                        strongly = False
-                        sw = StabilityWitness(g, j, i)
-                        break
-                if not strongly:
-                    break
+            break
+        if not stable:
+            break
     if (strongly and not stable) or (stable and not quasi):
         raise AssertionError(
             f"stability hierarchy violated: strongly={strongly}, stable={stable}, quasi={quasi}"

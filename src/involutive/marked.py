@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
 from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
@@ -182,12 +182,6 @@ def _subtract_scaled(work: dict, f: MarkedPolynomial, eta: Term, c) -> None:
             work.pop(t, None)
 
 
-def _state_key(work: dict) -> tuple:
-    return tuple(
-        (t.exponents, work[t]) for t in sorted(work, key=lambda t: t.sort_key)
-    )
-
-
 def reduce(
     G: MarkedSet, h: Mapping[Term, object], *, step_cap: int = DEFAULT_STEP_CAP
 ) -> ReductionTrace:
@@ -220,7 +214,7 @@ def reduce(
     if not ok:
         raise NotComplete("reduction needs a complete basis", witness=witness)
     track_states = not G.stable_completeness[0]
-    seen = {_state_key(work)} if track_states else None
+    seen = {frozenset(work.items())} if track_states else None
     steps: list[ReductionStep] = []
     status = REDUCED
     while True:
@@ -242,11 +236,11 @@ def reduce(
         _subtract_scaled(work, G.polys[fact.head], fact.cofactor, c)
         steps.append(ReductionStep(t, fact.head, fact.cofactor, c))
         if track_states:
-            key = _state_key(work)
-            if key in seen:
+            state = frozenset(work.items())
+            if state in seen:
                 status = CYCLE_DETECTED
                 break
-            seen.add(key)
+            seen.add(state)
     result = {t: work[t] for t in sorted(work, key=lambda t: t.sort_key)}
     return ReductionTrace(steps, result, status)
 
@@ -295,24 +289,27 @@ def is_marked_basis(G: MarkedSet, *, step_cap: int = DEFAULT_STEP_CAP) -> Marked
     ideal).  The returned certificate records one reduction trace per
     (head, variable) pair, in canonical order.
     """
+    checks = list(criterion_checks(G, step_cap=step_cap))
+    return MarkedBasisResult(all(check.ok for check in checks), checks)
+
+
+def criterion_checks(
+    G: MarkedSet, *, step_cap: int = DEFAULT_STEP_CAP
+) -> Iterator[CriterionCheck]:
+    """The checks of :func:`is_marked_basis`, one at a time, so that a caller
+    keeping only the residues holds one trace at a time."""
     ok, witness = G.stable_completeness
     if not ok:
         raise NotStablyComplete(
             "the criterion needs a stably complete basis", witness=witness
         )
-    checks: list[CriterionCheck] = []
-    all_zero = True
     for head in G.basis:
         k = head.min_index
         if k is None:
             continue
         for j in range(k + 1, G.n + 1):
             h = G.polys[head].times(variable(G.n, j))
-            trace = reduce(G, h, step_cap=step_cap)
-            check = CriterionCheck(head, j, trace)
-            checks.append(check)
-            all_zero = all_zero and check.ok
-    return MarkedBasisResult(all_zero, checks)
+            yield CriterionCheck(head, j, reduce(G, h, step_cap=step_cap))
 
 
 def s_polynomial(f: MarkedPolynomial, g: MarkedPolynomial) -> dict[Term, object]:

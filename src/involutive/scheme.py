@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from itertools import groupby
+from typing import Iterator, Mapping, Optional
 
 from .errors import MissingAssignment
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
-from .marked import REDUCED, MarkedSet, is_marked_basis, make_marked_set
+from .marked import REDUCED, MarkedSet, criterion_checks, make_marked_set
 from .terms import Term, TermSet
 
 
@@ -119,16 +120,7 @@ class ParamPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
-
-    def canonical_key(self) -> tuple:
-        return tuple(
-            (_mono_key(m), self.coeffs[m])
-            for m in sorted(self.coeffs, key=_mono_key)
-        )
-
-    def variables(self) -> set[ParamVar]:
-        return {pv for m in self.coeffs for pv in m}
+        return hash(frozenset(self.coeffs.items()))
 
     def evaluate(self, values: Mapping[ParamVar, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -141,22 +133,18 @@ class ParamPolynomial:
             total += prod
         return total
 
+    def monomials(self) -> Iterator[tuple[list[tuple[ParamVar, int]], int]]:
+        """Each monomial as its (parameter, power) factors and its coefficient,
+        in output order: by degree, then by the parameters' indices and terms."""
+        for m in sorted(self.coeffs, key=_mono_key):
+            yield [(pv, len(list(run))) for pv, run in groupby(m)], self.coeffs[m]
+
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
-        for m in sorted(self.coeffs, key=_mono_key):
-            c = self.coeffs[m]
-            factors = []
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                e = j - i
-                factors.append(m[i].name if e == 1 else f"{m[i].name}^{e}")
-                i = j
-            body = "*".join(factors)
+        for factors, c in self.monomials():
+            body = "*".join(pv.name if e == 1 else f"{pv.name}^{e}" for pv, e in factors)
             if not body:
                 parts.append(str(c))
             elif c == 1:
@@ -209,7 +197,7 @@ def prolongation_residues(
 ) -> list[tuple[Term, int, dict[Term, ParamPolynomial]]]:
     """Reduced non-multiplicative prolongations of the generic set, in canonical order."""
     out = []
-    for check in is_marked_basis(gm.marked_set()).checks:
+    for check in criterion_checks(gm.marked_set()):
         if check.trace.status != REDUCED:
             raise AssertionError(
                 f"prolongation of {check.head} by x_{check.variable} did not reduce: "
@@ -235,15 +223,12 @@ def scheme_equations(J: MonomialIdeal) -> SchemeEquations:
     """
     gm = generic_marked_set(J)
     equations: list[ParamPolynomial] = []
-    seen = set()
+    seen: set[ParamPolynomial] = set()
     for _, _, residue in prolongation_residues(gm):
         for t in sorted(residue, key=lambda t: t.sort_key):
             p = residue[t]
-            if not p:
-                continue
-            key = p.canonical_key()
-            if key not in seen:
-                seen.add(key)
+            if p and p not in seen:
+                seen.add(p)
                 equations.append(p)
     return SchemeEquations(gm, equations)
 

@@ -15,7 +15,7 @@ from .division import DivisionAssignment
 from .errors import InvolutiveError
 from .ideals import MonomialIdeal
 from .marked import MarkedBasisResult, MarkedSet, ReductionTrace, make_marked_set
-from .scheme import GenericMarkedSet, ParamVar, SchemeEquations, _mono_key
+from .scheme import GenericMarkedSet, ParamPolynomial, ParamVar, SchemeEquations
 from .terms import Term, TermSet
 
 
@@ -187,14 +187,13 @@ def basis_result_json(result: MarkedBasisResult, include_traces: bool) -> dict:
     }
 
 
-def param_poly_json(p) -> dict:
-    monomials = []
-    for m in sorted(p.coeffs, key=_mono_key):
-        counts: dict[str, int] = {}
-        for pv in m:
-            counts[pv.name] = counts.get(pv.name, 0) + 1
-        monomials.append({"vars": counts, "coeff": p.coeffs[m]})
-    return {"monomials": monomials}
+def param_poly_json(p: ParamPolynomial) -> dict:
+    return {
+        "monomials": [
+            {"vars": {pv.name: e for pv, e in factors}, "coeff": c}
+            for factors, c in p.monomials()
+        ]
+    }
 
 
 def scheme_json(result: SchemeEquations) -> dict:

@@ -147,6 +147,49 @@ def brute_quasi_stable_witness(gens, n):
     return None
 
 
+def brute_stability_witnesses(gens, n):
+    """The first failing move g/x_i * x_j (x_i dividing g, j > i) of each
+    kind, scanning (g, i, j) in canonical order: the stable witness is the
+    first failure with i = min(g), the strongly stable one the first failure
+    of all.  Each is (g, j, i), or None when no such move leaves the ideal."""
+    stable = strongly = None
+    for g in canonical_order(gens):
+        support = [i + 1 for i, e in enumerate(g) if e]
+        for i in support:
+            for j in range(i + 1, n + 1):
+                moved = list(g)
+                moved[i - 1] -= 1
+                moved[j - 1] += 1
+                if tuple_in_ideal(gens, tuple(moved)):
+                    continue
+                if strongly is None:
+                    strongly = (g, j, i)
+                if stable is None and i == support[0]:
+                    stable = (g, j, i)
+    return stable, strongly
+
+
+def stable_closure(gens, n):
+    """gens together with everything the moves g/x_min(g) * x_j reach: the
+    generators of a stable ideal, often not a strongly stable one."""
+    found = set(gens)
+    todo = list(found)
+    while todo:
+        g = todo.pop()
+        k = next((i for i, e in enumerate(g) if e), None)
+        if k is None:
+            continue
+        for j in range(k + 1, n):
+            moved = list(g)
+            moved[k] -= 1
+            moved[j] += 1
+            moved = tuple(moved)
+            if moved not in found:
+                found.add(moved)
+                todo.append(moved)
+    return found
+
+
 def divisor_tuples(gamma):
     return itertools.product(*(range(e + 1) for e in gamma))
 

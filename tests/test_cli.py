@@ -224,6 +224,59 @@ def test_oracle_check(capsys):
     assert code == 0 and report["ok"] is True and report["max_degree"] == 4
 
 
+# The scheme equations of the three-points ideal, monomials in output order.
+THREE_POINTS_TEXT = [
+    "C[1][2,0,0]*C[2][1,1,0] - C[1][1,1,0]*C[2][2,0,0] - C[1][1,0,1]*C[3][2,0,0]"
+    " + C[2][2,0,0]*C[2][1,0,1]",
+    "-C[2][2,0,0] - C[1][1,0,1]*C[3][1,1,0] + C[2][1,1,0]*C[2][1,0,1]",
+    "C[1][2,0,0] - C[1][1,1,0]*C[2][1,0,1] + C[1][1,0,1]*C[2][1,1,0]"
+    " - C[1][1,0,1]*C[3][1,0,1] + C[2][1,0,1]^2",
+    "C[1][2,0,0]*C[3][1,1,0] - C[2][2,0,0]*C[2][1,1,0] + C[2][2,0,0]*C[3][1,0,1]"
+    " - C[2][1,0,1]*C[3][2,0,0]",
+    "-C[3][2,0,0] + C[1][1,1,0]*C[3][1,1,0] - C[2][1,1,0]^2 + C[2][1,1,0]*C[3][1,0,1]"
+    " - C[2][1,0,1]*C[3][1,1,0]",
+    "C[2][2,0,0] + C[1][1,0,1]*C[3][1,1,0] - C[2][1,1,0]*C[2][1,0,1]",
+]
+THREE_POINTS_EQUATIONS = [
+    [
+        (1, {"C[1][2,0,0]": 1, "C[2][1,1,0]": 1}),
+        (-1, {"C[1][1,1,0]": 1, "C[2][2,0,0]": 1}),
+        (-1, {"C[1][1,0,1]": 1, "C[3][2,0,0]": 1}),
+        (1, {"C[2][2,0,0]": 1, "C[2][1,0,1]": 1}),
+    ],
+    [
+        (-1, {"C[2][2,0,0]": 1}),
+        (-1, {"C[1][1,0,1]": 1, "C[3][1,1,0]": 1}),
+        (1, {"C[2][1,1,0]": 1, "C[2][1,0,1]": 1}),
+    ],
+    [
+        (1, {"C[1][2,0,0]": 1}),
+        (-1, {"C[1][1,1,0]": 1, "C[2][1,0,1]": 1}),
+        (1, {"C[1][1,0,1]": 1, "C[2][1,1,0]": 1}),
+        (-1, {"C[1][1,0,1]": 1, "C[3][1,0,1]": 1}),
+        (1, {"C[2][1,0,1]": 2}),
+    ],
+    [
+        (1, {"C[1][2,0,0]": 1, "C[3][1,1,0]": 1}),
+        (-1, {"C[2][2,0,0]": 1, "C[2][1,1,0]": 1}),
+        (1, {"C[2][2,0,0]": 1, "C[3][1,0,1]": 1}),
+        (-1, {"C[2][1,0,1]": 1, "C[3][2,0,0]": 1}),
+    ],
+    [
+        (-1, {"C[3][2,0,0]": 1}),
+        (1, {"C[1][1,1,0]": 1, "C[3][1,1,0]": 1}),
+        (-1, {"C[2][1,1,0]": 2}),
+        (1, {"C[2][1,1,0]": 1, "C[3][1,0,1]": 1}),
+        (-1, {"C[2][1,0,1]": 1, "C[3][1,1,0]": 1}),
+    ],
+    [
+        (1, {"C[2][2,0,0]": 1}),
+        (1, {"C[1][1,0,1]": 1, "C[3][1,1,0]": 1}),
+        (-1, {"C[2][1,1,0]": 1, "C[2][1,0,1]": 1}),
+    ],
+]
+
+
 def test_scheme_equations(capsys):
     code, report = run_json(
         capsys, "scheme-equations", "--input", str(CORPUS / "ideal_marked_example.json")
@@ -236,8 +289,11 @@ def test_scheme_equations(capsys):
     )
     assert code == 0
     assert len(report["parameters"]) == 9
-    assert len(report["equations"]) == 6
-    assert len(report["text"]) == 6
+    assert report["text"] == THREE_POINTS_TEXT
+    assert report["equations"] == [
+        {"monomials": [{"coeff": c, "vars": v} for c, v in eq]}
+        for eq in THREE_POINTS_EQUATIONS
+    ]
 
 
 def test_specialize(capsys):

@@ -31,7 +31,9 @@ from involutive import (
 from involutive.serialize import parse_ideal
 from helpers import (
     brute_quasi_stable_witness,
+    brute_stability_witnesses,
     brute_star_set,
+    stable_closure,
     escalier_count,
     random_ideal,
     random_term_of_degree,
@@ -160,10 +162,12 @@ def test_classify_hierarchy_on_random_ideals():
 
 
 def test_classify_quasi_stable_witness_matches_brute_force():
-    # the witness is the first (g, j) in canonical order for which no power
-    # of x_j pushes g/min(g) back into the ideal
+    # the quasi-stable witness is the first (g, j) in canonical order for
+    # which no power of x_j pushes g/min(g) back into the ideal; the stable
+    # and strongly stable ones are the first failing moves g/x_i * x_j
     rng = random.Random(61)
     kinds = {True: 0, False: 0}
+    levels = {(True, True): 0, (False, True): 0, (False, False): 0}
     for _ in range(300):
         J = random_ideal(rng, max_vars=4, max_gens=4, max_deg=4)
         gens = [g.exponents for g in J.generators]
@@ -176,7 +180,23 @@ def test_classify_quasi_stable_witness_matches_brute_force():
             g, j = expected
             assert not rep.quasi_stable
             assert rep.quasi_stable_witness == StabilityWitness(Term(g), j, Term(g).min_index)
+        closure = MonomialIdeal([Term(e) for e in stable_closure(gens, J.n)], J.n)
+        for I in (J, closure):
+            rep = classify(I)
+            stable, strongly = brute_stability_witnesses(
+                [g.exponents for g in I.generators], I.n
+            )
+            for verdict, witness, move in (
+                (rep.stable, rep.stable_witness, stable),
+                (rep.strongly_stable, rep.strongly_stable_witness, strongly),
+            ):
+                assert verdict == (move is None)
+                assert witness == (
+                    None if move is None else StabilityWitness(Term(move[0]), *move[1:])
+                )
+            levels[rep.strongly_stable, rep.stable] += 1
     assert min(kinds.values()) >= 50, kinds
+    assert min(levels.values()) >= 30, levels
 
 def test_library_checks_survive_optimized_mode():
     # `python -O` strips assert statements, so internal checks must raise
