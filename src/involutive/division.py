@@ -63,13 +63,11 @@ def janet_multiplicative_vars(M: TermSet, tau: Term) -> frozenset[int]:
     return _janet_table(M)[tau]
 
 
-def pommaret_multiplicative_vars(tau: Term, n: Optional[int] = None) -> frozenset[int]:
+def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
     """Variables x_j with x_j <= min(tau); all of them for the constant term."""
-    if n is None:
-        n = tau.nvars
     m = tau.min_index
     if m is None:
-        return frozenset(range(1, n + 1))
+        return frozenset(range(1, tau.nvars + 1))
     return frozenset(range(1, m + 1))
 
 
@@ -110,7 +108,7 @@ class DivisionAssignment:
 
     @classmethod
     def pommaret(cls, M: TermSet) -> "DivisionAssignment":
-        return cls(POMMARET, M, {t: pommaret_multiplicative_vars(t, M.n) for t in M})
+        return cls(POMMARET, M, {t: pommaret_multiplicative_vars(t) for t in M})
 
     @cached_property
     def _cover_index(self) -> _CoverIndex:
@@ -228,14 +226,18 @@ def is_complete(
 def is_stably_complete(
     M: TermSet, assignment: Optional[DivisionAssignment] = None
 ) -> tuple[bool, Optional[tuple[Term, int]]]:
-    """Complete, and Janet multiplicative variables agree with the Pommaret ones."""
+    """Complete, and Janet multiplicative variables agree with the Pommaret ones.
+
+    Both concern M alone: a Janet ``assignment`` of M is reused, another flavour
+    gives way to M's Janet assignment."""
     assignment = _own_assignment(M, assignment)
+    if assignment.flavor != JANET:
+        assignment = DivisionAssignment.janet(M)
     ok, witness = is_complete(M, assignment)
     if not ok:
         return False, witness
     for tau in M:
-        pommaret = pommaret_multiplicative_vars(tau, M.n)
-        mismatch = assignment.mult[tau] ^ pommaret
+        mismatch = assignment.mult[tau] ^ pommaret_multiplicative_vars(tau)
         if mismatch:
             return False, (tau, min(mismatch))
     return True, None

@@ -6,8 +6,9 @@ involutive degree test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Optional
+from math import comb, inf
+from operator import le
+from typing import Iterable, Iterator, Optional
 
 from .division import (
     DivisionAssignment,
@@ -133,49 +134,60 @@ class StabilityReport:
     quasi_stable_witness: Optional[StabilityWitness] = None
 
 
-def classify(J: MonomialIdeal) -> StabilityReport:
-    """Stability hierarchy of J, decided on the minimal generators alone.
+def _fit_power(J: MonomialIdeal, base: Term, j: int) -> Optional[int]:
+    """Smallest t with x_j^t * base in J (a generator fits under base in
+    every exponent but the j-th), or None.  ``base`` must lie outside J, so
+    t >= 1 and t = 1 ends the scan."""
+    b = base.exponents
+    cap = b[: j - 1] + (inf,) + b[j:]
+    best = None
+    for gamma in J.generators:
+        e = gamma.exponents
+        if all(map(le, e, cap)):
+            t = e[j - 1] - b[j - 1]
+            if t == 1:
+                return 1
+            if best is None or t < best:
+                best = t
+    return best
 
-    Quasi-stability is the test of :func:`_uniform_quasi_stable_exponent`,
-    whose witness is the first failing (generator, variable) pair.
-    """
-    strongly, stable, quasi = True, True, True
-    sw = stw = qw = None
-    n = J.n
-    try:
-        _uniform_quasi_stable_exponent(J)
-    except NotQuasiStable as exc:
-        g, j = exc.witness
-        quasi = False
-        qw = StabilityWitness(g, j, g.min_index)
-    # One scan of the moves g/x_i * x_j, x_i dividing g and j > i, in (g, i, j)
-    # order; stability is the i = min(g) part.  A failure there fails both
-    # levels, and nothing is left to decide.
+
+def _moves(J: MonomialIdeal, strongly: bool) -> Iterator[tuple[Term, int, int, Optional[int]]]:
+    """(g, i, j, fit power of x_j over g/x_i) for the moves g/x_i * x_j in
+    canonical order: x_i divides the minimal generator g, i = min(g) unless
+    ``strongly``, and j > i.  g/x_i lies outside J because g is minimal, so
+    the move stays in J iff its fit power is 1."""
     for g in J.generators:
         k = g.min_index
         if k is None:
             continue
-        for i in range(k, n + 1):
-            if i > k and not strongly:
-                break
+        for i in range(k, J.n + 1 if strongly else k + 1):
             if g.exponents[i - 1] == 0:
                 continue
             base = g.predecessor(i)
-            j = next(
-                (j for j in range(i + 1, n + 1) if not J.contains(base * variable(n, j))),
-                None,
-            )
-            if j is None:
-                continue
-            if strongly:
-                strongly = False
-                sw = StabilityWitness(g, j, i)
-            if i == k:
-                stable = False
-                stw = StabilityWitness(g, j, k)
-            break
-        if not stable:
-            break
+            for j in range(i + 1, J.n + 1):
+                yield g, i, j, _fit_power(J, base, j)
+
+
+def classify(J: MonomialIdeal) -> StabilityReport:
+    """Stability hierarchy of J, decided on the minimal generators alone.
+
+    One walk of the moves g/x_i * x_j answers all three levels: J is
+    strongly stable iff every move stays in J, stable iff every move with
+    i = min(g) does, and quasi-stable iff every such move has some fit
+    power.  Each witness is the first failing move in (g, i, j) order.
+    """
+    sw = stw = qw = None
+    for g, i, j, t in _moves(J, strongly=True):
+        if t == 1:
+            continue
+        sw = sw or StabilityWitness(g, j, i)
+        if i == g.min_index:
+            stw = stw or StabilityWitness(g, j, i)
+            if t is None:
+                qw = StabilityWitness(g, j, i)
+                break
+    strongly, stable, quasi = sw is None, stw is None, qw is None
     if (strongly and not stable) or (stable and not quasi):
         raise AssertionError(
             f"stability hierarchy violated: strongly={strongly}, stable={stable}, quasi={quasi}"
@@ -186,37 +198,19 @@ def classify(J: MonomialIdeal) -> StabilityReport:
 def _uniform_quasi_stable_exponent(J: MonomialIdeal) -> int:
     """Smallest t >= 1 with x_j^t * g/min(g) in J for every generator g, x_j > min(g).
 
-    This avoids the unbounded exponent search: x_j^t * g/min(g) lands in J
-    for some t iff some generator fits under g/min(g) in every exponent
-    except the j-th.  Raises NotQuasiStable with the first (g, j) in
-    canonical order that has no such t.
+    This is the largest fit power over the moves with i = min(g), which
+    avoids an unbounded exponent search.  Raises NotQuasiStable with the
+    first (g, j) in canonical order that has no fit power.
     """
-    t = 1
-    gens = list(J.generators)
-    for g in gens:
-        k = g.min_index
-        if k is None:
-            continue
-        base = g.predecessor(k)
-        for j in range(k + 1, J.n + 1):
-            need = None
-            for gamma in gens:
-                if all(
-                    gamma.exponents[i] <= base.exponents[i]
-                    for i in range(J.n)
-                    if i != j - 1
-                ):
-                    e = max(0, gamma.exponents[j - 1] - base.exponents[j - 1])
-                    need = e if need is None else min(need, e)
-                    if need <= t:
-                        break  # this (g, j) cannot raise t
-            if need is None:
-                raise NotQuasiStable(
-                    f"no power of x_{j} pushes {g}/min back into the ideal",
-                    witness=(g, j),
-                )
-            t = max(t, need)
-    return t
+    top = 1
+    for g, _, j, t in _moves(J, strongly=False):
+        if t is None:
+            raise NotQuasiStable(
+                f"no power of x_{j} pushes {g}/min back into the ideal",
+                witness=(g, j),
+            )
+        top = max(top, t)
+    return top
 
 
 def pommaret_termination_degree(J: MonomialIdeal) -> int:

@@ -120,6 +120,9 @@ class ParamPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # A constant (zero included) equals its int, so it hashes like it.
+        if self.coeffs.keys() <= {()}:
+            return hash(self.coeffs.get((), 0))
         return hash(frozenset(self.coeffs.items()))
 
     def evaluate(self, values: Mapping[ParamVar, Fraction]) -> Fraction:

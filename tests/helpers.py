@@ -128,23 +128,29 @@ def brute_star_set(gens, n, top):
     return found
 
 
-def brute_quasi_stable_witness(gens, n):
-    """The first (g, j) in canonical order, j above min(g), such that no
-    x_j^t with 1 <= t <= the maximal generator degree pushes g/x_min(g)
-    into the ideal; None when there is none (the ideal is quasi-stable)."""
+def brute_fit_power(gens, base, j):
+    """The smallest t <= the maximal generator degree with x_j^t * base in
+    the ideal, or None."""
     top = max(sum(g) for g in gens)
+    for t in range(top + 1):
+        if tuple_in_ideal(gens, base[: j - 1] + (base[j - 1] + t,) + base[j:]):
+            return t
+    return None
+
+
+def brute_quasi_stable_fits(gens, n):
+    """(g, j, brute_fit_power of x_j over g/x_min(g)) for every generator g
+    and every j above min(g), in canonical order.  The ideal is quasi-stable
+    iff no power is None, and the first None gives its witness (g, j)."""
+    fits = []
     for g in canonical_order(gens):
         k = next((i for i, e in enumerate(g) if e), None)
         if k is None:
             continue
         base = g[:k] + (g[k] - 1,) + g[k + 1:]
         for j in range(k + 2, n + 1):
-            if not any(
-                tuple_in_ideal(gens, base[: j - 1] + (base[j - 1] + t,) + base[j:])
-                for t in range(1, top + 1)
-            ):
-                return g, j
-    return None
+            fits.append((g, j, brute_fit_power(gens, base, j)))
+    return fits
 
 
 def brute_stability_witnesses(gens, n):

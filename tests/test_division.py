@@ -137,7 +137,7 @@ def test_janet_mult_matches_brute_force_on_random_sets():
 def test_pommaret_mult_vars():
     assert pommaret_multiplicative_vars(t(1, 2)) == {1}
     assert pommaret_multiplicative_vars(t(0, 3, 0)) == {1, 2}
-    assert pommaret_multiplicative_vars(Term([0, 0]), 2) == {1, 2}
+    assert pommaret_multiplicative_vars(Term([0, 0])) == {1, 2}
 
 
 def test_offspring_membership():
@@ -200,6 +200,11 @@ def test_is_stably_complete_examples():
     assert not ok and witness == (t(1, 1), 2)
     ok, witness = is_stably_complete(M0)
     assert not ok and witness == (t(1, 1, 0), 2)
+    # a property of the set: the Janet and Pommaret variables of {x1, x1^2}
+    # differ at x1 whichever assignment of the set is passed
+    for M in (ts((1,), (2,)), ts((1, 0), (2, 0), (0, 1))):
+        for assignment in (None, DivisionAssignment.pommaret(M)):
+            assert is_stably_complete(M, assignment) == (False, (M.terms[0], 1))
 
 
 def test_janet_complete_fixed_points():

@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import involutive
 from involutive import (
@@ -28,15 +30,18 @@ from involutive import (
     sigma_profile,
     star_set,
 )
+from involutive.ideals import _fit_power
 from involutive.serialize import parse_ideal
 from helpers import (
-    brute_quasi_stable_witness,
+    brute_fit_power,
+    brute_quasi_stable_fits,
     brute_stability_witnesses,
     brute_star_set,
     stable_closure,
     escalier_count,
     random_ideal,
     random_term_of_degree,
+    tuple_in_ideal,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -163,7 +168,8 @@ def test_classify_hierarchy_on_random_ideals():
 
 def test_classify_quasi_stable_witness_matches_brute_force():
     # the quasi-stable witness is the first (g, j) in canonical order for
-    # which no power of x_j pushes g/min(g) back into the ideal; the stable
+    # which no power of x_j pushes g/min(g) back into the ideal, and the
+    # termination degree uses the largest power over all (g, j); the stable
     # and strongly stable ones are the first failing moves g/x_i * x_j
     rng = random.Random(61)
     kinds = {True: 0, False: 0}
@@ -171,15 +177,21 @@ def test_classify_quasi_stable_witness_matches_brute_force():
     for _ in range(300):
         J = random_ideal(rng, max_vars=4, max_gens=4, max_deg=4)
         gens = [g.exponents for g in J.generators]
-        expected = brute_quasi_stable_witness(gens, J.n)
+        fits = brute_quasi_stable_fits(gens, J.n)
+        missing = [(g, j) for g, j, t in fits if t is None]
         rep = classify(J)
         kinds[rep.quasi_stable] += 1
-        if expected is None:
+        if not missing:
             assert rep.quasi_stable and rep.quasi_stable_witness is None
+            top = max([1] + [power for _, _, power in fits])
+            assert pommaret_termination_degree(J) == max(map(sum, gens)) + top * J.n
         else:
-            g, j = expected
+            g, j = missing[0]
             assert not rep.quasi_stable
             assert rep.quasi_stable_witness == StabilityWitness(Term(g), j, Term(g).min_index)
+            with pytest.raises(NotQuasiStable) as info:
+                pommaret_termination_degree(J)
+            assert info.value.witness == (Term(g), j)
         closure = MonomialIdeal([Term(e) for e in stable_closure(gens, J.n)], J.n)
         for I in (J, closure):
             rep = classify(I)
@@ -197,6 +209,21 @@ def test_classify_quasi_stable_witness_matches_brute_force():
             levels[rep.strongly_stable, rep.stable] += 1
     assert min(kinds.values()) >= 50, kinds
     assert min(levels.values()) >= 30, levels
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_power_matches_brute_force(data):
+    # the smallest t with x_j^t * base in J, for bases outside J and every j
+    n = data.draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    gens = data.draw(st.lists(exps, min_size=1, max_size=6))
+    base = data.draw(exps)
+    assume(not tuple_in_ideal(gens, base))
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    for j in range(1, n + 1):
+        assert _fit_power(J, Term(base), j) == brute_fit_power(gens, base, j)
+
 
 def test_library_checks_survive_optimized_mode():
     # `python -O` strips assert statements, so internal checks must raise

@@ -182,6 +182,10 @@ def test_equal_param_polynomials_hash_equal():
     assert p.coeffs.keys() == q.coeffs.keys() and list(p.coeffs) != list(q.coeffs)
     assert hash(p) == hash(q) == hash(r)
     assert len({p, q, r, p - q}) == 2
+    # a constant equals its int, zero included, so the two hash alike
+    for c in (3, -1, 0):
+        assert len({ParamPolynomial.constant(c), c}) == 1
+    assert len({p - q, 0}) == 1
 
 
 def test_param_polynomial_integer_coefficients():
