@@ -43,7 +43,6 @@ from .ideals import (
     classify,
     escalier_slice,
     hilbert_function,
-    ideal_slice,
     involutive_test,
     pommaret_basis,
     pommaret_termination_degree,

@@ -179,12 +179,9 @@ def offspring_contains(
     """True iff gamma is tau times a product of multiplicative variables of tau."""
     if tau not in M:
         raise NotInSet(f"{tau} is not in the set")
-    mult = _own_assignment(M, assignment).mult[tau]
-    _check_nvars(tau.nvars, gamma)
-    return all(
-        a == b or (a < b and j in mult)
-        for j, (a, b) in enumerate(zip(tau.exponents, gamma.exponents), 1)
-    )
+    assignment = _own_assignment(M, assignment)
+    _check_nvars(M.n, gamma)
+    return tau in assignment._heads(gamma.exponents)
 
 
 def star_decompose(

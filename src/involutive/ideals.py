@@ -16,7 +16,7 @@ from .division import (
     is_stably_complete,
 )
 from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable
-from .terms import Term, TermSet, terms_of_degree, variable
+from .terms import Term, TermSet, terms_of_degree
 
 ESCALIER = "escalier"
 IDEAL_SLICE = "ideal-slice"
@@ -64,14 +64,14 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.generators!r})"
 
 
-def ideal_slice(J: MonomialIdeal, d: int) -> list[Term]:
-    """All degree-d terms inside J, in lex order."""
-    return [t for t in terms_of_degree(J.n, d) if J.contains(t)]
-
-
 def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     """All degree-d terms outside J, in lex order."""
     return [t for t in terms_of_degree(J.n, d) if not J.contains(t)]
+
+
+def _times(t: Term, j: int) -> Term:
+    """t * x_j (j is 1-based)."""
+    return Term(t.exponents[: j - 1] + (t.exponents[j - 1] + 1,) + t.exponents[j:])
 
 
 def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
@@ -84,12 +84,12 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
     so a depth-first search over eta in non-decreasing variable order can
     stop a branch as soon as the predecessor enters J.  By the same closure,
     a star term past D is a generator of degree > D or implies one at D+1,
-    a child of a degree-D survivor.
+    a child of a degree-D survivor.  As pred lies outside J, pred * x_j is in
+    J iff x_j fits pred at power 1.
     """
     if J.is_zero:
         raise ValueError("the zero ideal has no star set")
     n = J.n
-    xs = [variable(n, j) for j in range(1, n + 1)]
     found: set[Term] = set()
     beyond = False
     for g in J.generators:
@@ -106,14 +106,11 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
             gamma, pred, lo = stack.pop()
             found.add(gamma)
             if gamma.degree == D:
-                beyond = beyond or any(
-                    not J.contains(pred * xs[j - 1]) for j in range(lo, n + 1)
-                )
+                beyond = beyond or any(_fit_power(J, pred, j) != 1 for j in range(lo, n + 1))
                 continue
             for j in range(lo, n + 1):
-                child_pred = pred * xs[j - 1]
-                if not J.contains(child_pred):
-                    stack.append((gamma * xs[j - 1], child_pred, j))
+                if _fit_power(J, pred, j) != 1:
+                    stack.append((_times(gamma, j), _times(pred, j), j))
     return TermSet(found, n), beyond
 
 
@@ -261,14 +258,21 @@ def regularity(J: MonomialIdeal) -> int:
     return pommaret_basis(J).max_degree()
 
 
+def _monomials(e: int, s: int) -> int:
+    """Number of degree-e terms in s variables: 0 for e < 0, 1 for e = 0."""
+    if e < 0:
+        return 0
+    return comb(e + s - 1, e) if e + s else 1
+
+
 def hilbert_function(
     M: TermSet, k: int, assignment: Optional[DivisionAssignment] = None
 ) -> int:
     """dim of the degree-k slice of P/(M) counted through offspring sizes.
 
     Requires M complete for ``assignment``, which must be M's own (Janet by
-    default).  The ambient count is C(k+n-1, n-1) = dim P_k; binomials with a
-    negative numerator or denominator contribute 0.
+    default).  The offspring of tau holds tau times the degree-(k - deg tau)
+    terms in its multiplicative variables: just tau when it has none.
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)
@@ -277,23 +281,9 @@ def hilbert_function(
         raise NotComplete("Hilbert formula needs a complete set", witness=witness)
     if k < 0:
         raise ValueError("degree must be non-negative")
-    n = M.n
-    total = comb(k + n - 1, n - 1)
-    for tau in M:
-        if tau.degree > k:
-            continue
-        s = len(assignment.mult[tau])
-        if s == 0:
-            # An offspring with no multiplicative variables is the singleton
-            # {tau}: it contributes exactly at its own degree (C(-1,-1) = 1
-            # in the extended convention), which the plain negative-entry
-            # rule would drop.
-            total -= 1 if k == tau.degree else 0
-            continue
-        if k - tau.degree + s - 1 < 0:
-            continue
-        total -= comb(k - tau.degree + s - 1, s - 1)
-    return total
+    return _monomials(k, M.n) - sum(
+        _monomials(k - tau.degree, len(assignment.mult[tau])) for tau in M
+    )
 
 
 @dataclass(frozen=True)
@@ -304,15 +294,28 @@ class SigmaProfile:
 
 
 def sigma_profile(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> SigmaProfile:
-    """Counts of degree-p terms by minimal variable, over N(J) or over J."""
+    """Counts of degree-p terms by minimal variable, over N(J) or over J.
+
+    Each degree-p term of J is uniquely gamma * eta with gamma a star term,
+    m = min(gamma) (n for the term 1) and eta of degree e = p - deg gamma in
+    x_1..x_m: gamma lands in sigma_m when e = 0, and an eta with minimal
+    variable x_v is x_v times a degree-(e-1) term in x_v..x_m.
+    """
     if p < 1:
         raise ValueError("sigma invariants are defined for degree >= 1")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    slice_ = escalier_slice(J, p) if mode == ESCALIER else ideal_slice(J, p)
-    counts = [0] * J.n
-    for t in slice_:
-        counts[t.min_index - 1] += 1
+    n = J.n
+    counts = [0] * n
+    for gamma in () if J.is_zero else _star_terms(J, p)[0]:
+        m = gamma.min_index or n
+        e = p - gamma.degree
+        if e == 0:
+            counts[m - 1] += 1
+        for v in range(1, m + 1):
+            counts[v - 1] += _monomials(e - 1, m - v + 1)
+    if mode == ESCALIER:
+        counts = [_monomials(p - 1, n - i + 1) - c for i, c in enumerate(counts, 1)]
     return SigmaProfile(p, mode, tuple(counts))
 
 

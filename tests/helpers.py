@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from involutive import MonomialIdeal, Term, classify, escalier_slice, pommaret_basis
 
@@ -35,6 +36,21 @@ def tuple_in_ideal(gens, t):
 def escalier_count(gens, n, k):
     """|N(J)_k| by direct enumeration."""
     return sum(1 for t in exp_tuples(n, k) if not tuple_in_ideal(gens, t))
+
+
+def ideal_count(gens, n, k):
+    """|J_k|: all degree-k terms but the enumerated escalier."""
+    return comb(k + n - 1, n - 1) - escalier_count(gens, n, k)
+
+
+def brute_sigma(gens, n, p, mode):
+    """Degree-p terms of J (of N(J) in mode "escalier") counted by minimal
+    variable, by direct enumeration."""
+    counts = [0] * n
+    for t in exp_tuples(n, p):
+        if tuple_in_ideal(gens, t) != (mode == "escalier"):
+            counts[next(i for i, e in enumerate(t) if e)] += 1
+    return tuple(counts)
 
 
 def brute_mult_vars(members, tau):

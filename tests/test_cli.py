@@ -1,4 +1,5 @@
 import json
+from math import comb
 from pathlib import Path
 
 from involutive.cli import main
@@ -195,6 +196,18 @@ def test_sigma_and_involutive(capsys):
         "1",
     )
     assert code == 1 and report["holds"] is False
+
+
+def test_sigma_at_a_huge_degree_bound(tmp_path, capsys):
+    # (x6) has the one star term x6, so no degree-200 slice is enumerated
+    source = tmp_path / "x6.json"
+    source.write_text(json.dumps({"vars": 6, "generators": [[0, 0, 0, 0, 0, 1]]}))
+    bound = ["--input", str(source), "--degree-bound", "200", "--sigma-mode", "escalier"]
+    code, report = run_json(capsys, "sigma", *bound)
+    assert code == 0
+    assert report["counts"] == [comb(199 + 5 - i, 5 - i) for i in range(1, 6)] + [0]
+    code, report = run_json(capsys, "involutive-test", *bound)
+    assert code == 0 and report["holds"] is True
 
 
 def test_reduce_cycle(capsys):

@@ -21,7 +21,6 @@ from involutive import (
     classify,
     escalier_slice,
     hilbert_function,
-    ideal_slice,
     involutive_test,
     janet_complete,
     pommaret_basis,
@@ -35,10 +34,12 @@ from involutive.serialize import parse_ideal
 from helpers import (
     brute_fit_power,
     brute_quasi_stable_fits,
+    brute_sigma,
     brute_stability_witnesses,
     brute_star_set,
     stable_closure,
     escalier_count,
+    ideal_count,
     random_ideal,
     random_term_of_degree,
     tuple_in_ideal,
@@ -342,7 +343,12 @@ def test_hilbert_function_checks_the_given_assignment():
 
 
 def test_hilbert_function_matches_enumeration():
+    # x1 has no Janet multiplicative variable in {x1, x1^2, x2}: its
+    # offspring is the singleton {x1}
+    singleton = TermSet([t(1, 0), t(2, 0), t(0, 1)])
+    assert DivisionAssignment.janet(singleton).mult[t(1, 0)] == frozenset()
     sets = [
+        singleton,
         TermSet([t(1, 0)]),
         TermSet([t(2, 0), t(1, 1)]),
         TermSet([t(2, 0), t(1, 1), t(0, 2)]),
@@ -357,6 +363,12 @@ def test_hilbert_function_matches_enumeration():
         top = 2 * M.max_degree() + M.n
         for k in range(0, top + 1):
             assert hilbert_function(M, k) == escalier_count(gens, M.n, k)
+    for J in (QUASI, MARKED_EXAMPLE, TWO_PARAMS):
+        M = pommaret_basis(J)
+        pommaret = DivisionAssignment.pommaret(M)
+        gens = [x.exponents for x in M]
+        for k in range(0, 2 * M.max_degree() + M.n + 1):
+            assert hilbert_function(M, k, pommaret) == escalier_count(gens, M.n, k)
 
 
 def test_hilbert_function_on_random_completed_sets():
@@ -379,6 +391,23 @@ def test_sigma_profile_examples():
     assert sigma_profile(STABLE, 2, IDEAL_SLICE).counts == (1, 2, 1)
     unit = MonomialIdeal([Term([0, 0, 0])])
     assert sigma_profile(unit, 1, ESCALIER).counts == (0, 0, 0)
+    assert sigma_profile(unit, 2, IDEAL_SLICE).counts == (3, 2, 1)
+    zero = MonomialIdeal([], 3)
+    assert sigma_profile(zero, 2, ESCALIER).counts == (3, 2, 1)
+    assert sigma_profile(zero, 2, IDEAL_SLICE).counts == (0, 0, 0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_sigma_profile_matches_the_dense_scan(data):
+    # any ideal: empty generator lists give the zero ideal, a zero exponent
+    # vector the unit ideal, and most draws are not quasi-stable
+    n = data.draw(st.integers(1, 5))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    for p in range(1, 10):
+        for mode in (ESCALIER, IDEAL_SLICE):
+            assert sigma_profile(J, p, mode).counts == brute_sigma(gens, n, p, mode)
 
 
 def test_sigma_profile_validation():
@@ -401,7 +430,8 @@ def test_involutive_test_examples():
 def test_slice_counts_are_consistent():
     for J in (STABLE, QUASI, MARKED_EXAMPLE):
         for p in (1, 2, 3, 4):
-            assert sum(sigma_profile(J, p, IDEAL_SLICE).counts) == len(ideal_slice(J, p))
+            gens = [g.exponents for g in J.generators]
+            assert sum(sigma_profile(J, p, IDEAL_SLICE).counts) == ideal_count(gens, J.n, p)
             assert sum(sigma_profile(J, p, ESCALIER).counts) == len(escalier_slice(J, p))
 
 

@@ -28,6 +28,16 @@ def test_tracer_finds_every_method_it_wraps():
                 assert name in cls.__dict__, f"{mod_name}.{cls_name}.{name}"
 
 
+def test_tracer_finds_every_function_it_keys():
+    # a renamed function would silently read 0 in its per-layer metric
+    tracer = load_tracer()
+    modules = {tracer.layer_name(name): name for name in tracer.LAYERS}
+    for key in tracer.OWN_KEYS:
+        layer, name = key.split(".")
+        module = importlib.import_module(f"involutive.{modules[layer]}")
+        assert callable(getattr(module, name, None)), key
+
+
 def test_tracer_hooks_find_the_attributes_they_read():
     # the reduce hook reads stable_completeness, the decompose hook the memo
     assert "stable_completeness" in MarkedSet.__dict__
