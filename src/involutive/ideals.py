@@ -11,6 +11,7 @@ from operator import le
 from typing import Iterable, Iterator, Optional
 
 from .division import (
+    JANET,
     DivisionAssignment,
     is_complete,
     is_stably_complete,
@@ -271,14 +272,20 @@ def hilbert_function(
     """dim of the degree-k slice of P/(M) counted through offspring sizes.
 
     Requires M complete for ``assignment``, which must be M's own (Janet by
-    default).  The offspring of tau holds tau times the degree-(k - deg tau)
-    terms in its multiplicative variables: just tau when it has none.
+    default) and have disjoint cones, as Janet's always do.  The offspring of
+    tau holds tau times the degree-(k - deg tau) terms in its multiplicative
+    variables: just tau when it has none.
     """
     if assignment is None:
         assignment = DivisionAssignment.janet(M)
     ok, witness = is_complete(M, assignment)
     if not ok:
         raise NotComplete("Hilbert formula needs a complete set", witness=witness)
+    if assignment.flavor != JANET:
+        for tau in M:
+            outer = [s for s in assignment._heads(tau.exponents) if s != tau]
+            if outer:
+                raise ValueError(f"{tau} lies in the cone of {outer[0]}: cones must be disjoint")
     if k < 0:
         raise ValueError("degree must be non-negative")
     return _monomials(k, M.n) - sum(
@@ -293,37 +300,45 @@ class SigmaProfile:
     counts: tuple[int, ...]
 
 
-def sigma_profile(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> SigmaProfile:
-    """Counts of degree-p terms by minimal variable, over N(J) or over J.
+def _sigma_counts(J: MonomialIdeal, degrees: tuple[int, ...], mode: str) -> list[list[int]]:
+    """sigma^(p) for each p in ``degrees``, from one star search to the largest.
 
-    Each degree-p term of J is uniquely gamma * eta with gamma a star term,
-    m = min(gamma) (n for the term 1) and eta of degree e = p - deg gamma in
-    x_1..x_m: gamma lands in sigma_m when e = 0, and an eta with minimal
-    variable x_v is x_v times a degree-(e-1) term in x_v..x_m.
+    Each degree-p term of J is uniquely gamma * eta with gamma a star term of
+    degree <= p, m = min(gamma) (n for the term 1) and eta of degree
+    e = p - deg gamma in x_1..x_m: gamma lands in sigma_m when e = 0, and an
+    eta with minimal variable x_v is x_v times a degree-(e-1) term in x_v..x_m.
     """
-    if p < 1:
+    if min(degrees) < 1:
         raise ValueError("sigma invariants are defined for degree >= 1")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     n = J.n
-    counts = [0] * n
-    for gamma in () if J.is_zero else _star_terms(J, p)[0]:
-        m = gamma.min_index or n
-        e = p - gamma.degree
-        if e == 0:
-            counts[m - 1] += 1
-        for v in range(1, m + 1):
-            counts[v - 1] += _monomials(e - 1, m - v + 1)
-    if mode == ESCALIER:
-        counts = [_monomials(p - 1, n - i + 1) - c for i, c in enumerate(counts, 1)]
-    return SigmaProfile(p, mode, tuple(counts))
+    stars = () if J.is_zero else _star_terms(J, max(degrees))[0]
+    profiles = []
+    for p in degrees:
+        counts = [0] * n
+        for gamma in stars:
+            m = gamma.min_index or n
+            e = p - gamma.degree
+            if e == 0:
+                counts[m - 1] += 1
+            for v in range(1, m + 1):
+                counts[v - 1] += _monomials(e - 1, m - v + 1)
+        if mode == ESCALIER:
+            counts = [_monomials(p - 1, n - i + 1) - c for i, c in enumerate(counts, 1)]
+        profiles.append(counts)
+    return profiles
+
+
+def sigma_profile(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> SigmaProfile:
+    """Counts of degree-p terms by minimal variable, over N(J) or over J."""
+    return SigmaProfile(p, mode, tuple(_sigma_counts(J, (p,), mode)[0]))
 
 
 def sigma_totals(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> tuple[int, int]:
     """(sum(sigma^(p+1)), sum(i * sigma^(p)_i)): the two sides of the involutive test."""
-    sp = sigma_profile(J, p, mode)
-    sp1 = sigma_profile(J, p + 1, mode)
-    return sum(sp1.counts), sum(i * c for i, c in enumerate(sp.counts, start=1))
+    sp, sp1 = _sigma_counts(J, (p, p + 1), mode)
+    return sum(sp1), sum(i * c for i, c in enumerate(sp, start=1))
 
 
 def involutive_test(J: MonomialIdeal, p: int, mode: str = IDEAL_SLICE) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import _linalg
 from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
@@ -289,27 +289,15 @@ def is_marked_basis(G: MarkedSet, *, step_cap: int = DEFAULT_STEP_CAP) -> Marked
     ideal).  The returned certificate records one reduction trace per
     (head, variable) pair, in canonical order.
     """
-    checks = list(criterion_checks(G, step_cap=step_cap))
-    return MarkedBasisResult(all(check.ok for check in checks), checks)
-
-
-def criterion_checks(
-    G: MarkedSet, *, step_cap: int = DEFAULT_STEP_CAP
-) -> Iterator[CriterionCheck]:
-    """The checks of :func:`is_marked_basis`, one at a time, so that a caller
-    keeping only the residues holds one trace at a time."""
     ok, witness = G.stable_completeness
     if not ok:
-        raise NotStablyComplete(
-            "the criterion needs a stably complete basis", witness=witness
-        )
+        raise NotStablyComplete("the criterion needs a stably complete basis", witness=witness)
+    checks = []
     for head in G.basis:
-        k = head.min_index
-        if k is None:
-            continue
-        for j in range(k + 1, G.n + 1):
+        for j in range((head.min_index or G.n) + 1, G.n + 1):
             h = G.polys[head].times(variable(G.n, j))
-            yield CriterionCheck(head, j, reduce(G, h, step_cap=step_cap))
+            checks.append(CriterionCheck(head, j, reduce(G, h, step_cap=step_cap)))
+    return MarkedBasisResult(all(check.ok for check in checks), checks)
 
 
 def s_polynomial(f: MarkedPolynomial, g: MarkedPolynomial) -> dict[Term, object]:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Mapping, Optional
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import MissingAssignment
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
-from .marked import REDUCED, MarkedSet, criterion_checks, make_marked_set
-from .terms import Term, TermSet
+from .marked import MarkedSet, make_marked_set
+from .terms import Term, TermSet, variable
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,10 @@ class ParamVar:
 
     index: int
     term: Term
+
+    @classmethod
+    def of_key(cls, key: tuple) -> "ParamVar":
+        return cls(key[0], Term(key[1][::-1]))
 
     @property
     def name(self) -> str:
@@ -39,20 +44,26 @@ class ParamVar:
         return self.name
 
 
-def _mono_key(mono: tuple[ParamVar, ...]) -> tuple:
-    return (len(mono), tuple(pv.sort_key for pv in mono))
+def _add_product(out: dict, a: Mapping, b: Mapping) -> dict:
+    """out += a * b over coefficient maps; cancelled monomials stay as zeros."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 class ParamPolynomial:
     """Sparse integer polynomial in the scheme parameters.
 
-    Monomials are sorted tuples of ParamVar (with multiplicity); zero
+    A monomial is the sorted tuple of its parameters' ``ParamVar.sort_key``
+    (with multiplicity), so hashing and sorting stay on plain tuples; zero
     coefficients are never stored.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[Mapping[tuple[ParamVar, ...], int]] = None):
+    def __init__(self, coeffs: Optional[Mapping[tuple[tuple, ...], int]] = None):
         self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
 
     @classmethod
@@ -61,7 +72,7 @@ class ParamPolynomial:
 
     @classmethod
     def variable(cls, pv: ParamVar) -> "ParamPolynomial":
-        return cls({(pv,): 1})
+        return cls({(pv.sort_key,): 1})
 
     @staticmethod
     def _coerce(other) -> "ParamPolynomial":
@@ -101,12 +112,7 @@ class ParamPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[ParamVar, ...], int] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(sorted(m1 + m2, key=lambda pv: pv.sort_key))
-                out[m] = out.get(m, 0) + c1 * c2
-        return ParamPolynomial(out)
+        return ParamPolynomial(_add_product({}, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -126,21 +132,13 @@ class ParamPolynomial:
         return hash(frozenset(self.coeffs.items()))
 
     def evaluate(self, values: Mapping[ParamVar, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.coeffs.items():
-            prod = Fraction(c)
-            for pv in m:
-                if pv not in values:
-                    raise MissingAssignment(f"no value for {pv.name}")
-                prod *= values[pv]
-            total += prod
-        return total
+        return _evaluate([self], values)[0]
 
     def monomials(self) -> Iterator[tuple[list[tuple[ParamVar, int]], int]]:
         """Each monomial as its (parameter, power) factors and its coefficient,
         in output order: by degree, then by the parameters' indices and terms."""
-        for m in sorted(self.coeffs, key=_mono_key):
-            yield [(pv, len(list(run))) for pv, run in groupby(m)], self.coeffs[m]
+        for m in sorted(self.coeffs, key=lambda m: (len(m), m)):
+            yield [(ParamVar.of_key(k), len(list(run))) for k, run in groupby(m)], self.coeffs[m]
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -161,6 +159,26 @@ class ParamPolynomial:
 
     def __repr__(self) -> str:
         return f"ParamPolynomial({self})"
+
+
+def _evaluate(polys: Iterable[ParamPolynomial], values: Mapping) -> list[Fraction]:
+    """Each polynomial at the point, in integers: over the common denominator L
+    of the values, sum(c * prod(L * a_i) * L^(K - deg m)) / L^K at top degree K."""
+    L = lcm(*(v.denominator for v in values.values()))
+    point = {pv.sort_key: v.numerator * (L // v.denominator) for pv, v in values.items()}
+    out = []
+    for p in polys:
+        top = max(map(len, p.coeffs), default=0)
+        total = 0
+        try:
+            for m, c in p.coeffs.items():
+                for key in m:
+                    c *= point[key]
+                total += c * L ** (top - len(m))
+        except KeyError as exc:
+            raise MissingAssignment(f"no value for {ParamVar.of_key(exc.args[0]).name}") from None
+        out.append(Fraction(total, L**top))
+    return out
 
 
 @dataclass
@@ -195,18 +213,44 @@ def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
     return GenericMarkedSet(J, basis, tuple(params), tails)
 
 
+def _add_normal_form(G: MarkedSet, memo: dict, out: dict, gamma: Term, coeff: Mapping) -> None:
+    """out += coeff * NF(gamma) over coefficient maps, with NF(gamma) kept in ``memo``.
+
+    Over a stably complete basis reduction is noetherian and every term of J
+    is one head * eta, so the reduced form is linear: NF(t) = t outside J and
+    NF(head * eta) = -sum(c_beta * NF(beta * eta)) over the head's tail.
+    """
+    nf = memo.get(gamma)
+    if nf is None:
+        fact = G.decompose(gamma)
+        if fact is None:
+            nf = {gamma: {(): 1}}
+        else:
+            nf = {}
+            for beta, c in G.polys[fact.head].tail.items():
+                _add_normal_form(G, memo, nf, beta * fact.cofactor, (-c).coeffs)
+        memo[gamma] = nf
+    for t, p in nf.items():
+        _add_product(out.setdefault(t, {}), coeff, p)
+
+
 def prolongation_residues(
     gm: GenericMarkedSet,
 ) -> list[tuple[Term, int, dict[Term, ParamPolynomial]]]:
-    """Reduced non-multiplicative prolongations of the generic set, in canonical order."""
+    """Reduced non-multiplicative prolongations of the generic set, in canonical order:
+    what :func:`marked.reduce` leaves of each f_head * x_j, from normal forms
+    computed once per call."""
+    G = gm.marked_set()
+    n = G.n
+    memo: dict[Term, dict] = {}
     out = []
-    for check in criterion_checks(gm.marked_set()):
-        if check.trace.status != REDUCED:
-            raise AssertionError(
-                f"prolongation of {check.head} by x_{check.variable} did not reduce: "
-                f"{check.trace.status}"
-            )
-        out.append((check.head, check.variable, check.trace.result))
+    for head in G.basis:
+        for j in range((head.min_index or n) + 1, n + 1):
+            acc: dict[Term, dict] = {}
+            for t, c in G.polys[head].times(variable(n, j)).items():
+                _add_normal_form(G, memo, acc, t, ParamPolynomial._coerce(c).coeffs)
+            residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc, key=lambda t: t.sort_key))
+            out.append((head, j, {t: p for t, p in residue if p}))
     return out
 
 
@@ -240,16 +284,12 @@ def specialize(
     gm: GenericMarkedSet, values: Mapping[ParamVar, Fraction]
 ) -> MarkedSet:
     """Evaluate every parameter to a rational, producing a concrete marked set."""
-    for pv in gm.params:
-        if pv not in values:
-            raise MissingAssignment(f"no value for {pv.name}")
-    tails: dict[Term, dict[Term, Fraction]] = {}
-    for head, tail in gm.tails.items():
-        tails[head] = {t: p.evaluate(values) for t, p in tail.items()}
+    evaluated = iter(_evaluate([p for tail in gm.tails.values() for p in tail.values()], values))
+    tails = {head: {t: next(evaluated) for t in tail} for head, tail in gm.tails.items()}
     return make_marked_set(gm.basis, tails)
 
 
 def evaluate_equations(
     eqs: SchemeEquations, values: Mapping[ParamVar, Fraction]
 ) -> list[Fraction]:
-    return [p.evaluate(values) for p in eqs.equations]
+    return _evaluate(eqs.equations, values)

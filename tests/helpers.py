@@ -330,3 +330,14 @@ def random_assignment(rng, params, zero_chance=0.3):
         else Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
         for pv in params
     }
+
+
+def brute_evaluate(poly, values):
+    """A parameter polynomial at a point, one Fraction product at a time."""
+    total = Fraction(0)
+    for factors, c in poly.monomials():
+        product = Fraction(c)
+        for pv, e in factors:
+            product *= values[pv] ** e
+        total += product
+    return total

@@ -29,7 +29,7 @@ from involutive import (
     sigma_profile,
     star_set,
 )
-from involutive.ideals import _fit_power
+from involutive.ideals import _fit_power, sigma_totals
 from involutive.serialize import parse_ideal
 from helpers import (
     brute_fit_power,
@@ -347,6 +347,12 @@ def test_hilbert_function_matches_enumeration():
     # offspring is the singleton {x1}
     singleton = TermSet([t(1, 0), t(2, 0), t(0, 1)])
     assert DivisionAssignment.janet(singleton).mult[t(1, 0)] == frozenset()
+    # its Pommaret cones are complete but nested (x1^2 lies in the cone of
+    # x1), so the offspring sizes would count x1^2 * x1^e twice
+    nested = DivisionAssignment.pommaret(singleton)
+    for k in range(4):
+        with pytest.raises(ValueError, match=r"x1\^2 lies in the cone of x1:"):
+            hilbert_function(singleton, k, nested)
     sets = [
         singleton,
         TermSet([t(1, 0)]),
@@ -407,14 +413,19 @@ def test_sigma_profile_matches_the_dense_scan(data):
     J = MonomialIdeal([Term(g) for g in gens], n)
     for p in range(1, 10):
         for mode in (ESCALIER, IDEAL_SLICE):
-            assert sigma_profile(J, p, mode).counts == brute_sigma(gens, n, p, mode)
+            counts = sigma_profile(J, p, mode).counts
+            assert counts == brute_sigma(gens, n, p, mode)
+            # the involutive test reads both degrees off one star search
+            weighted = sum(i * c for i, c in enumerate(counts, start=1))
+            assert sigma_totals(J, p, mode) == (sum(sigma_profile(J, p + 1, mode).counts), weighted)
 
 
 def test_sigma_profile_validation():
-    with pytest.raises(ValueError):
-        sigma_profile(STABLE, 0, ESCALIER)
-    with pytest.raises(ValueError):
-        sigma_profile(STABLE, 2, "bogus")
+    for sigma in (sigma_profile, sigma_totals):
+        with pytest.raises(ValueError):
+            sigma(STABLE, 0, ESCALIER)
+        with pytest.raises(ValueError):
+            sigma(STABLE, 2, "bogus")
 
 
 def test_involutive_test_examples():

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involutive import (
     MissingAssignment,
     MonomialIdeal,
     NotQuasiStable,
     ParamPolynomial,
+    ParamVar,
     Term,
+    classify,
     evaluate_equations,
     generic_marked_set,
     is_marked_basis,
@@ -19,7 +23,7 @@ from involutive import (
     specialize,
     variable,
 )
-from helpers import exp_tuples, random_assignment
+from helpers import brute_evaluate, exp_tuples, random_assignment, stable_closure
 
 
 def t(*exps):
@@ -251,3 +255,95 @@ def test_criterion_oracle_and_equations_agree(n, d, zero_chances, shifted):
         for k in rng.sample(range(1, n), shifted):
             shifts[k] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
         assert verdicts(eqs, translated_point(eqs.generic, shifts)) == (True, True, True)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_prolongation_residues_match_reduction(data):
+    # memoised normal forms against step-by-step reduction, on (x2..xn)^d
+    # and on random quasi-stable ideals (the stable closure when a draw is not)
+    n = data.draw(st.integers(2, 4))
+    if data.draw(st.booleans()):
+        J = upper_power(n, data.draw(st.integers(1, 4 if n < 4 else 3)))
+    else:
+        # each generator a multiset of 1..4 variables (1..3 in 4 variables)
+        term = st.lists(st.integers(1, n), min_size=1, max_size=4 if n < 4 else 3)
+        drawn = data.draw(st.lists(term, min_size=1, max_size=4))
+        gens = [tuple(vs.count(i) for i in range(1, n + 1)) for vs in drawn]
+        J = MonomialIdeal([Term(g) for g in gens], n)
+        if not classify(J).quasi_stable:
+            J = MonomialIdeal([Term(g) for g in stable_closure(gens, n)], n)
+    gm = generic_marked_set(J)
+    checks = is_marked_basis(gm.marked_set()).checks
+    expected = [(c.head, c.variable, c.trace.result) for c in checks]
+    got = prolongation_residues(gm)
+    assert [(h, j, list(r.items())) for h, j, r in got] == [
+        (h, j, list(r.items())) for h, j, r in expected
+    ]
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def evaluation_points(params, rng):
+    """Zero, sparse, dense and negative points, and one whose denominators are
+    the distinct primes 2..97."""
+    yield {pv: Fraction(0) for pv in params}
+    for zero_chance in (0.9, 0.0):
+        yield random_assignment(rng, params, zero_chance=zero_chance)
+    yield {pv: Fraction(-rng.randint(1, 5), rng.choice([1, 2, 3])) for pv in params}
+    yield {pv: Fraction(rng.choice([-1, 1]), PRIMES[i % len(PRIMES)]) for i, pv in enumerate(params)}
+
+
+@pytest.mark.parametrize("J", [THREE_POINTS, upper_power(4, 3), upper_power(3, 5)])
+def test_evaluation_matches_fraction_arithmetic(J):
+    eqs = scheme_equations(J)
+    gm = eqs.generic
+    for values in evaluation_points(gm.params, random.Random(101)):
+        assert evaluate_equations(eqs, values) == [brute_evaluate(p, values) for p in eqs.equations]
+        G = specialize(gm, values)
+        for head, tail in gm.tails.items():
+            expected = {t: brute_evaluate(p, values) for t, p in tail.items()}
+            assert G.polys[head].tail == {t: c for t, c in expected.items() if c}
+        for p in eqs.equations[:5]:
+            assert p.evaluate(values) == brute_evaluate(p, values)
+
+
+@pytest.mark.parametrize("J", [THREE_POINTS, TWO_PARAMS])
+def test_missing_parameter_is_named(J):
+    # every parameter of THREE_POINTS occurs in an equation, none of
+    # TWO_PARAMS does: a point may omit those
+    eqs = scheme_equations(J)
+    values = random_assignment(random.Random(103), eqs.generic.params, zero_chance=0.0)
+    used = {pv.name for p in eqs.equations for factors, _ in p.monomials() for pv, _ in factors}
+    for pv in eqs.generic.params:
+        partial = {q: v for q, v in values.items() if q != pv}
+        with pytest.raises(MissingAssignment) as exc:
+            specialize(eqs.generic, partial)
+        assert str(exc.value) == f"no value for {pv.name}"
+        if pv.name in used:
+            with pytest.raises(MissingAssignment) as exc:
+                evaluate_equations(eqs, partial)
+            assert str(exc.value) == f"no value for {pv.name}"
+        else:
+            assert evaluate_equations(eqs, partial) == []
+
+
+def test_param_var_hashing_stays_out_of_the_hot_paths(monkeypatch):
+    # polynomials key parameters by plain tuples: scheme equations never hash
+    # a ParamVar, and evaluation hashes each at most once, to read the point
+    calls = [0]
+    original = ParamVar.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(ParamVar, "__hash__", counting)
+    eqs = scheme_equations(upper_power(5, 3))
+    assert calls[0] == 0
+    values = random_assignment(random.Random(107), eqs.generic.params)
+    for run in (lambda: evaluate_equations(eqs, values), lambda: specialize(eqs.generic, values)):
+        calls[0] = 0
+        run()
+        assert calls[0] <= len(eqs.generic.params)
