@@ -1,49 +1,45 @@
-"""Exact row reduction over the rationals, used by the linear-algebra oracle."""
+"""Exact sparse row echelon form over the rationals, for the linear-algebra oracle.
+
+Rows are ``{Term: coefficient}`` maps, the form that marked polynomials and
+their multiples already take. An echelon form is a dict from pivot term to
+row, each row normalised to 1 on its pivot: its largest term in lex order.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        # Zero entries are kept as they are: rows are mostly zeros, and
-        # skipping them saves most of the Fraction arithmetic.
-        mat[r] = [v * inv if v else v for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
+def _clear(poly, pivots: dict) -> dict:
+    """poly less multiples of the pivot rows, cleared from its largest term
+    down: what is left is empty or has a largest term that is no pivot."""
+    row = {t: Fraction(c) for t, c in poly.items() if c}
+    while row:
+        lead = max(row, key=lambda t: t.lex_key)
+        pivot = pivots.get(lead)
+        if pivot is None:
             break
-    return mat[:r], pivots
+        c = row[lead]
+        for t, a in pivot.items():
+            v = row.get(t, 0) - c * a
+            if v:
+                row[t] = v
+            else:
+                del row[t]
+    return row
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def rref(rows: list, pivots: dict) -> dict:
+    """Extend the echelon form ``pivots`` by ``rows`` in place and return it;
+    ``len(pivots)`` grows by the rank the rows add."""
+    for poly in rows:
+        row = _clear(poly, pivots)
+        if row:
+            lead = max(row, key=lambda t: t.lex_key)
+            pivots[lead] = {t: c / row[lead] for t, c in row.items()}
+    return pivots
 
 
-def in_rowspace(
-    vec: list[Fraction], basis: list[list[Fraction]], pivots: list[int]
-) -> bool:
-    """Whether vec lies in the row space of an RREF basis: its residual after
-    subtracting the projection is zero."""
-    for row, col in zip(basis, pivots):
-        factor = vec[col]
-        if factor:
-            vec = [a - factor * b if b else a for a, b in zip(vec, row)]
-    return not any(vec)
+def in_rowspace(poly, pivots: dict) -> bool:
+    """Whether poly lies in the row space of the echelon form ``pivots``."""
+    return not _clear(poly, pivots)

@@ -29,6 +29,8 @@ def _load(path: str) -> dict:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} is nested too deeply") from exc
 
 
 def _cmd_mult_vars(data, opts):

@@ -1,5 +1,6 @@
 """Marked polynomials and sets, the star-constrained reduction, the marked
-basis criterion and an independent linear-algebra oracle.
+basis criterion and an independent linear-algebra oracle, which eliminates
+the same sparse term-to-coefficient maps to row echelon form.
 
 Coefficients are exact rationals (``fractions.Fraction``) in the concrete
 case; every operation only needs ``+``, ``-``, ``*`` and truth testing, so the
@@ -10,7 +11,6 @@ equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
@@ -76,7 +76,8 @@ class MarkedPolynomial:
 class MarkedSet:
     """Marked polynomials indexed by a complete division basis M.
 
-    Construct through :func:`make_marked_set`, which validates the tails.
+    Construct through :func:`make_marked_set`, which validates the tails
+    (the generic sets of :mod:`scheme` draw theirs from the escalier).
     Stable completeness of M is computed lazily and cached (the assignment
     caches the completeness verdict).  Star decompositions come from the
     Janet assignment of M itself and are memoized, since reduction revisits
@@ -308,23 +309,17 @@ def s_polynomial(f: MarkedPolynomial, g: MarkedPolynomial) -> dict[Term, object]
     return result
 
 
-def _vector(poly: Mapping[Term, object], index: dict[Term, int]) -> list[Fraction]:
-    vec = [Fraction(0)] * len(index)
-    for t, c in poly.items():
-        vec[index[t]] = Fraction(c)
-    return vec
-
-
 def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     """Degree-by-degree linear-algebra verification of the basis property.
 
-    For each degree s up to ``max_degree`` this checks, by exact row
-    reduction, that the span of all monomial multiples of the marked
-    polynomials equals the span of the star-compatible multiples G^(s), and
-    that the latter together with the escalier monomials fills the degree-s
-    slice with trivial intersection.  Independent of the reduction relation.
-    ``max_degree`` must reach the largest basis degree, or some marked
-    polynomials would go unchecked.
+    For each degree s up to ``max_degree`` this checks, by exact sparse
+    elimination to row echelon form, that the span of all monomial multiples
+    of the marked polynomials equals the span of the star-compatible
+    multiples G^(s), and that the latter together with the escalier
+    monomials fills the degree-s slice with trivial intersection.
+    Independent of the reduction relation: membership in the ideal is the
+    linear scan of :meth:`MarkedSet.contains`. ``max_degree`` must reach the
+    largest basis degree, or some marked polynomials would go unchecked.
     """
     if max_degree < G.basis.max_degree():
         raise ValueError(
@@ -336,25 +331,18 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     n = G.n
     for s in range(1, max_degree + 1):
         cols = list(terms_of_degree(n, s))
-        index = {t: i for i, t in enumerate(cols)}
         outside = [t for t in cols if not G.contains(t)]
-        star_rows = [_vector(poly, index) for _, poly in build_Gs(G, s)]
-        basis, pivots = _linalg.rref(star_rows)
+        star = [poly for _, poly in build_Gs(G, s)]
+        span = _linalg.rref(star, {})
         # Every plain multiple must already lie in the span of the star multiples.
         for f in G.polys.values():
             if f.head.degree > s:
                 continue
             for eta in terms_of_degree(n, s - f.head.degree):
-                vec = _vector(f.times(eta), index)
-                if not _linalg.in_rowspace(vec, basis, pivots):
+                if not _linalg.in_rowspace(f.times(eta), span):
                     return False
         # Star multiples plus escalier monomials must give a direct sum filling P_s.
-        unit_rows = []
-        for t in outside:
-            vec = [Fraction(0)] * len(cols)
-            vec[index[t]] = Fraction(1)
-            unit_rows.append(vec)
-        combined = _linalg.rank(star_rows + unit_rows)
-        if combined != len(basis) + len(outside) or combined != len(cols):
+        combined = len(_linalg.rref(star, {t: {t: 1} for t in outside}))
+        if combined != len(span) + len(outside) or combined != len(cols):
             return False
     return True

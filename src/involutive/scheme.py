@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import MissingAssignment
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
-from .marked import MarkedSet, make_marked_set
+from .marked import MarkedPolynomial, MarkedSet
 from .terms import Term, TermSet, variable
 
 
@@ -191,7 +191,12 @@ class GenericMarkedSet:
     tails: dict[Term, dict[Term, ParamPolynomial]]
 
     def marked_set(self) -> MarkedSet:
-        return make_marked_set(self.basis, self.tails)
+        return _escalier_marked_set(self.basis, self.tails)
+
+
+def _escalier_marked_set(basis: TermSet, tails: Mapping[Term, Mapping]) -> MarkedSet:
+    # Tails drawn from the escalier pass make_marked_set's checks by construction.
+    return MarkedSet(basis, {head: MarkedPolynomial(head, tail) for head, tail in tails.items()})
 
 
 def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
@@ -286,7 +291,7 @@ def specialize(
     """Evaluate every parameter to a rational, producing a concrete marked set."""
     evaluated = iter(_evaluate([p for tail in gm.tails.values() for p in tail.values()], values))
     tails = {head: {t: next(evaluated) for t in tail} for head, tail in gm.tails.items()}
-    return make_marked_set(gm.basis, tails)
+    return _escalier_marked_set(gm.basis, tails)
 
 
 def evaluate_equations(

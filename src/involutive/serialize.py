@@ -33,6 +33,10 @@ def parse_coeff(s) -> Fraction:
             raise ValueError
         if isinstance(s, int):
             return Fraction(s)
+        # Fraction("1e<k>") builds 10**k: refuse |k| past the default int digit limit.
+        _, e, exponent = str(s).lower().partition("e")
+        if e and abs(int(exponent)) > 4300:
+            raise InputFormatError(f"coefficient {s!r} has a decimal exponent beyond 4300")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad coefficient {s!r}") from exc

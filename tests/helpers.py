@@ -1,5 +1,6 @@
 """Shared test utilities: independent brute-force oracles (working on raw
-exponent tuples, not on the library's code paths) and seeded random input
+exponent tuples, not on the library's code paths), the dense linear algebra
+that checks the library's sparse oracle, and seeded random input
 generators."""
 
 from __future__ import annotations
@@ -8,7 +9,15 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from involutive import MonomialIdeal, Term, classify, escalier_slice, pommaret_basis
+from involutive import (
+    MonomialIdeal,
+    Term,
+    build_Gs,
+    classify,
+    escalier_slice,
+    pommaret_basis,
+    terms_of_degree,
+)
 
 
 # ---------------------------------------------------------------- raw tuples
@@ -270,6 +279,72 @@ def solve_coords(rows, target):
     for row_idx, col in enumerate(pivots):
         coords[col] = aug[row_idx][m]
     return coords
+
+
+def dense_rref(rows):
+    """Reduced row echelon form of dense Fraction rows: (nonzero rows, pivot
+    column indices)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for col in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][col]
+        # Rows are mostly zeros: skipping them saves most of the arithmetic.
+        mat[r] = [v * inv if v else v for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def dense_rank(rows):
+    return len(dense_rref(rows)[0])
+
+
+def dense_in_rowspace(vec, basis, pivots):
+    """Whether vec lies in the row space of a dense_rref basis."""
+    for row, col in zip(basis, pivots):
+        factor = vec[col]
+        if factor:
+            vec = [a - factor * b if b else a for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+def dense_vector(poly, cols):
+    """A term-to-coefficient map as a dense Fraction row over the terms cols."""
+    return [Fraction(poly.get(t, 0)) for t in cols]
+
+
+def dense_oracle_check(G, max_degree):
+    """The oracle's two checks on dense rows over each whole degree slice:
+    every plain multiple lies in the span of G^(s), and G^(s) with the
+    escalier unit rows fills the slice as a direct sum."""
+    for s in range(1, max_degree + 1):
+        cols = list(terms_of_degree(G.n, s))
+        star_rows = [dense_vector(poly, cols) for _, poly in build_Gs(G, s)]
+        basis, pivots = dense_rref(star_rows)
+        for f in G:
+            if f.head.degree > s:
+                continue
+            for eta in terms_of_degree(G.n, s - f.head.degree):
+                if not dense_in_rowspace(dense_vector(f.times(eta), cols), basis, pivots):
+                    return False
+        unit_rows = [dense_vector({t: 1}, cols) for t in cols if not G.contains(t)]
+        combined = dense_rank(star_rows + unit_rows)
+        if combined != len(basis) + len(unit_rows) or combined != len(cols):
+            return False
+    return True
 
 
 # --------------------------------------------------------------- random data

@@ -1,8 +1,11 @@
 import json
+import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 from involutive.cli import main
+from involutive.serialize import parse_coeff
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -464,4 +467,40 @@ def test_oracle_check_degree_bound(capsys):
     assert report["error"] == {
         "type": "ValueError",
         "message": "degree bound 0 is below the largest basis degree 3",
+    }
+
+
+def marked_set_with_tail_coeff(coeff):
+    return {
+        "vars": 2,
+        "polynomials": [{"head": [0, 1], "tail": [{"term": [1, 0], "coeff": coeff}]}],
+    }
+
+
+def test_exponent_notation_is_bounded(tmp_path, capsys):
+    assert parse_coeff("1e3") == 1000
+    assert parse_coeff("1.5e-2") == Fraction(3, 200)
+    assert parse_coeff("-1/2") == Fraction(-1, 2)
+    # Fraction would build 10**(10**8): refused at once, with either sign
+    source = tmp_path / "huge.json"
+    for coeff in ("1e100000000", "1e-100000000"):
+        source.write_text(json.dumps(marked_set_with_tail_coeff(coeff)))
+        start = time.perf_counter()
+        code, report = run_json(capsys, "is-marked-basis", "--input", str(source))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert report["error"] == {
+            "type": "InputFormatError",
+            "message": f"coefficient {coeff!r} has a decimal exponent beyond 4300",
+        }
+
+
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    source = tmp_path / "deep.json"
+    source.write_text("[" * 200_000 + "]" * 200_000)
+    code, report = run_json(capsys, "classify", "--input", str(source))
+    assert code == 2
+    assert report["error"] == {
+        "type": "InputFormatError",
+        "message": f"{source} is nested too deeply",
     }

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involutive import (
     CYCLE_DETECTED,
@@ -25,8 +27,12 @@ from involutive import (
     s_polynomial,
     terms_of_degree,
 )
-from involutive._linalg import in_rowspace, rank, rref
 from helpers import (
+    dense_in_rowspace,
+    dense_oracle_check,
+    dense_rank,
+    dense_rref,
+    exp_tuples,
     ideal_count,
     padd,
     pmul,
@@ -35,6 +41,7 @@ from helpers import (
     random_quasi_stable,
     random_tails,
     solve_coords,
+    stable_closure,
 )
 
 
@@ -239,7 +246,7 @@ def test_oracle_and_criterion_agree_with_direct_sum_property():
                     vec[index[term]] = Fraction(c)
                 rows.append(vec)
             outside = len(escalier_slice(J, s))
-            assert rank(rows) + outside == len(cols)
+            assert dense_rank(rows) + outside == len(cols)
 
 
 def test_nonzero_combinations_of_span_generators_touch_the_ideal():
@@ -302,8 +309,8 @@ def test_residue_matches_oracle_linear_solve():
         # h minus its residue lies in the span of the star multiples
         diff = psub(h, trace.result)
         vec = [Fraction(diff.get(term, 0)) for term in cols]
-        basis_rows, pivots = rref(star_rows)
-        assert in_rowspace(vec, basis_rows, pivots)
+        basis_rows, pivots = dense_rref(star_rows)
+        assert dense_in_rowspace(vec, basis_rows, pivots)
 
 
 def test_failing_marked_set_has_nonzero_residue_certificate():
@@ -316,3 +323,33 @@ def test_failing_marked_set_has_nonzero_residue_certificate():
     bad = [c for c in result.checks if not c.ok]
     assert bad and all(c.trace.result for c in bad)
     assert not oracle_check(G, basis.max_degree() + 1)
+
+
+NONZERO = [Fraction(c, d) for c in (1, -1, 2, -2) for d in (1, 2)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_oracle_matches_the_dense_oracle(data):
+    # marked sets on (x2..xn)^d or on the stable closure of drawn generators,
+    # with random tails on the escalier: bases and non-bases alike
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        d = data.draw(st.integers(1, 3))
+        gens = [(0,) + e for e in exp_tuples(n - 1, d)] if n > 1 else [(d,)]
+    else:
+        # each generator a multiset of 1..3 variables
+        term = st.lists(st.integers(1, n), min_size=1, max_size=3)
+        drawn = data.draw(st.lists(term, min_size=1, max_size=3))
+        gens = stable_closure([tuple(vs.count(i) for i in range(1, n + 1)) for vs in drawn], n)
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    basis = pommaret_basis(J)
+    slots = [(head, beta) for head in basis for beta in escalier_slice(J, head.degree)]
+    coeff = st.sampled_from([Fraction(0)] + NONZERO)
+    values = data.draw(st.lists(coeff, min_size=len(slots), max_size=len(slots)))
+    tails = {head: {} for head in basis}
+    for (head, beta), c in zip(slots, values):
+        tails[head][beta] = c
+    G = make_marked_set(basis, tails)
+    top = basis.max_degree() + data.draw(st.integers(0, 1))
+    assert oracle_check(G, top) == dense_oracle_check(G, top)
