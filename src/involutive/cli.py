@@ -25,10 +25,10 @@ def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: an over-long integer, or not UTF-8
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:
         raise InputFormatError(f"{path} is nested too deeply") from exc
 

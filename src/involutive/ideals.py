@@ -5,8 +5,9 @@ involutive degree test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 from operator import le
 from typing import Iterable, Iterator, Optional
 
@@ -25,9 +26,16 @@ _MODES = (ESCALIER, IDEAL_SLICE)
 
 
 class MonomialIdeal:
-    """A monomial ideal held by its minimal generating set."""
+    """A monomial ideal held by its minimal generating set.
 
-    __slots__ = ("generators", "n")
+    ``_fit_index[j - 1]`` indexes the generators by their x_j exponent for
+    the fit-power test: a sorted list of the distinct exponents and, in
+    parallel, the groups of generators carrying each, every exponent tuple
+    with its j-th slot dropped.  It is built once here and is not part of
+    the ideal's value.
+    """
+
+    __slots__ = ("generators", "n", "_fit_index")
 
     def __init__(self, generators: Iterable[Term] | TermSet, n: Optional[int] = None):
         if isinstance(generators, TermSet):
@@ -45,6 +53,7 @@ class MonomialIdeal:
                 minimal.append(t)
         self.generators = TermSet(minimal, n)
         self.n = n
+        self._fit_index = tuple(_exponent_groups(minimal, j) for j in range(n))
 
     def contains(self, t: Term) -> bool:
         if t.nvars != self.n:
@@ -65,14 +74,25 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.generators!r})"
 
 
+def _exponent_groups(gens: list[Term], k: int) -> tuple[list[int], list[list[tuple]]]:
+    """The generators grouped by their exponent in slot k, in ascending order of
+    it: (sorted exponents, groups of the generators' tuples without slot k)."""
+    groups: dict[int, list[tuple]] = {}
+    for g in gens:
+        e = g.exponents
+        groups.setdefault(e[k], []).append(e[:k] + e[k + 1 :])
+    keys = sorted(groups)
+    return keys, [groups[key] for key in keys]
+
+
 def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     """All degree-d terms outside J, in lex order."""
     return [t for t in terms_of_degree(J.n, d) if not J.contains(t)]
 
 
-def _times(t: Term, j: int) -> Term:
-    """t * x_j (j is 1-based)."""
-    return Term(t.exponents[: j - 1] + (t.exponents[j - 1] + 1,) + t.exponents[j:])
+def _bump(e: tuple, j: int, by: int = 1) -> tuple:
+    """The exponents of x_j^by * e for an exponent tuple e (j is 1-based)."""
+    return e[: j - 1] + (e[j - 1] + by,) + e[j:]
 
 
 def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
@@ -86,12 +106,13 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
     stop a branch as soon as the predecessor enters J.  By the same closure,
     a star term past D is a generator of degree > D or implies one at D+1,
     a child of a degree-D survivor.  As pred lies outside J, pred * x_j is in
-    J iff x_j fits pred at power 1.
+    J iff x_j fits pred at power 1.  The search runs on exponent tuples;
+    only the star terms found become Terms, through the returned TermSet.
     """
     if J.is_zero:
         raise ValueError("the zero ideal has no star set")
     n = J.n
-    found: set[Term] = set()
+    found: set[tuple] = set()
     beyond = False
     for g in J.generators:
         m = g.min_index
@@ -99,19 +120,19 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
             beyond = True
             continue
         if m is None:  # J is the unit ideal, whose only star term is 1
-            found.add(g)
+            found.add(g.exponents)
             continue
-        # (star term, its predecessor, index of the smallest variable to add)
-        stack = [(g, g.predecessor(m), m + 1)]
+        # (star term, its predecessor, index of the smallest variable to add, degree)
+        stack = [(g.exponents, _bump(g.exponents, m, -1), m + 1, g.degree)]
         while stack:
-            gamma, pred, lo = stack.pop()
+            gamma, pred, lo, d = stack.pop()
             found.add(gamma)
-            if gamma.degree == D:
+            if d == D:
                 beyond = beyond or any(_fit_power(J, pred, j) != 1 for j in range(lo, n + 1))
                 continue
             for j in range(lo, n + 1):
                 if _fit_power(J, pred, j) != 1:
-                    stack.append((_times(gamma, j), _times(pred, j), j))
+                    stack.append((_bump(gamma, j), _bump(pred, j), j, d + 1))
     return TermSet(found, n), beyond
 
 
@@ -132,22 +153,22 @@ class StabilityReport:
     quasi_stable_witness: Optional[StabilityWitness] = None
 
 
-def _fit_power(J: MonomialIdeal, base: Term, j: int) -> Optional[int]:
-    """Smallest t with x_j^t * base in J (a generator fits under base in
-    every exponent but the j-th), or None.  ``base`` must lie outside J, so
-    t >= 1 and t = 1 ends the scan."""
-    b = base.exponents
-    cap = b[: j - 1] + (inf,) + b[j:]
-    best = None
-    for gamma in J.generators:
-        e = gamma.exponents
-        if all(map(le, e, cap)):
-            t = e[j - 1] - b[j - 1]
-            if t == 1:
-                return 1
-            if best is None or t < best:
-                best = t
-    return best
+def _fit_power(J: MonomialIdeal, b: tuple, j: int) -> Optional[int]:
+    """Smallest t with x_j^t * b in J for an exponent tuple b outside J, or None.
+
+    Some generator must fit under b in every exponent but the j-th.  One
+    with an x_j exponent of at most b_j would divide b, so the search walks
+    J's x_j index from the first exponent above b_j upwards and the first
+    group holding a fitting generator gives t = exponent - b_j >= 1.
+    """
+    keys, groups = J._fit_index[j - 1]
+    bj = b[j - 1]
+    rest = b[: j - 1] + b[j:]
+    for k in range(bisect_right(keys, bj), len(keys)):
+        for e in groups[k]:
+            if all(map(le, e, rest)):
+                return keys[k] - bj
+    return None
 
 
 def _moves(J: MonomialIdeal, strongly: bool) -> Iterator[tuple[Term, int, int, Optional[int]]]:
@@ -159,10 +180,11 @@ def _moves(J: MonomialIdeal, strongly: bool) -> Iterator[tuple[Term, int, int, O
         k = g.min_index
         if k is None:
             continue
+        e = g.exponents
         for i in range(k, J.n + 1 if strongly else k + 1):
-            if g.exponents[i - 1] == 0:
+            if e[i - 1] == 0:
                 continue
-            base = g.predecessor(i)
+            base = _bump(e, i, -1)
             for j in range(i + 1, J.n + 1):
                 yield g, i, j, _fit_power(J, base, j)
 

@@ -8,6 +8,7 @@ round-trip byte-identically.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -40,6 +41,27 @@ def parse_coeff(s) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad coefficient {s!r}") from exc
+
+
+def coeff_text(c) -> str:
+    """``str(c)`` for a coefficient, or a polynomial printing its
+    coefficients, of any size.
+
+    The interpreter refuses int-to-decimal conversions past a digit limit
+    (4300 by default), which guards parsing; a result coefficient may grow
+    past it from valid input, so the limit is lifted for this conversion
+    alone.  The limit is process-wide, so a thread parsing at the same time
+    would not be held to it.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(c)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(c)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def term_json(t: Term) -> list[int]:
@@ -98,7 +120,7 @@ def assignment_json(assignment: DivisionAssignment) -> list[dict]:
 
 def poly_json(poly: Mapping[Term, object]) -> list[dict]:
     return [
-        {"term": term_json(t), "coeff": str(poly[t])}
+        {"term": term_json(t), "coeff": coeff_text(poly[t])}
         for t in sorted(poly, key=lambda t: t.sort_key)
     ]
 
@@ -165,7 +187,7 @@ def trace_json(trace: ReductionTrace, include_steps: bool) -> dict:
                 "term": term_json(s.term),
                 "head": term_json(s.head),
                 "cofactor": term_json(s.cofactor),
-                "coefficient": str(s.coefficient),
+                "coefficient": coeff_text(s.coefficient),
             }
             for s in trace.steps
         ]
@@ -210,7 +232,7 @@ def scheme_json(result: SchemeEquations) -> dict:
                 {
                     "head": term_json(head),
                     "tail": [
-                        {"term": term_json(t), "coeff": str(p)}
+                        {"term": term_json(t), "coeff": coeff_text(p)}
                         for t, p in result.generic.tails[head].items()
                     ],
                 }
@@ -218,7 +240,7 @@ def scheme_json(result: SchemeEquations) -> dict:
             ],
         },
         "equations": [param_poly_json(p) for p in result.equations],
-        "text": [str(p) for p in result.equations],
+        "text": [coeff_text(p) for p in result.equations],
     }
 
 

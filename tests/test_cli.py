@@ -504,3 +504,32 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys):
         "type": "InputFormatError",
         "message": f"{source} is nested too deeply",
     }
+
+
+def test_overlong_integer_literal_exits_2(tmp_path, capsys):
+    # json.load refuses integer literals past the interpreter's digit limit
+    source = tmp_path / "long.json"
+    source.write_text('{"vars": 1, "generators": [[' + "1" * 5000 + "]]}")
+    code, report = run_json(capsys, "classify", "--input", str(source))
+    assert code == 2
+    assert report["error"]["type"] == "InputFormatError"
+    assert report["error"]["message"].startswith(f"cannot read {source}: ")
+
+
+def test_big_result_coefficients_are_reported(tmp_path, capsys):
+    # y^2 reduces by y + 10^3000 x to 10^6000 x^2, past the default digit limit
+    source = tmp_path / "big.json"
+    source.write_text(json.dumps({
+        "marked_set": marked_set_with_tail_coeff("1e3000"),
+        "polynomial": [{"term": [0, 2], "coeff": "1"}],
+    }))
+    code, report = run_json(capsys, "reduce", "--input", str(source), "--trace")
+    assert code == 0
+    assert report["status"] == "reduced"
+    assert report["result"] == [{"term": [2, 0], "coeff": "1" + "0" * 6000}]
+    assert [s["coefficient"] for s in report["steps"]] == ["1", "-1" + "0" * 3000]
+    # parsing still refuses over-long input
+    assert parse_coeff("1e4300") == 10**4300
+    source.write_text(json.dumps(marked_set_with_tail_coeff("1e4301")))
+    code, report = run_json(capsys, "is-marked-basis", "--input", str(source))
+    assert code == 2 and report["error"]["type"] == "InputFormatError"

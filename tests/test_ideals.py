@@ -32,6 +32,7 @@ from involutive import (
 from involutive.ideals import _fit_power, sigma_totals
 from involutive.serialize import parse_ideal
 from helpers import (
+    exp_tuples,
     brute_fit_power,
     brute_quasi_stable_fits,
     brute_sigma,
@@ -42,6 +43,7 @@ from helpers import (
     ideal_count,
     random_ideal,
     random_term_of_degree,
+    tuple_divides,
     tuple_in_ideal,
 )
 
@@ -223,7 +225,44 @@ def test_fit_power_matches_brute_force(data):
     assume(not tuple_in_ideal(gens, base))
     J = MonomialIdeal([Term(g) for g in gens], n)
     for j in range(1, n + 1):
-        assert _fit_power(J, Term(base), j) == brute_fit_power(gens, base, j)
+        assert _fit_power(J, base, j) == brute_fit_power(gens, base, j)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_fit_power_matches_brute_force_on_many_generators(data):
+    # many generators share each x_j exponent, so every index group is searched
+    n = data.draw(st.integers(2, 5))
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    base = data.draw(exps)
+    gens = [g for g in data.draw(st.lists(exps, min_size=10, max_size=30))
+            if not tuple_divides(g, base)]
+    assume(gens)
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    for j in range(1, n + 1):
+        assert _fit_power(J, base, j) == brute_fit_power(gens, base, j)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_star_set_matches_brute_force_over_powers_of_the_maximal_ideal(data):
+    # m^d plus lower-degree generators: quasi-stable, with up to 56 generators
+    n = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 5))
+    extra = data.draw(st.lists(st.tuples(*[st.integers(0, d)] * n), max_size=4))
+    gens = list(exp_tuples(n, d)) + [e for e in extra if 0 < sum(e) < d]
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    # a star term's predecessor lies outside m^d, so the star set ends at degree d
+    full = brute_star_set(gens, n, d + 1)
+    assert all(sum(s) <= d for s in full)
+    # the termination bound a + t * n, with t the largest fit power of the moves
+    mins = [g for g in set(gens) if not any(h != g and tuple_divides(h, g) for h in gens)]
+    top = max([1] + [t for _, _, t in brute_quasi_stable_fits(mins, n)])
+    termination = max(sum(g) for g in mins) + top * n
+    bound = data.draw(st.integers(0, termination))
+    terms, exhaustive = star_set(J, bound)
+    assert {s.exponents for s in terms} == {s for s in full if sum(s) <= bound}
+    assert exhaustive == (bound >= termination - 1 and all(sum(s) <= bound for s in full))
 
 
 def test_library_checks_survive_optimized_mode():
