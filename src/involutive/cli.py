@@ -160,7 +160,7 @@ def _cmd_reduce(data, opts):
 
 def _cmd_is_marked_basis(data, opts):
     G = serialize.parse_marked_set(data)
-    result = marked.is_marked_basis(G, step_cap=opts.step_cap)
+    result = marked.is_marked_basis(G)
     report = serialize.basis_result_json(result, opts.trace)
     return report, EXIT_OK if result.is_basis else EXIT_NEGATIVE
 

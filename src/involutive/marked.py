@@ -3,16 +3,19 @@ basis criterion and an independent linear-algebra oracle, which eliminates
 the same sparse term-to-coefficient maps to row echelon form.
 
 Coefficients are exact rationals (``fractions.Fraction``) in the concrete
-case; every operation only needs ``+``, ``-``, ``*`` and truth testing, so the
-same machinery runs unchanged over the integer parameter ring used for scheme
-equations.
+case.  The generic sets of :mod:`scheme` carry integer-ring parameter
+polynomials, which this module only stores and multiplies by terms: scheme
+walks the same non-multiplicative prolongations f_head * x_j as the criterion
+here, and reduces them through memoised normal forms instead of
+:func:`reduce`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from math import comb
+from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
 from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
@@ -94,6 +97,13 @@ class MarkedSet:
     @cached_property
     def stable_completeness(self) -> tuple[bool, Optional[tuple[Term, int]]]:
         return is_stably_complete(self.basis, self.assignment)
+
+    def _require_stably_complete(self, what: str) -> None:
+        """Raise :class:`NotStablyComplete` unless M is stably complete; the
+        message names ``what``, the computation that needs it."""
+        ok, witness = self.stable_completeness
+        if not ok:
+            raise NotStablyComplete(f"{what} needs a stably complete basis", witness=witness)
 
     def contains(self, t: Term) -> bool:
         """Membership in the ideal generated by the heads, by a scan that is
@@ -252,9 +262,7 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     Entries come out ordered by their marked head term (the degree-s term of
     the ideal being covered).
     """
-    ok, witness = G.stable_completeness
-    if not ok:
-        raise NotStablyComplete("G^(s) needs a stably complete basis", witness=witness)
+    G._require_stably_complete("G^(s)")
     out = []
     for gamma in terms_of_degree(G.n, s):
         fact = G.decompose(gamma)
@@ -283,21 +291,29 @@ class MarkedBasisResult:
         return self.is_basis
 
 
-def is_marked_basis(G: MarkedSet, *, step_cap: int = DEFAULT_STEP_CAP) -> MarkedBasisResult:
+def _prolongations(G: MarkedSet) -> Iterator[tuple[Term, int, dict[Term, object]]]:
+    """Each non-multiplicative prolongation as (head, j, f_head * x_j), for x_j
+    above min(head): heads in basis order, j ascending."""
+    for head in G.basis:
+        for j in range((head.min_index or G.n) + 1, G.n + 1):
+            yield head, j, G.polys[head].times(variable(G.n, j))
+
+
+def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
     """Criterion: every product f_head * x_j with x_j above min(head) reduces to 0.
 
     Requires the division basis to be stably complete (the star set of its
-    ideal).  The returned certificate records one reduction trace per
-    (head, variable) pair, in canonical order.
+    ideal), over which the reduction is noetherian and the verdict exact: the
+    rewritten keys (cofactor, term) strictly decrease, so no term of the
+    product's degree is rewritten twice, and that count of terms is a step cap
+    that cannot bind.  The returned certificate records one reduction trace
+    per (head, variable) pair, in canonical order.
     """
-    ok, witness = G.stable_completeness
-    if not ok:
-        raise NotStablyComplete("the criterion needs a stably complete basis", witness=witness)
-    checks = []
-    for head in G.basis:
-        for j in range((head.min_index or G.n) + 1, G.n + 1):
-            h = G.polys[head].times(variable(G.n, j))
-            checks.append(CriterionCheck(head, j, reduce(G, h, step_cap=step_cap)))
+    G._require_stably_complete("the criterion")
+    checks = [
+        CriterionCheck(head, j, reduce(G, h, step_cap=comb(head.degree + G.n, G.n - 1)))
+        for head, j, h in _prolongations(G)
+    ]
     return MarkedBasisResult(all(check.ok for check in checks), checks)
 
 
@@ -318,16 +334,17 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     multiples G^(s), and that the latter together with the escalier
     monomials fills the degree-s slice with trivial intersection.
     Independent of the reduction relation: membership in the ideal is the
-    linear scan of :meth:`MarkedSet.contains`. ``max_degree`` must reach the
-    largest basis degree, or some marked polynomials would go unchecked.
+    linear scan of :meth:`MarkedSet.contains`. ``max_degree`` must exceed the
+    largest basis degree: the prolongations f_head * x_j of the top-degree
+    polynomials live one degree higher, and below that bound a non-basis can
+    pass.
     """
-    if max_degree < G.basis.max_degree():
+    top = G.basis.max_degree()
+    if max_degree <= top:
         raise ValueError(
-            f"degree bound {max_degree} is below the largest basis degree {G.basis.max_degree()}"
+            f"degree bound {max_degree} does not exceed the largest basis degree {top}"
         )
-    ok, witness = G.stable_completeness
-    if not ok:
-        raise NotStablyComplete("oracle needs a stably complete basis", witness=witness)
+    G._require_stably_complete("oracle")
     n = G.n
     for s in range(1, max_degree + 1):
         cols = list(terms_of_degree(n, s))

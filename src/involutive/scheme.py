@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import MissingAssignment
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
-from .marked import MarkedPolynomial, MarkedSet
-from .terms import Term, TermSet, variable
+from .marked import MarkedPolynomial, MarkedSet, _prolongations
+from .terms import Term, TermSet
 
 
 @dataclass(frozen=True)
@@ -242,20 +242,23 @@ def _add_normal_form(G: MarkedSet, memo: dict, out: dict, gamma: Term, coeff: Ma
 def prolongation_residues(
     gm: GenericMarkedSet,
 ) -> list[tuple[Term, int, dict[Term, ParamPolynomial]]]:
-    """Reduced non-multiplicative prolongations of the generic set, in canonical order:
-    what :func:`marked.reduce` leaves of each f_head * x_j, from normal forms
-    computed once per call."""
+    """Reduced non-multiplicative prolongations of the generic set: what
+    :func:`marked.reduce` leaves of each f_head * x_j, from normal forms
+    computed once per call.
+
+    The prolongations come in the order of the criterion's walk in
+    :mod:`marked`, and each residue maps its nonzero coefficients by term in
+    ``sort_key`` order.
+    """
     G = gm.marked_set()
-    n = G.n
     memo: dict[Term, dict] = {}
     out = []
-    for head in G.basis:
-        for j in range((head.min_index or n) + 1, n + 1):
-            acc: dict[Term, dict] = {}
-            for t, c in G.polys[head].times(variable(n, j)).items():
-                _add_normal_form(G, memo, acc, t, ParamPolynomial._coerce(c).coeffs)
-            residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc, key=lambda t: t.sort_key))
-            out.append((head, j, {t: p for t, p in residue if p}))
+    for head, j, h in _prolongations(G):
+        acc: dict[Term, dict] = {}
+        for t, c in h.items():
+            _add_normal_form(G, memo, acc, t, ParamPolynomial._coerce(c).coeffs)
+        residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc, key=lambda t: t.sort_key))
+        out.append((head, j, {t: p for t, p in residue if p}))
     return out
 
 
@@ -277,9 +280,8 @@ def scheme_equations(J: MonomialIdeal) -> SchemeEquations:
     equations: list[ParamPolynomial] = []
     seen: set[ParamPolynomial] = set()
     for _, _, residue in prolongation_residues(gm):
-        for t in sorted(residue, key=lambda t: t.sort_key):
-            p = residue[t]
-            if p and p not in seen:
+        for p in residue.values():
+            if p not in seen:
                 seen.add(p)
                 equations.append(p)
     return SchemeEquations(gm, equations)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -24,8 +25,32 @@ class InputFormatError(InvolutiveError):
     """The JSON input does not match the expected document shape."""
 
 
+@contextmanager
+def _any_int_size():
+    """Lift the interpreter's int-to-decimal digit limit (4300 by default)
+    while emitting.
+
+    The limit guards parsing; a result value may grow past it from valid
+    input, so it is lifted for output conversions alone.  The limit is
+    process-wide, so a thread parsing at the same time would not be held to
+    it.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The report text; counts and coefficients print in full at any size."""
+    with _any_int_size():
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def parse_coeff(s) -> Fraction:
@@ -45,23 +70,9 @@ def parse_coeff(s) -> Fraction:
 
 def coeff_text(c) -> str:
     """``str(c)`` for a coefficient, or a polynomial printing its
-    coefficients, of any size.
-
-    The interpreter refuses int-to-decimal conversions past a digit limit
-    (4300 by default), which guards parsing; a result coefficient may grow
-    past it from valid input, so the limit is lifted for this conversion
-    alone.  The limit is process-wide, so a thread parsing at the same time
-    would not be held to it.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
+    coefficients, of any size."""
+    with _any_int_size():
         return str(c)
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(c)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def term_json(t: Term) -> list[int]:

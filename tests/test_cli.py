@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -224,13 +225,14 @@ def test_reduce_cycle(capsys):
 
 
 def test_is_marked_basis(capsys):
-    code, report = run_json(
-        capsys, "is-marked-basis", "--input", str(CORPUS / "marked_basis_example.json")
-    )
-    assert code == 0
-    assert report["is_basis"] is True
-    assert len(report["checks"]) == 3
-    assert all(c["zero"] for c in report["checks"])
+    # the criterion's reductions always end: --step-cap bounds reduce alone
+    example = str(CORPUS / "marked_basis_example.json")
+    for options in ((), ("--step-cap", "1")):
+        code, report = run_json(capsys, "is-marked-basis", "--input", example, *options)
+        assert code == 0
+        assert report["is_basis"] is True
+        assert len(report["checks"]) == 3
+        assert all(c["zero"] for c in report["checks"])
 
 
 def test_oracle_check(capsys):
@@ -459,15 +461,17 @@ def test_oracle_check_degree_bound(capsys):
         "message": "oracle-check needs --degree-bound >= 0",
     }
     # an explicit 0 is honoured, not replaced by the default, and refused:
-    # a bound below the largest basis degree would leave polynomials unchecked
-    code, report = run_json(
-        capsys, "oracle-check", "--input", example, "--degree-bound", "0"
-    )
-    assert code == 2
-    assert report["error"] == {
-        "type": "ValueError",
-        "message": "degree bound 0 is below the largest basis degree 3",
-    }
+    # a bound that does not pass the largest basis degree would leave the
+    # top-degree prolongations unchecked
+    for bound in ("0", "3"):
+        code, report = run_json(
+            capsys, "oracle-check", "--input", example, "--degree-bound", bound
+        )
+        assert code == 2
+        assert report["error"] == {
+            "type": "ValueError",
+            "message": f"degree bound {bound} does not exceed the largest basis degree 3",
+        }
 
 
 def marked_set_with_tail_coeff(coeff):
@@ -533,3 +537,19 @@ def test_big_result_coefficients_are_reported(tmp_path, capsys):
     source.write_text(json.dumps(marked_set_with_tail_coeff("1e4301")))
     code, report = run_json(capsys, "is-marked-basis", "--input", str(source))
     assert code == 2 and report["error"]["type"] == "InputFormatError"
+
+
+def test_big_count_values_are_reported(tmp_path, capsys):
+    # H(d) of (x4) counts the degree-d terms in x1..x3: about 6,000 digits here
+    source = tmp_path / "x4.json"
+    source.write_text(json.dumps({"vars": 4, "terms": [[0, 0, 0, 1]]}))
+    d = int("1" * 3000)
+    code, out = run(capsys, "hilbert", "--input", str(source), "--degree-bound", str(d))
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # to print the expected value
+    try:
+        expected = '{\n  "degree": %d,\n  "value": %d\n}\n' % (d, comb(d + 2, 2))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected

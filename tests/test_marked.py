@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -328,11 +329,9 @@ def test_failing_marked_set_has_nonzero_residue_certificate():
 NONZERO = [Fraction(c, d) for c in (1, -1, 2, -2) for d in (1, 2)]
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.data())
-def test_sparse_oracle_matches_the_dense_oracle(data):
-    # marked sets on (x2..xn)^d or on the stable closure of drawn generators,
-    # with random tails on the escalier: bases and non-bases alike
+def draw_marked_set(data):
+    """A marked set on (x2..xn)^d or on the stable closure of drawn generators,
+    with random tails on the escalier: bases and non-bases alike."""
     n = data.draw(st.integers(1, 4))
     if data.draw(st.booleans()):
         d = data.draw(st.integers(1, 3))
@@ -350,6 +349,39 @@ def test_sparse_oracle_matches_the_dense_oracle(data):
     tails = {head: {} for head in basis}
     for (head, beta), c in zip(slots, values):
         tails[head][beta] = c
-    G = make_marked_set(basis, tails)
-    top = basis.max_degree() + data.draw(st.integers(0, 1))
+    return make_marked_set(basis, tails)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_oracle_matches_the_dense_oracle(data):
+    G = draw_marked_set(data)
+    top = G.basis.max_degree() + data.draw(st.integers(1, 2))
     assert oracle_check(G, top) == dense_oracle_check(G, top)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_criterion_reductions_end_within_their_degree(data):
+    # over a stably complete basis the rewritten (cofactor, term) keys strictly
+    # decrease: no term is rewritten twice, so the degree's term count bounds
+    # every trace and the criterion needs no step cap
+    G = draw_marked_set(data)
+    result = is_marked_basis(G)
+    for check in result.checks:
+        steps = check.trace.steps
+        assert check.trace.status == REDUCED
+        assert len({s.term for s in steps}) == len(steps)
+        assert len(steps) <= comb(check.head.degree + G.n, G.n - 1)
+    assert result.is_basis == oracle_check(G, G.basis.max_degree() + 1)
+
+
+def test_oracle_bound_must_pass_the_top_basis_degree():
+    # J = (x1*x2, x2^2), x1*x2 marked with tail x1^2: x2*(x1*x2 + x1^2)
+    # reduces to -x1^3, a degree-3 failure that the degree-2 slices cannot see
+    basis = pommaret_basis(MonomialIdeal([t(1, 1), t(0, 2)]))
+    G = make_marked_set(basis, {t(1, 1): {t(2, 0): fr(1)}})
+    assert not is_marked_basis(G).is_basis
+    assert not oracle_check(G, 3)
+    with pytest.raises(ValueError, match="does not exceed the largest basis degree 2"):
+        oracle_check(G, 2)

@@ -1,7 +1,9 @@
 """The benchmark's tracer (``bench/tracer.py``) wraps library methods and
 reads library attributes by name.  A refactor that drops one must fail here,
-in the unit tests, and not only in the benchmark's own self-test."""
+in the unit tests, and not only in the benchmark's own self-test.  The
+library's own checks must not vanish under ``python -O`` either."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 from involutive import Term, TermSet, make_marked_set
 from involutive.marked import MarkedSet
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -43,3 +46,14 @@ def test_tracer_hooks_find_the_attributes_they_read():
     assert "stable_completeness" in MarkedSet.__dict__
     G = make_marked_set(TermSet([Term([1, 0])]))
     assert G._decompositions == {}
+
+
+def test_library_checks_survive_optimisation():
+    # python -O strips assert statements: a check must raise explicitly
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "involutive").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
