@@ -65,7 +65,6 @@ from .marked import (
     make_marked_set,
     oracle_check,
     reduce,
-    s_polynomial,
 )
 from .scheme import (
     GenericMarkedSet,

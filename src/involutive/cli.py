@@ -216,8 +216,20 @@ _NEEDS_DEGREE = {"star-set", "hilbert", "sigma", "involutive-test"}
 _DEFAULTS_DEGREE = {"complete", "oracle-check"}
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises on a bad command line instead of printing usage
+    text and exiting, so the error reaches the report like any other."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="involutive",
         description="Involutive structure, marked bases and marked-scheme equations "
         "for monomial ideals.",
@@ -241,12 +253,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(report: dict, code: int, output: Optional[str]) -> int:
+    """Write the report to ``output``, or to stdout, and return the exit code.
+    A write that fails prints a usage error to stdout instead."""
+    text = serialize.dumps(report)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            problem = f"cannot write {output}: {exc.strerror or exc}"
+            text, code = serialize.dumps(_error_report("usage", problem)), EXIT_USAGE
+    sys.stdout.write(text)
+    return code
 
 
 def _usage_problem(opts) -> Optional[str]:
@@ -267,8 +287,10 @@ def _error_report(kind: str, message: str, **extra) -> dict:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    opts = parser.parse_args(argv)
+    try:
+        opts = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _emit(_error_report("usage", str(exc)), EXIT_USAGE, None)
     problem = _usage_problem(opts)
     if problem is not None:
         report, code = _error_report("usage", problem), EXIT_USAGE
@@ -281,8 +303,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if isinstance(exc, DegreeCapExceeded):
                 extra["partial"] = serialize.termset_json(exc.partial) if exc.partial else None
             report, code = _error_report(type(exc).__name__, str(exc), **extra), EXIT_USAGE
-    _emit(serialize.dumps(report), opts.output)
-    return code
+    return _emit(report, code, opts.output)
 
 
 if __name__ == "__main__":

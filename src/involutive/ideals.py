@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
 from operator import le
 from typing import Iterable, Iterator, Optional
 
@@ -18,7 +17,7 @@ from .division import (
     is_stably_complete,
 )
 from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable
-from .terms import Term, TermSet, terms_of_degree
+from .terms import Term, TermSet, _monomials, terms_of_degree
 
 ESCALIER = "escalier"
 IDEAL_SLICE = "ideal-slice"
@@ -39,6 +38,10 @@ class MonomialIdeal:
 
     def __init__(self, generators: Iterable[Term] | TermSet, n: Optional[int] = None):
         if isinstance(generators, TermSet):
+            if n is not None and n != generators.n:
+                raise MismatchedVariableCount(
+                    f"term set has {generators.n} variables, expected {n}"
+                )
             terms = list(generators)
             n = generators.n
         else:
@@ -279,13 +282,6 @@ def pommaret_basis(J: MonomialIdeal) -> TermSet:
 def regularity(J: MonomialIdeal) -> int:
     """Maximal degree in the Pommaret basis (quasi-stable J only)."""
     return pommaret_basis(J).max_degree()
-
-
-def _monomials(e: int, s: int) -> int:
-    """Number of degree-e terms in s variables: 0 for e < 0, 1 for e = 0."""
-    if e < 0:
-        return 0
-    return comb(e + s - 1, e) if e + s else 1
 
 
 def hilbert_function(

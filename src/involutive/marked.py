@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
@@ -28,7 +28,7 @@ from .errors import (
     NotStablyComplete,
     TailInIdeal,
 )
-from .terms import Term, TermSet, terms_of_degree, variable
+from .terms import Term, TermSet, _monomials, terms_of_degree, variable
 
 REDUCED = "reduced"
 STEP_LIMIT = "step-limit"
@@ -257,17 +257,26 @@ def reduce(
 
 
 def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
-    """Degree-s span generators: one multiple f_head * cofactor per term of J_s.
+    """G^(s): the multiples f_head * eta with eta of degree s - deg head in the
+    multiplicative variables x_1..x_m of the head, m = min(head) (n for the
+    head 1), each paired with the term head * eta of J_s that it covers.
 
-    Entries come out ordered by their marked head term (the degree-s term of
-    the ideal being covered).
+    Over a stably complete basis these cones are the Janet cones of M, which
+    are disjoint and cover J_s, so every term of J_s appears once.  The eta
+    of a cone are the first ``_monomials(e, m)`` degree-e terms in lex order,
+    those free of x_{m+1}..x_n.  Entries are sorted by the covered term in
+    lex order.
     """
     G._require_stably_complete("G^(s)")
     out = []
-    for gamma in terms_of_degree(G.n, s):
-        fact = G.decompose(gamma)
-        if fact is not None:
-            out.append((gamma, G.polys[fact.head].times(fact.cofactor)))
+    for head in G.basis:
+        e = s - head.degree
+        if e < 0:
+            break
+        f = G.polys[head]
+        for eta in islice(terms_of_degree(G.n, e), _monomials(e, head.min_index or G.n)):
+            out.append((head * eta, f.times(eta)))
+    out.sort(key=lambda entry: entry[0].lex_key)
     return out
 
 
@@ -311,18 +320,10 @@ def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
     """
     G._require_stably_complete("the criterion")
     checks = [
-        CriterionCheck(head, j, reduce(G, h, step_cap=comb(head.degree + G.n, G.n - 1)))
+        CriterionCheck(head, j, reduce(G, h, step_cap=_monomials(head.degree + 1, G.n)))
         for head, j, h in _prolongations(G)
     ]
     return MarkedBasisResult(all(check.ok for check in checks), checks)
-
-
-def s_polynomial(f: MarkedPolynomial, g: MarkedPolynomial) -> dict[Term, object]:
-    """lcm(heads)/head_f * f - lcm(heads)/head_g * g as a term-to-coefficient map."""
-    lcm = Term(max(a, b) for a, b in zip(f.head.exponents, g.head.exponents))
-    result = f.times(lcm / f.head)
-    _subtract_scaled(result, g, lcm / g.head, 1)
-    return result
 
 
 def oracle_check(G: MarkedSet, max_degree: int) -> bool:
@@ -330,14 +331,17 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
 
     For each degree s up to ``max_degree`` this checks, by exact sparse
     elimination to row echelon form, that the span of all monomial multiples
-    of the marked polynomials equals the span of the star-compatible
-    multiples G^(s), and that the latter together with the escalier
-    monomials fills the degree-s slice with trivial intersection.
-    Independent of the reduction relation: membership in the ideal is the
-    linear scan of :meth:`MarkedSet.contains`. ``max_degree`` must exceed the
-    largest basis degree: the prolongations f_head * x_j of the top-degree
-    polynomials live one degree higher, and below that bound a non-basis can
-    pass.
+    of the marked polynomials equals the span of G^(s), and that G^(s)
+    together with the escalier monomials fills the degree-s slice P_s with
+    trivial intersection.  G^(s) is eliminated once per degree; the direct-sum
+    rank extends a copy of its echelon form by the escalier unit rows.
+    Independent of the reduction relation and of the cover lookup: G^(s)
+    comes from the multiplicative cones and membership in the ideal is the
+    linear scan of :meth:`MarkedSet.contains`, so the stable-completeness
+    precondition is all the oracle shares with the criterion.
+    ``max_degree`` must exceed the largest basis degree: the prolongations
+    f_head * x_j of the top-degree polynomials live one degree higher, and
+    below that bound a non-basis can pass.
     """
     top = G.basis.max_degree()
     if max_degree <= top:
@@ -347,10 +351,8 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     G._require_stably_complete("oracle")
     n = G.n
     for s in range(1, max_degree + 1):
-        cols = list(terms_of_degree(n, s))
-        outside = [t for t in cols if not G.contains(t)]
-        star = [poly for _, poly in build_Gs(G, s)]
-        span = _linalg.rref(star, {})
+        outside = [t for t in terms_of_degree(n, s) if not G.contains(t)]
+        span = _linalg.rref([poly for _, poly in build_Gs(G, s)], {})
         # Every plain multiple must already lie in the span of the star multiples.
         for f in G.polys.values():
             if f.head.degree > s:
@@ -359,7 +361,7 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
                 if not _linalg.in_rowspace(f.times(eta), span):
                     return False
         # Star multiples plus escalier monomials must give a direct sum filling P_s.
-        combined = len(_linalg.rref(star, {t: {t: 1} for t in outside}))
-        if combined != len(span) + len(outside) or combined != len(cols):
+        combined = len(_linalg.rref([{t: 1} for t in outside], dict(span)))
+        if combined != len(span) + len(outside) or combined != _monomials(s, n):
             return False
     return True

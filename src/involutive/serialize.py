@@ -174,6 +174,8 @@ def parse_marked_set(data) -> MarkedSet:
         if not isinstance(entry, dict) or "head" not in entry:
             raise InputFormatError(f"bad marked polynomial entry {entry!r}")
         head = parse_term(entry["head"], n)
+        if head in tails:
+            raise InputFormatError(f"head {entry['head']!r} is marked twice")
         heads.append(head)
         tails[head] = parse_poly(entry.get("tail", []), n)
     return make_marked_set(TermSet(heads, n), tails)

@@ -6,6 +6,8 @@ of x_{k+1}.  Variable indices in the public API are 1-based.
 
 from __future__ import annotations
 
+from math import comb
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 from .errors import MismatchedVariableCount, NotDivisible
@@ -17,10 +19,10 @@ class Term:
     __slots__ = ("exponents", "degree")
 
     def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(map(index, exponents))
         if not exps:
             raise ValueError("a term needs at least one variable")
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise ValueError(f"negative exponent in {exps!r}")
         self.exponents = exps
         self.degree = sum(exps)
@@ -127,6 +129,14 @@ def terms_of_degree(n: int, d: int) -> Iterator[Term]:
 
     for exps in rec(n, d):
         yield Term(exps)
+
+
+def _monomials(d: int, n: int) -> int:
+    """The number of degree-d terms in n variables, the length of
+    ``terms_of_degree(n, d)``: 0 for d < 0, 1 for d = 0."""
+    if d < 0:
+        return 0
+    return comb(d + n - 1, d) if d + n else 1
 
 
 class TermSet:

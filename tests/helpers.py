@@ -12,7 +12,6 @@ from math import comb
 from involutive import (
     MonomialIdeal,
     Term,
-    build_Gs,
     classify,
     escalier_slice,
     pommaret_basis,
@@ -119,6 +118,24 @@ def brute_star_decompose(members, mult, gamma):
     if any(tuple_divides(tau, gamma) for tau in members):
         return "NotComplete"
     return "NotInIdeal"
+
+
+def brute_build_Gs(G, s):
+    """G^(s) of a marked set by a probe of the whole degree-s slice: each term
+    of the ideal, in lex order, with the multiple f_head * cofactor of its
+    Pommaret cover.  Raises ValueError when a term of the ideal lies in no
+    Pommaret cone, which a stably complete basis rules out."""
+    members = [head.exponents for head in G.basis]
+    mult = {tau: brute_pommaret_vars(tau) for tau in members}
+    out = []
+    for gamma in sorted(exp_tuples(G.n, s), key=lambda e: e[::-1]):
+        found = brute_star_decompose(members, mult, gamma)
+        if found == "NotComplete":
+            raise ValueError(f"{gamma} lies in no Pommaret cone")
+        if found != "NotInIdeal":
+            head, cofactor = found
+            out.append((Term(gamma), G.polys[Term(head)].times(Term(cofactor))))
+    return out
 
 
 def brute_janet_complete(members, degree_cap):
@@ -329,10 +346,11 @@ def dense_vector(poly, cols):
 def dense_oracle_check(G, max_degree):
     """The oracle's two checks on dense rows over each whole degree slice:
     every plain multiple lies in the span of G^(s), and G^(s) with the
-    escalier unit rows fills the slice as a direct sum."""
+    escalier unit rows fills the slice as a direct sum.  G^(s) comes from
+    :func:`brute_build_Gs`, not from the library."""
     for s in range(1, max_degree + 1):
         cols = list(terms_of_degree(G.n, s))
-        star_rows = [dense_vector(poly, cols) for _, poly in build_Gs(G, s)]
+        star_rows = [dense_vector(poly, cols) for _, poly in brute_build_Gs(G, s)]
         basis, pivots = dense_rref(star_rows)
         for f in G:
             if f.head.degree > s:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import pytest
+
 from involutive.cli import main
 from involutive.serialize import parse_coeff
 
@@ -344,6 +346,61 @@ def test_missing_degree_bound_is_usage_error(capsys):
         capsys, "star-set", "--input", str(CORPUS / "ideal_principal_x.json")
     )
     assert code == 2 and report["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate", "--input", "x.json"], "invalid choice: 'frobnicate'"),
+        (["classify"], "the following arguments are required: --input"),
+        (["hilbert", "--input", "x.json", "--degree-bound", "two"], "invalid int value: 'two'"),
+    ],
+)
+def test_parser_errors_print_an_error_object(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "usage" and message in error["message"]
+
+
+def test_help_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: involutive")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, report = run_json(
+            capsys, "classify", "--input", str(CORPUS / "ideal_stable.json"),
+            "--output", str(target),
+        )
+        assert code == 2
+        assert report["error"]["type"] == "usage"
+        assert report["error"]["message"].startswith(f"cannot write {target}: ")
+
+
+def test_head_marked_twice_exits_2(tmp_path, capsys):
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(
+        json.dumps(
+            {
+                "vars": 2,
+                "polynomials": [
+                    {"head": [0, 1], "tail": [{"term": [1, 0], "coeff": "1"}]},
+                    {"head": [0, 1], "tail": []},
+                ],
+            }
+        )
+    )
+    code, report = run_json(capsys, "is-marked-basis", "--input", str(doubled))
+    assert code == 2
+    assert report["error"] == {
+        "type": "InputFormatError",
+        "message": "head [0, 1] is marked twice",
+    }
 
 
 def test_reports_round_trip_byte_identically(capsys):

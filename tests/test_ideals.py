@@ -12,6 +12,7 @@ from involutive import (
     ESCALIER,
     IDEAL_SLICE,
     DivisionAssignment,
+    MismatchedVariableCount,
     MonomialIdeal,
     NotComplete,
     NotQuasiStable,
@@ -76,6 +77,13 @@ def test_membership():
 def test_minimal_generators_computed_on_load():
     J = ideal((1, 0), (2, 3), (1, 1))
     assert [g.exponents for g in J.generators] == [(1, 0)]
+
+
+def test_term_set_must_match_the_variable_count():
+    gens = TermSet([t(1, 0), t(0, 2)])
+    assert MonomialIdeal(gens, 2).n == 2
+    with pytest.raises(MismatchedVariableCount):
+        MonomialIdeal(gens, 3)
 
 
 def test_star_set_principal_ideal_truncation():

@@ -11,7 +11,6 @@ from involutive import (
     REDUCED,
     DegreeMismatch,
     HeadNotInM,
-    MarkedPolynomial,
     MonomialIdeal,
     NonHomogeneousInput,
     NotStablyComplete,
@@ -25,10 +24,10 @@ from involutive import (
     oracle_check,
     pommaret_basis,
     reduce,
-    s_polynomial,
     terms_of_degree,
 )
 from helpers import (
+    brute_build_Gs,
     dense_in_rowspace,
     dense_oracle_check,
     dense_rank,
@@ -207,22 +206,6 @@ def test_is_marked_basis_needs_stably_complete_basis():
         is_marked_basis(cycle_set())
 
 
-def test_s_polynomial():
-    f = MarkedPolynomial(t(1, 1), {t(2, 0): fr(-1), t(0, 2): fr(-1)})
-    g = MarkedPolynomial(t(0, 3), {})
-    assert s_polynomial(f, f) == {}
-    # lcm(xy, y^3) = xy^3: y^2 f - x g, computed independently
-    expected = psub(
-        pmul({t(1, 1): fr(1), t(2, 0): fr(-1), t(0, 2): fr(-1)}, t(0, 2)),
-        pmul({t(0, 3): fr(1)}, t(1, 0)),
-    )
-    assert s_polynomial(f, g) == expected
-    assert expected == {t(2, 2): fr(-1), t(0, 4): fr(-1)}
-    a = MarkedPolynomial(t(3, 0), {})
-    b = MarkedPolynomial(t(0, 3), {})
-    assert s_polynomial(a, b) == {}
-
-
 def test_oracle_check_examples():
     assert oracle_check(example_basis(), 5)
     assert oracle_check(make_marked_set(EXAMPLE_F), 5)
@@ -358,6 +341,16 @@ def test_sparse_oracle_matches_the_dense_oracle(data):
     G = draw_marked_set(data)
     top = G.basis.max_degree() + data.draw(st.integers(1, 2))
     assert oracle_check(G, top) == dense_oracle_check(G, top)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_build_Gs_lists_the_slice_probe(data):
+    # the multiplicative cones give the same entries, in the same order, as a
+    # probe of every slice term for its Pommaret cover
+    G = draw_marked_set(data)
+    for s in range(1, G.basis.max_degree() + 2):
+        assert build_Gs(G, s) == brute_build_Gs(G, s)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

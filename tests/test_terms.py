@@ -95,6 +95,17 @@ def test_negative_exponents_rejected():
         Term([1, -1])
 
 
+@pytest.mark.parametrize("exponents", [[1.5, 2], ["3", 1], [2, 1.0]])
+def test_non_integer_exponents_rejected(exponents):
+    with pytest.raises(TypeError):
+        Term(exponents)
+
+
+def test_integer_exponents_accepted():
+    assert Term([True, 2]) == t(1, 2)
+    assert Term(e for e in (0, 3)).degree == 3
+
+
 def test_degree_cached():
     term = t(2, 0, 5)
     assert term.degree == 7
