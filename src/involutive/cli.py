@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 negative mathematical verdict (with a witness in the
 report), 2 malformed input or usage error (with a machine-readable error
 object).
+
+Each command imports the layers it calls when it runs, so a call loads only
+what its command needs; the parser reads its choices and defaults from
+:mod:`_options` alone.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import json
 import sys
 from typing import Optional
 
-from . import division, ideals, marked, scheme, serialize
-from .errors import DegreeCapExceeded, InvolutiveError, NotQuasiStable
+from . import serialize
+from ._options import DEFAULT_STEP_CAP, IDEAL_SLICE, SIGMA_MODES
+from .errors import DegreeCapExceeded, InvolutiveError, NotQuasiStable, WorkBudgetExceeded
 from .serialize import InputFormatError
 
 EXIT_OK = 0
@@ -34,6 +39,8 @@ def _load(path: str) -> dict:
 
 
 def _cmd_mult_vars(data, opts):
+    from . import division
+
     M = serialize.parse_termset(data)
     janet = division.DivisionAssignment.janet(M)
     pommaret = division.DivisionAssignment.pommaret(M)
@@ -46,6 +53,8 @@ def _cmd_mult_vars(data, opts):
 
 
 def _cmd_complete_check(data, opts):
+    from . import division
+
     M = serialize.parse_termset(data)
     ok, witness = division.is_complete(M)
     report = {"complete": ok, "witness": serialize.witness_json(witness)}
@@ -53,6 +62,8 @@ def _cmd_complete_check(data, opts):
 
 
 def _cmd_stably_complete_check(data, opts):
+    from . import division
+
     M = serialize.parse_termset(data)
     ok, witness = division.is_stably_complete(M)
     report = {"stably_complete": ok, "witness": serialize.witness_json(witness)}
@@ -60,6 +71,8 @@ def _cmd_stably_complete_check(data, opts):
 
 
 def _cmd_complete(data, opts):
+    from . import division
+
     M = serialize.parse_termset(data)
     cap = 32 if opts.degree_bound is None else opts.degree_bound
     completed = division.janet_complete(M, cap)
@@ -69,6 +82,8 @@ def _cmd_complete(data, opts):
 
 
 def _cmd_star_set(data, opts):
+    from . import ideals
+
     J = serialize.parse_ideal(data)
     terms, exhaustive = ideals.star_set(J, opts.degree_bound)
     report = serialize.termset_json(terms)
@@ -86,6 +101,8 @@ def _witness_field(w):
 
 
 def _cmd_classify(data, opts):
+    from . import ideals
+
     J = serialize.parse_ideal(data)
     report = ideals.classify(J)
     out = {
@@ -102,6 +119,8 @@ def _cmd_classify(data, opts):
 
 
 def _cmd_pommaret(data, opts):
+    from . import ideals
+
     J = serialize.parse_ideal(data)
     try:
         basis = ideals.pommaret_basis(J)
@@ -117,12 +136,16 @@ def _cmd_pommaret(data, opts):
 
 
 def _cmd_hilbert(data, opts):
+    from . import ideals
+
     M = serialize.parse_termset(data)
     value = ideals.hilbert_function(M, opts.degree_bound)
     return {"degree": opts.degree_bound, "value": value}, EXIT_OK
 
 
 def _cmd_sigma(data, opts):
+    from . import ideals
+
     J = serialize.parse_ideal(data)
     profile = ideals.sigma_profile(J, opts.degree_bound, opts.sigma_mode)
     report = {
@@ -134,6 +157,8 @@ def _cmd_sigma(data, opts):
 
 
 def _cmd_involutive_test(data, opts):
+    from . import ideals
+
     J = serialize.parse_ideal(data)
     lhs, rhs = ideals.sigma_totals(J, opts.degree_bound, opts.sigma_mode)
     holds = lhs == rhs
@@ -148,6 +173,8 @@ def _cmd_involutive_test(data, opts):
 
 
 def _cmd_reduce(data, opts):
+    from . import marked
+
     if not isinstance(data, dict) or "marked_set" not in data or "polynomial" not in data:
         raise InputFormatError('reduce input needs "marked_set" and "polynomial"')
     G = serialize.parse_marked_set(data["marked_set"])
@@ -159,6 +186,8 @@ def _cmd_reduce(data, opts):
 
 
 def _cmd_is_marked_basis(data, opts):
+    from . import marked
+
     G = serialize.parse_marked_set(data)
     result = marked.is_marked_basis(G)
     report = serialize.basis_result_json(result, opts.trace)
@@ -166,6 +195,8 @@ def _cmd_is_marked_basis(data, opts):
 
 
 def _cmd_oracle_check(data, opts):
+    from . import marked
+
     G = serialize.parse_marked_set(data)
     max_degree = opts.degree_bound
     if max_degree is None:
@@ -176,12 +207,16 @@ def _cmd_oracle_check(data, opts):
 
 
 def _cmd_scheme_equations(data, opts):
+    from . import scheme
+
     J = serialize.parse_ideal(data)
     result = scheme.scheme_equations(J)
     return serialize.scheme_json(result), EXIT_OK
 
 
 def _cmd_specialize(data, opts):
+    from . import scheme
+
     if not isinstance(data, dict) or "ideal" not in data or "assignment" not in data:
         raise InputFormatError('specialize input needs "ideal" and "assignment"')
     J = serialize.parse_ideal(data["ideal"])
@@ -237,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--input", required=True, help="path to the JSON input file")
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
-    parser.add_argument("--step-cap", type=int, default=marked.DEFAULT_STEP_CAP)
+    parser.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     parser.add_argument(
         "--degree-bound",
         type=int,
@@ -246,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sigma-mode",
-        choices=[ideals.ESCALIER, ideals.IDEAL_SLICE],
-        default=ideals.IDEAL_SLICE,
+        choices=list(SIGMA_MODES),
+        default=IDEAL_SLICE,
     )
     parser.add_argument("--trace", action="store_true", help="include reduction steps")
     return parser
@@ -302,6 +337,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             extra = {}
             if isinstance(exc, DegreeCapExceeded):
                 extra["partial"] = serialize.termset_json(exc.partial) if exc.partial else None
+            elif isinstance(exc, WorkBudgetExceeded):
+                extra.update(estimate=exc.estimate, budget=exc.budget)
             report, code = _error_report(type(exc).__name__, str(exc), **extra), EXIT_USAGE
     return _emit(report, code, opts.output)
 

@@ -94,8 +94,9 @@ class DivisionAssignment:
     """One multiplicative-variable set per term of a fixed TermSet.
 
     The assignment answers every cover question about its own basis: which
-    terms' involutive cones hold a term (:meth:`cover`) and whether the cones
-    cover the ideal (``_uncovered``).
+    terms' involutive cones hold a term (:meth:`cover`), whether the cones
+    cover the ideal (``_uncovered``) and whether two of them nest
+    (``_nested``).
     """
 
     flavor: str
@@ -161,6 +162,16 @@ class DivisionAssignment:
             for j in range(1, self.basis.n + 1):
                 if j not in vars_ and not self._heads(e[: j - 1] + (e[j - 1] + 1,) + e[j:]):
                     return tau, j
+        return None
+
+    @cached_property
+    def _nested(self) -> Optional[tuple[Term, Term]]:
+        """The first basis term in canonical order that lies in the cone of
+        another, with that other term; None when the cones are disjoint."""
+        for tau in self.basis:
+            outer = [s for s in self._heads(tau.exponents) if s != tau]
+            if outer:
+                return tau, outer[0]
         return None
 
 

@@ -67,3 +67,13 @@ class NonHomogeneousInput(InvolutiveError):
 
 class MissingAssignment(InvolutiveError):
     """A parameter value required for specialization was not supplied."""
+
+
+class WorkBudgetExceeded(InvolutiveError):
+    """A computation would exceed the library's work budget; ``estimate``
+    counts the work it was about to do, ``budget`` the most allowed."""
+
+    def __init__(self, message, estimate, budget):
+        super().__init__(message)
+        self.estimate = estimate
+        self.budget = budget

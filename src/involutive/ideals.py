@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Iterator, Optional
 
+from ._options import ESCALIER, IDEAL_SLICE, SIGMA_MODES
 from .division import (
     JANET,
     DivisionAssignment,
@@ -18,10 +19,6 @@ from .division import (
 )
 from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable
 from .terms import Term, TermSet, _monomials, terms_of_degree
-
-ESCALIER = "escalier"
-IDEAL_SLICE = "ideal-slice"
-_MODES = (ESCALIER, IDEAL_SLICE)
 
 
 class MonomialIdeal:
@@ -299,11 +296,9 @@ def hilbert_function(
     ok, witness = is_complete(M, assignment)
     if not ok:
         raise NotComplete("Hilbert formula needs a complete set", witness=witness)
-    if assignment.flavor != JANET:
-        for tau in M:
-            outer = [s for s in assignment._heads(tau.exponents) if s != tau]
-            if outer:
-                raise ValueError(f"{tau} lies in the cone of {outer[0]}: cones must be disjoint")
+    if assignment.flavor != JANET and assignment._nested:
+        tau, outer = assignment._nested
+        raise ValueError(f"{tau} lies in the cone of {outer}: cones must be disjoint")
     if k < 0:
         raise ValueError("degree must be non-negative")
     return _monomials(k, M.n) - sum(
@@ -328,8 +323,8 @@ def _sigma_counts(J: MonomialIdeal, degrees: tuple[int, ...], mode: str) -> list
     """
     if min(degrees) < 1:
         raise ValueError("sigma invariants are defined for degree >= 1")
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
+    if mode not in SIGMA_MODES:
+        raise ValueError(f"mode must be one of {SIGMA_MODES}")
     n = J.n
     stars = () if J.is_zero else _star_terms(J, max(degrees))[0]
     profiles = []

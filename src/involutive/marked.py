@@ -18,6 +18,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
+from ._options import DEFAULT_STEP_CAP
 from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
 from .errors import (
     DegreeMismatch,
@@ -33,8 +34,6 @@ from .terms import Term, TermSet, _monomials, terms_of_degree, variable
 REDUCED = "reduced"
 STEP_LIMIT = "step-limit"
 CYCLE_DETECTED = "cycle-detected"
-
-DEFAULT_STEP_CAP = 100_000
 
 
 class MarkedPolynomial:

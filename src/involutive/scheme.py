@@ -8,16 +8,22 @@ coefficients and evaluation commutes with any rational specialization.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import MissingAssignment
-from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
+from .division import DivisionAssignment
+from .errors import MissingAssignment, WorkBudgetExceeded
+from .ideals import MonomialIdeal, escalier_slice, hilbert_function, pommaret_basis
 from .marked import MarkedPolynomial, MarkedSet, _prolongations
-from .terms import Term, TermSet
+from .terms import Term, TermSet, _monomials
+
+# The most parameters plus escalier-slice terms generic_marked_set will list:
+# at about 7 microseconds each, the listing stays within a few seconds.
+_WORK_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -199,9 +205,37 @@ def _escalier_marked_set(basis: TermSet, tails: Mapping[Term, Mapping]) -> Marke
     return MarkedSet(basis, {head: MarkedPolynomial(head, tail) for head, tail in tails.items()})
 
 
+def _generic_work(basis: TermSet) -> int:
+    """What the generic marked set on the Pommaret basis costs to list: its
+    parameters, one per head and escalier term of the head's degree, which
+    the Hilbert function counts over the disjoint Pommaret cones, plus the
+    degree slices scanned for those escalier terms.
+
+    The count runs up the head degrees and stops once past the budget, so
+    its own cost stays bounded too; the total is then a lower bound."""
+    pommaret = DivisionAssignment.pommaret(basis)
+    work = 0
+    for d, k in sorted(Counter(head.degree for head in basis).items()):
+        work += k * hilbert_function(basis, d, pommaret) + _monomials(d, basis.n)
+        if work > _WORK_BUDGET:
+            break
+    return work
+
+
 def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
-    """One generic polynomial per star-set element, tails spanning the escalier."""
+    """One generic polynomial per star-set element, tails spanning the escalier.
+
+    The work is counted first: past a fixed budget, WorkBudgetExceeded is
+    raised with the estimate before anything is enumerated."""
     basis = pommaret_basis(J)
+    work = _generic_work(basis)
+    if work > _WORK_BUDGET:
+        raise WorkBudgetExceeded(
+            f"the generic marked set needs at least {work} parameters and slice terms, "
+            f"past the budget of {_WORK_BUDGET}",
+            estimate=work,
+            budget=_WORK_BUDGET,
+        )
     params: list[ParamVar] = []
     tails: dict[Term, dict[Term, ParamPolynomial]] = {}
     escalier_cache: dict[int, list[Term]] = {}

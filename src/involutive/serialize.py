@@ -10,15 +10,20 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .division import DivisionAssignment
 from .errors import InvolutiveError
-from .ideals import MonomialIdeal
-from .marked import MarkedBasisResult, MarkedSet, ReductionTrace, make_marked_set
-from .scheme import GenericMarkedSet, ParamPolynomial, ParamVar, SchemeEquations
 from .terms import Term, TermSet
+
+if TYPE_CHECKING:
+    # Annotations only: a command loads just the layers its parse and emit
+    # functions call, and those import them where they are called.
+    from fractions import Fraction
+
+    from .division import DivisionAssignment
+    from .ideals import MonomialIdeal
+    from .marked import MarkedBasisResult, MarkedSet, ReductionTrace
+    from .scheme import GenericMarkedSet, ParamPolynomial, ParamVar, SchemeEquations
 
 
 class InputFormatError(InvolutiveError):
@@ -54,6 +59,8 @@ def dumps(obj) -> str:
 
 
 def parse_coeff(s) -> Fraction:
+    from fractions import Fraction
+
     try:
         if isinstance(s, bool):
             raise ValueError
@@ -115,6 +122,8 @@ def ideal_json(J: MonomialIdeal) -> dict:
 
 
 def parse_ideal(data) -> MonomialIdeal:
+    from .ideals import MonomialIdeal
+
     n = _require_vars(data)
     gens = data.get("generators")
     if not isinstance(gens, list) or not gens:
@@ -146,7 +155,7 @@ def parse_poly(data, n: int) -> dict[Term, Fraction]:
         t = parse_term(entry["term"], n)
         c = parse_coeff(entry["coeff"])
         if c:
-            out[t] = out.get(t, Fraction(0)) + c
+            out[t] = out.get(t, 0) + c
     return {t: c for t, c in out.items() if c}
 
 
@@ -164,6 +173,8 @@ def marked_set_json(G: MarkedSet) -> dict:
 
 
 def parse_marked_set(data) -> MarkedSet:
+    from .marked import make_marked_set
+
     n = _require_vars(data)
     entries = data.get("polynomials")
     if not isinstance(entries, list) or not entries:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from involutive import scheme
 from involutive.cli import main
 from involutive.serialize import parse_coeff
 
@@ -364,11 +365,50 @@ def test_parser_errors_print_an_error_object(capsys, argv, message):
     assert error["type"] == "usage" and message in error["message"]
 
 
-def test_help_still_prints_help(capsys):
+HELP = """\
+usage: involutive [-h] --input INPUT [--output OUTPUT] [--step-cap STEP_CAP]
+                  [--degree-bound DEGREE_BOUND]
+                  [--sigma-mode {escalier,ideal-slice}] [--trace]
+                  {mult-vars,complete-check,stably-complete-check,complete,star-set,classify,pommaret,hilbert,sigma,involutive-test,reduce,is-marked-basis,oracle-check,scheme-equations,specialize}
+
+Involutive structure, marked bases and marked-scheme equations for monomial
+ideals.
+
+positional arguments:
+  {mult-vars,complete-check,stably-complete-check,complete,star-set,classify,pommaret,hilbert,sigma,involutive-test,reduce,is-marked-basis,oracle-check,scheme-equations,specialize}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to the JSON input file
+  --output OUTPUT       write the JSON report here instead of stdout
+  --step-cap STEP_CAP
+  --degree-bound DEGREE_BOUND
+                        degree bound / degree argument for commands that need
+                        one
+  --sigma-mode {escalier,ideal-slice}
+  --trace               include reduction steps
+"""
+
+
+def test_help_still_prints_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
     assert exit_info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: involutive")
+    assert capsys.readouterr().out == HELP
+
+
+def test_bad_sigma_mode_names_the_choices(capsys):
+    code, out = run(
+        capsys, "sigma", "--input", str(CORPUS / "ideal_stable.json"),
+        "--degree-bound", "2", "--sigma-mode", "bogus",
+    )
+    assert code == 2
+    assert out == (
+        '{\n  "error": {\n    "message": "argument --sigma-mode: invalid choice: '
+        "'bogus' (choose from 'escalier', 'ideal-slice')\",\n"
+        '    "type": "usage"\n  }\n}\n'
+    )
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -610,3 +650,38 @@ def test_big_count_values_are_reported(tmp_path, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert out == expected
+
+
+HUGE_HEAD = {"vars": 2, "generators": [[0, 10**12]]}
+# (x2, x3^2000): 2001 heads of degrees 1..2000; the count passes the budget
+# at degree 104 and stops there, where counting every degree takes seconds
+MANY_HEADS = {"vars": 3, "generators": [[0, 1, 0], [0, 0, 2000]]}
+
+
+@pytest.mark.parametrize(
+    "command, ideal",
+    [("scheme-equations", HUGE_HEAD), ("specialize", HUGE_HEAD), ("scheme-equations", MANY_HEADS)],
+    ids=["huge-head", "huge-head-specialize", "many-heads"],
+)
+def test_huge_generic_marked_set_exits_2_at_once(tmp_path, capsys, command, ideal):
+    source = tmp_path / "huge.json"
+    document = {"ideal": ideal, "assignment": {}} if command == "specialize" else ideal
+    source.write_text(json.dumps(document))
+    start = time.perf_counter()
+    code, report = run_json(capsys, command, "--input", str(source))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    error = report["error"]
+    assert error["type"] == "WorkBudgetExceeded"
+    assert error["budget"] == scheme._WORK_BUDGET < error["estimate"]
+    if ideal is HUGE_HEAD:
+        # one head with 10^12 escalier terms of its degree, counted from the
+        # Hilbert function instead of listed
+        estimate = 2 * 10**12 + 1
+        assert error == {
+            "type": "WorkBudgetExceeded",
+            "message": f"the generic marked set needs at least {estimate} parameters and "
+            f"slice terms, past the budget of {scheme._WORK_BUDGET}",
+            "estimate": estimate,
+            "budget": scheme._WORK_BUDGET,
+        }

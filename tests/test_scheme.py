@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from involutive import (
     MissingAssignment,
+    WorkBudgetExceeded,
     MonomialIdeal,
     NotQuasiStable,
     ParamPolynomial,
@@ -22,8 +23,10 @@ from involutive import (
     reduce,
     scheme_equations,
     specialize,
+    terms_of_degree,
     variable,
 )
+from involutive import scheme
 from helpers import (
     brute_evaluate,
     exp_tuples,
@@ -374,3 +377,24 @@ def test_param_var_hashing_stays_out_of_the_hot_paths(monkeypatch):
         calls[0] = 0
         run()
         assert calls[0] <= len(eqs.generic.params)
+
+
+def test_generic_marked_set_counts_its_work_before_listing(monkeypatch):
+    # The estimate is the parameters plus the degree slices scanned for them:
+    # the exact budget lists the set, one less refuses it before any slice is
+    # listed.
+    rng = random.Random(211)
+    ideals = [TWO_PARAMS, MARKED_EXAMPLE, THREE_POINTS, upper_power(4, 3)]
+    ideals += [random_quasi_stable(rng)[0] for _ in range(20)]
+    for J in ideals:
+        gm = generic_marked_set(J)
+        degrees = {head.degree for head in gm.basis}
+        work = len(gm.params) + sum(len(list(terms_of_degree(J.n, d))) for d in degrees)
+        monkeypatch.setattr(scheme, "_WORK_BUDGET", work)
+        assert generic_marked_set(J).params == gm.params
+        monkeypatch.setattr(scheme, "_WORK_BUDGET", work - 1)
+        monkeypatch.setattr(scheme, "escalier_slice", None)
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            generic_marked_set(J)
+        assert (exc.value.estimate, exc.value.budget) == (work, work - 1)
+        monkeypatch.undo()

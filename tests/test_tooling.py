@@ -8,7 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from involutive import Term, TermSet, make_marked_set
+import involutive
+from involutive import Term, TermSet, division, make_marked_set
 from involutive.marked import MarkedSet
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +47,21 @@ def test_tracer_hooks_find_the_attributes_they_read():
     assert "stable_completeness" in MarkedSet.__dict__
     G = make_marked_set(TermSet([Term([1, 0])]))
     assert G._decompositions == {}
+
+
+def test_traced_package_names_are_restored(monkeypatch):
+    # A name first read while the tracer is installed must not keep the
+    # wrapper after restore: drop the package's binding so the read below is
+    # its first.
+    monkeypatch.delitem(vars(involutive), "janet_complete")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = involutive.janet_complete
+    finally:
+        tracer.restore()
+    assert traced.__wrapped__ is division.janet_complete
+    assert involutive.janet_complete is division.janet_complete
 
 
 def test_library_checks_survive_optimisation():
