@@ -16,15 +16,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "division": (
-        "JANET",
-        "POMMARET",
         "DivisionAssignment",
         "StarFactorization",
         "is_complete",
         "is_stably_complete",
         "janet_complete",
-        "janet_multiplicative_vars",
-        "offspring_contains",
         "pommaret_multiplicative_vars",
         "star_decompose",
     ),
@@ -39,7 +35,6 @@ _EXPORTS = {
         "NotComplete",
         "NotDivisible",
         "NotInIdeal",
-        "NotInSet",
         "NotQuasiStable",
         "NotStablyComplete",
         "TailInIdeal",
@@ -56,8 +51,6 @@ _EXPORTS = {
         "hilbert_function",
         "involutive_test",
         "pommaret_basis",
-        "pommaret_termination_degree",
-        "regularity",
         "sigma_profile",
         "star_set",
     ),
@@ -88,7 +81,7 @@ _EXPORTS = {
         "scheme_equations",
         "specialize",
     ),
-    "terms": ("Term", "TermSet", "lex_compare", "one", "terms_of_degree", "variable"),
+    "terms": ("Term", "TermSet", "terms_of_degree", "variable"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

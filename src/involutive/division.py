@@ -16,7 +16,6 @@ from .errors import (
     MismatchedVariableCount,
     NotComplete,
     NotInIdeal,
-    NotInSet,
 )
 from .terms import Term, TermSet, variable
 
@@ -51,29 +50,12 @@ def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
     return table
 
 
-def janet_multiplicative_vars(M: TermSet, tau: Term) -> frozenset[int]:
-    """Janet-multiplicative variables of ``tau`` relative to the set ``M``.
-
-    x_j is multiplicative for tau = x^a unless M contains a term that agrees
-    with tau in every exponent above position j and has a strictly larger
-    exponent at j (exponents below j are unconstrained).
-    """
-    if tau not in M:
-        raise NotInSet(f"{tau} is not in the set")
-    return _janet_table(M)[tau]
-
-
 def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
     """Variables x_j with x_j <= min(tau); all of them for the constant term."""
     m = tau.min_index
     if m is None:
         return frozenset(range(1, tau.nvars + 1))
     return frozenset(range(1, m + 1))
-
-
-def _check_nvars(n: int, gamma: Term) -> None:
-    if gamma.nvars != n:
-        raise MismatchedVariableCount(f"{n} variables vs {gamma.nvars}")
 
 
 # One (positions, table) pair per set of non-multiplicative positions: the
@@ -144,7 +126,8 @@ class DivisionAssignment:
         """gamma as the lex-greatest covering head times its cofactor; None
         when no involutive cone holds gamma.  Over a complete basis that means
         gamma lies outside the ideal."""
-        _check_nvars(self.basis.n, gamma)
+        if gamma.nvars != self.basis.n:
+            raise MismatchedVariableCount(f"{self.basis.n} variables vs {gamma.nvars}")
         heads = self._heads(gamma.exponents)
         if not heads:
             return None
@@ -182,17 +165,6 @@ def _own_assignment(M: TermSet, assignment: Optional[DivisionAssignment]) -> Div
     if M is not assignment.basis and M != assignment.basis:
         raise ValueError("the assignment belongs to another set of terms")
     return assignment
-
-
-def offspring_contains(
-    M: TermSet, tau: Term, gamma: Term, assignment: Optional[DivisionAssignment] = None
-) -> bool:
-    """True iff gamma is tau times a product of multiplicative variables of tau."""
-    if tau not in M:
-        raise NotInSet(f"{tau} is not in the set")
-    assignment = _own_assignment(M, assignment)
-    _check_nvars(M.n, gamma)
-    return tau in assignment._heads(gamma.exponents)
 
 
 def star_decompose(

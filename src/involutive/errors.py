@@ -13,10 +13,6 @@ class NotDivisible(InvolutiveError):
     """Exact term division was requested but does not exist."""
 
 
-class NotInSet(InvolutiveError):
-    """The term is not a member of the given term set."""
-
-
 class NotInIdeal(InvolutiveError):
     """The term does not belong to the generated semigroup ideal."""
 
@@ -67,6 +63,13 @@ class NonHomogeneousInput(InvolutiveError):
 
 class MissingAssignment(InvolutiveError):
     """A parameter value required for specialization was not supplied."""
+
+
+# The most units of work a computation does before it refuses with
+# WorkBudgetExceeded: listed terms and parameters, star-search nodes, or the
+# terms and multiples the oracle enumerates.  At a few microseconds each, a
+# computation within it stays within seconds.
+_WORK_BUDGET = 200_000
 
 
 class WorkBudgetExceeded(InvolutiveError):

@@ -17,7 +17,13 @@ from .division import (
     is_complete,
     is_stably_complete,
 )
-from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable
+from .errors import (
+    _WORK_BUDGET,
+    MismatchedVariableCount,
+    NotComplete,
+    NotQuasiStable,
+    WorkBudgetExceeded,
+)
 from .terms import Term, TermSet, _monomials, terms_of_degree
 
 
@@ -108,12 +114,16 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
     a child of a degree-D survivor.  As pred lies outside J, pred * x_j is in
     J iff x_j fits pred at power 1.  The search runs on exponent tuples;
     only the star terms found become Terms, through the returned TermSet.
+    Past the work budget of visited nodes it raises WorkBudgetExceeded with
+    the nodes visited so far: the star set of a non-quasi-stable ideal is
+    infinite, so its size is not known before the search.
     """
     if J.is_zero:
         raise ValueError("the zero ideal has no star set")
     n = J.n
     found: set[tuple] = set()
     beyond = False
+    nodes = 0
     for g in J.generators:
         m = g.min_index
         if g.degree > D:
@@ -126,6 +136,14 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
         stack = [(g.exponents, _bump(g.exponents, m, -1), m + 1, g.degree)]
         while stack:
             gamma, pred, lo, d = stack.pop()
+            nodes += 1
+            if nodes > _WORK_BUDGET:
+                raise WorkBudgetExceeded(
+                    f"the star search visited {nodes} terms by degree {D}, "
+                    f"past the budget of {_WORK_BUDGET}",
+                    estimate=nodes,
+                    budget=_WORK_BUDGET,
+                )
             found.add(gamma)
             if d == D:
                 beyond = beyond or any(_fit_power(J, pred, j) != 1 for j in range(lo, n + 1))
@@ -274,11 +292,6 @@ def pommaret_basis(J: MonomialIdeal) -> TermSet:
     if not ok:
         raise AssertionError(f"star set is not stably complete, witness {witness}")
     return basis
-
-
-def regularity(J: MonomialIdeal) -> int:
-    """Maximal degree in the Pommaret basis (quasi-stable J only)."""
-    return pommaret_basis(J).max_degree()
 
 
 def hilbert_function(

@@ -21,6 +21,7 @@ from . import _linalg
 from ._options import DEFAULT_STEP_CAP
 from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
 from .errors import (
+    _WORK_BUDGET,
     DegreeMismatch,
     HeadNotInM,
     MismatchedVariableCount,
@@ -28,6 +29,7 @@ from .errors import (
     NotComplete,
     NotStablyComplete,
     TailInIdeal,
+    WorkBudgetExceeded,
 )
 from .terms import Term, TermSet, _monomials, terms_of_degree, variable
 
@@ -50,12 +52,6 @@ class MarkedPolynomial:
         self.tail = {
             t: tail[t] for t in sorted(tail, key=lambda t: t.sort_key) if tail[t]
         }
-
-    def polynomial(self) -> dict[Term, object]:
-        """Full support mapping, head included with coefficient 1."""
-        poly = {self.head: 1}
-        poly.update(self.tail)
-        return poly
 
     def times(self, eta: Term) -> dict[Term, object]:
         """The product of this polynomial by the term eta, as a mapping."""
@@ -340,7 +336,11 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     precondition is all the oracle shares with the criterion.
     ``max_degree`` must exceed the largest basis degree: the prolongations
     f_head * x_j of the top-degree polynomials live one degree higher, and
-    below that bound a non-basis can pass.
+    below that bound a non-basis can pass.  The terms of P_s and the plain
+    multiples enumerated up to the bound are counted first, in closed form
+    (the terms of degree at most D in n variables are the degree-D terms in
+    n + 1), and past the work budget WorkBudgetExceeded is raised before any
+    degree is checked.
     """
     top = G.basis.max_degree()
     if max_degree <= top:
@@ -349,6 +349,16 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
         )
     G._require_stably_complete("oracle")
     n = G.n
+    work = _monomials(max_degree, n + 1) + sum(
+        _monomials(max_degree - head.degree, n + 1) for head in G.basis
+    )
+    if work > _WORK_BUDGET:
+        raise WorkBudgetExceeded(
+            f"the oracle needs {work} terms and multiples up to degree {max_degree}, "
+            f"past the budget of {_WORK_BUDGET}",
+            estimate=work,
+            budget=_WORK_BUDGET,
+        )
     for s in range(1, max_degree + 1):
         outside = [t for t in terms_of_degree(n, s) if not G.contains(t)]
         span = _linalg.rref([poly for _, poly in build_Gs(G, s)], {})

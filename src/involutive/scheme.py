@@ -11,19 +11,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, takewhile
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .division import DivisionAssignment
-from .errors import MissingAssignment, WorkBudgetExceeded
-from .ideals import MonomialIdeal, escalier_slice, hilbert_function, pommaret_basis
+from .errors import _WORK_BUDGET, MissingAssignment, WorkBudgetExceeded
+from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
 from .marked import MarkedPolynomial, MarkedSet, _prolongations
 from .terms import Term, TermSet, _monomials
-
-# The most parameters plus escalier-slice terms generic_marked_set will list:
-# at about 7 microseconds each, the listing stays within a few seconds.
-_WORK_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -207,16 +202,21 @@ def _escalier_marked_set(basis: TermSet, tails: Mapping[Term, Mapping]) -> Marke
 
 def _generic_work(basis: TermSet) -> int:
     """What the generic marked set on the Pommaret basis costs to list: its
-    parameters, one per head and escalier term of the head's degree, which
-    the Hilbert function counts over the disjoint Pommaret cones, plus the
-    degree slices scanned for those escalier terms.
+    parameters, one per head and escalier term of the head's degree, plus the
+    degree slices scanned for those escalier terms.  The basis is stably
+    complete, so its Pommaret cones are disjoint and cover J: the escalier
+    terms of degree d are the degree-d slice less the degree-d terms of each
+    cone tau * x_1..x_min(tau).
 
     The count runs up the head degrees and stops once past the budget, so
     its own cost stays bounded too; the total is then a lower bound."""
-    pommaret = DivisionAssignment.pommaret(basis)
+    n = basis.n
     work = 0
     for d, k in sorted(Counter(head.degree for head in basis).items()):
-        work += k * hilbert_function(basis, d, pommaret) + _monomials(d, basis.n)
+        # The basis is in degree order, so the count stops at the heads counted.
+        cones = takewhile(lambda tau: tau.degree <= d, basis)
+        inside = sum(_monomials(d - tau.degree, tau.min_index or n) for tau in cones)
+        work += k * (_monomials(d, n) - inside) + _monomials(d, n)
         if work > _WORK_BUDGET:
             break
     return work

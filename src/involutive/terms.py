@@ -105,17 +105,6 @@ def variable(n: int, j: int) -> Term:
     return Term(1 if i == j - 1 else 0 for i in range(n))
 
 
-def one(n: int) -> Term:
-    return Term([0] * n)
-
-
-def lex_compare(s: Term, t: Term) -> int:
-    """Pure lex comparison scanning from x_n down to x_1: -1, 0 or 1."""
-    s._check(t)
-    a, b = s.lex_key, t.lex_key
-    return (a > b) - (a < b)
-
-
 def terms_of_degree(n: int, d: int) -> Iterator[Term]:
     """All degree-d terms in n variables, in increasing lex order."""
 

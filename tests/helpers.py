@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from involutive import (
+    InvolutiveError,
     MonomialIdeal,
     Term,
     classify,
@@ -434,3 +435,12 @@ def brute_evaluate(poly, values):
             product *= values[pv] ** e
         total += product
     return total
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type of the library error or
+    ValueError that it raises."""
+    try:
+        return call()
+    except (InvolutiveError, ValueError) as exc:
+        return type(exc)

@@ -13,6 +13,7 @@ from involutive import (
     ESCALIER,
     IDEAL_SLICE,
     DegreeCapExceeded,
+    DivisionAssignment,
     MonomialIdeal,
     Term,
     TermSet,
@@ -23,7 +24,6 @@ from involutive import (
     is_marked_basis,
     is_stably_complete,
     janet_complete,
-    janet_multiplicative_vars,
     make_marked_set,
     oracle_check,
     pommaret_basis,
@@ -85,10 +85,10 @@ COMPLETE_CORPUS = [
 def test_01_multiplicative_variable_tables():
     started = time.perf_counter()
     M = ts((3, 0, 0), (0, 3, 0), (4, 1, 1), (0, 0, 2))
-    assert janet_multiplicative_vars(M, t(3, 0, 0)) == {1}
+    assert DivisionAssignment.janet(M).mult[t(3, 0, 0)] == {1}
 
     def table(M):
-        return {tau.exponents: sorted(janet_multiplicative_vars(M, tau)) for tau in M}
+        return {tau.exponents: sorted(v) for tau, v in DivisionAssignment.janet(M).mult.items()}
 
     m0 = ts((2, 0, 0), (1, 1, 0), (0, 0, 1))
     assert table(m0) == {

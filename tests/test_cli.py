@@ -9,6 +9,7 @@ import pytest
 
 from involutive import scheme
 from involutive.cli import main
+from involutive.errors import _WORK_BUDGET
 from involutive.serialize import parse_coeff
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -685,3 +686,79 @@ def test_huge_generic_marked_set_exits_2_at_once(tmp_path, capsys, command, idea
             "estimate": estimate,
             "budget": scheme._WORK_BUDGET,
         }
+
+
+X1 = {"vars": 6, "generators": [[1, 0, 0, 0, 0, 0]]}
+X6_SQUARED = {"vars": 6, "polynomials": [{"head": [0, 0, 0, 0, 0, 2], "tail": []}]}
+
+
+@pytest.mark.parametrize(
+    "command, document, bound, estimate",
+    [
+        # (x1) has C(d + 4, 4) star terms of each degree d; the search counts
+        # its nodes and stops one past the budget
+        ("sigma", X1, 60, _WORK_BUDGET + 1),
+        ("involutive-test", X1, 60, _WORK_BUDGET + 1),
+        ("star-set", X1, 60, _WORK_BUDGET + 1),
+        # the terms of degree <= 40 in 6 variables, and the multiples of x6^2
+        ("oracle-check", X6_SQUARED, 40, comb(46, 6) + comb(44, 6)),
+    ],
+)
+def test_unbounded_enumerations_exit_2_within_the_work_budget(
+    tmp_path, capsys, command, document, bound, estimate
+):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(document))
+    start = time.perf_counter()
+    code, report = run_json(capsys, command, "--input", str(source), "--degree-bound", str(bound))
+    assert time.perf_counter() - start < 3
+    assert code == 2
+    error = report["error"]
+    assert (error["type"], error["estimate"], error["budget"]) == (
+        "WorkBudgetExceeded",
+        estimate,
+        _WORK_BUDGET,
+    )
+
+
+MARKED = {"vars": 2, "polynomials": [{"head": [1, 0], "tail": []}]}
+IDEAL = {"vars": 2, "generators": [[2, 0], [1, 1], [0, 3]]}
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("classify", [1, 0]),
+        ("classify", {"vars": 2, "generators": [[1, 0, 0]]}),
+        ("mult-vars", {"vars": 2, "terms": []}),
+        ("is-marked-basis", {"vars": 2, "polynomials": []}),
+        ("is-marked-basis", {"vars": 2, "polynomials": [{"tail": []}]}),
+        ("reduce", {"marked_set": MARKED, "polynomial": {"term": [1, 0], "coeff": "1"}}),
+        ("reduce", {"marked_set": MARKED, "polynomial": [{"term": [1, 0]}]}),
+        ("reduce", {"marked_set": MARKED, "polynomial": [{"term": [1, 0], "coeff": "x"}]}),
+        ("reduce", {"marked_set": MARKED}),
+        ("specialize", {"ideal": IDEAL, "assignment": ["C[1][0,2]"]}),
+        ("specialize", {"ideal": IDEAL, "assignment": {"C[9][0,2]": "1"}}),
+        ("specialize", {"ideal": IDEAL}),
+    ],
+    ids=[
+        "document-not-an-object",
+        "term-of-a-foreign-size",
+        "empty-terms",
+        "empty-polynomials",
+        "entry-without-head",
+        "polynomial-not-a-list",
+        "entry-without-coeff",
+        "bad-coefficient",
+        "reduce-without-polynomial",
+        "assignment-not-an-object",
+        "unknown-parameter",
+        "specialize-without-assignment",
+    ],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, command, document):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(document))
+    code, report = run_json(capsys, command, "--input", str(source))
+    assert code == 2
+    assert report["error"]["type"] == "InputFormatError"

@@ -10,17 +10,13 @@ from involutive import (
     MismatchedVariableCount,
     NotComplete,
     NotInIdeal,
-    NotInSet,
     Term,
     TermSet,
     hilbert_function,
     is_complete,
     is_stably_complete,
     janet_complete,
-    janet_multiplicative_vars,
-    lex_compare,
     make_marked_set,
-    offspring_contains,
     pommaret_multiplicative_vars,
     star_decompose,
     terms_of_degree,
@@ -35,6 +31,7 @@ from helpers import (
     brute_star_decompose,
     canonical_order,
     divisor_tuples,
+    outcome,
     random_term_of_degree,
     tuple_in_ideal,
 )
@@ -63,37 +60,36 @@ def m_i(i):
 
 
 def janet_table(M):
-    return {tau: sorted(janet_multiplicative_vars(M, tau)) for tau in M}
+    return {tau: sorted(v) for tau, v in DivisionAssignment.janet(M).mult.items()}
+
+
+def janet_vars(M, tau):
+    return DivisionAssignment.janet(M).mult[tau]
 
 
 def test_janet_mult_vars_three_var_example():
-    assert janet_multiplicative_vars(MIXED, t(3, 0, 0)) == {1}
+    assert janet_vars(MIXED, t(3, 0, 0)) == {1}
 
 
 def test_janet_mult_vars_two_var_example():
     M = ts((2, 1), (1, 2))
-    assert janet_multiplicative_vars(M, t(1, 2)) == {1, 2}
+    assert janet_vars(M, t(1, 2)) == {1, 2}
     # x1x2^2 blocks x2 for x1^2x2 once the third variable is gone
-    assert janet_multiplicative_vars(M, t(2, 1)) == {1}
+    assert janet_vars(M, t(2, 1)) == {1}
 
 
 def test_janet_mult_vars_embedding_changes_table():
     # same two terms, one more ambient variable
     M = ts((2, 1, 0), (1, 2, 0))
-    assert janet_multiplicative_vars(M, t(2, 1, 0)) == {1, 3}
-    assert janet_multiplicative_vars(M, t(1, 2, 0)) == {1, 2, 3}
+    assert janet_vars(M, t(2, 1, 0)) == {1, 3}
+    assert janet_vars(M, t(1, 2, 0)) == {1, 2, 3}
 
 
 def test_singleton_has_all_variables_multiplicative():
     M = ts((2, 3, 1))
-    assert janet_multiplicative_vars(M, t(2, 3, 1)) == {1, 2, 3}
+    assert janet_vars(M, t(2, 3, 1)) == {1, 2, 3}
     ok, witness = is_complete(M)
     assert ok and witness is None
-
-
-def test_janet_mult_vars_requires_membership():
-    with pytest.raises(NotInSet):
-        janet_multiplicative_vars(M0, t(9, 9, 9))
 
 
 def test_m0_table():
@@ -129,7 +125,7 @@ def test_janet_mult_matches_brute_force_on_random_sets():
         )
         raw = [x.exponents for x in members]
         for tau in members:
-            assert janet_multiplicative_vars(members, tau) == brute_mult_vars(
+            assert janet_vars(members, tau) == brute_mult_vars(
                 raw, tau.exponents
             )
 
@@ -141,16 +137,25 @@ def test_pommaret_mult_vars():
 
 
 def test_offspring_membership():
-    assert offspring_contains(M0, t(1, 1, 0), t(2, 1, 0))
-    assert offspring_contains(M0, t(1, 1, 0), t(1, 1, 0))
-    assert not offspring_contains(M0, t(2, 0, 0), t(2, 1, 0))
+    # Janet cones are disjoint, so gamma lies in the offspring of tau exactly
+    # when tau is the head that covers gamma
+    raw = tuples_of(M0)
+    cover = DivisionAssignment.janet(M0).cover
+    assert cover(t(2, 1, 0)).head == t(1, 1, 0)
+    assert cover(t(1, 1, 0)).head == t(1, 1, 0)
+    assert brute_offspring_member(raw, (1, 1, 0), (2, 1, 0))
+    assert not brute_offspring_member(raw, (2, 0, 0), (2, 1, 0))
 
 
 def test_offspring_only_contains_its_root_from_the_set():
     for M in (MIXED, M0, m_i(2), PAIR, TRIPLE, CYCLE_SET):
-        for tau in M:
-            for sigma in M:
-                assert offspring_contains(M, tau, sigma) == (tau == sigma)
+        raw = tuples_of(M)
+        assignment = DivisionAssignment.janet(M)
+        for sigma in M:
+            fact = assignment.cover(sigma)
+            assert (fact.head, fact.cofactor) == (sigma, Term([0] * M.n))
+            for tau in raw:
+                assert brute_offspring_member(raw, tau, sigma.exponents) == (tau == sigma.exponents)
 
 
 def test_star_decompose_examples():
@@ -288,6 +293,7 @@ def test_lower_lex_lemma_on_random_sets():
             )
         )
     for M in sets:
+        raw = tuples_of(M)
         assignment = DivisionAssignment.janet(M)
         for tau in M:
             for j in range(1, M.n + 1):
@@ -295,8 +301,8 @@ def test_lower_lex_lemma_on_random_sets():
                     continue
                 prod = tau * variable(M.n, j)
                 for other in M:
-                    if offspring_contains(M, other, prod, assignment):
-                        assert lex_compare(tau, other) == -1
+                    if brute_offspring_member(raw, other.exponents, prod.exponents):
+                        assert tau.lex_key < other.lex_key
                         if tau.min_index is not None and j <= tau.min_index:
                             assert prod == other and other in M
 
@@ -315,7 +321,7 @@ def test_smaller_cofactor_lemma_on_stably_complete_sets():
                     if any(all(a <= b for a, b in zip(tau, sigma_exps)) for tau in raw):
                         continue
                     eta_prime = gamma / sigma
-                    assert lex_compare(eta_prime, fact.cofactor) == 1
+                    assert eta_prime.lex_key > fact.cofactor.lex_key
 
 
 # ------------------------------------------- the cover index against brute force
@@ -455,17 +461,28 @@ def test_lookups_refuse_a_foreign_assignment():
         with pytest.raises(ValueError):
             is_stably_complete(other, assignment)
         with pytest.raises(ValueError):
-            offspring_contains(other, t(1, 1, 0), t(3, 1, 0), assignment)
-        with pytest.raises(ValueError):
             hilbert_function(other, 2, assignment)
     same = ts((0, 0, 1), (1, 1, 0), (2, 0, 0))
     assert star_decompose(same, t(1, 1, 1), assignment).head == t(0, 0, 1)
     assert is_complete(same, assignment) == (True, None)
-    assert offspring_contains(same, t(1, 1, 0), t(3, 1, 0), assignment)
 
 
 def test_mismatched_variable_counts_are_rejected():
     with pytest.raises(MismatchedVariableCount):
         star_decompose(M0, t(1, 1))
     with pytest.raises(MismatchedVariableCount):
-        offspring_contains(M0, t(1, 1, 0), t(1, 1))
+        DivisionAssignment.janet(M0).cover(t(1, 1))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # stable completeness needs completeness first: its witness is the
+        # completeness witness
+        (lambda: is_stably_complete(ts((1, 0), (0, 2))), (False, (t(1, 0), 2))),
+        (lambda: janet_complete(TermSet([], 2), 5), ValueError),
+    ],
+    ids=["stably-complete-of-an-incomplete-set", "completion-of-the-empty-set"],
+)
+def test_division_input_edge_cases(call, expected):
+    assert outcome(call) == expected

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from involutive import (
     NotQuasiStable,
     StabilityWitness,
     Term,
+    WorkBudgetExceeded,
     TermSet,
     classify,
     escalier_slice,
@@ -25,12 +27,11 @@ from involutive import (
     involutive_test,
     janet_complete,
     pommaret_basis,
-    pommaret_termination_degree,
-    regularity,
     sigma_profile,
     star_set,
 )
-from involutive.ideals import _fit_power, sigma_totals
+from involutive import ideals
+from involutive.ideals import _fit_power, pommaret_termination_degree, sigma_totals
 from involutive.serialize import parse_ideal
 from helpers import (
     exp_tuples,
@@ -42,6 +43,7 @@ from helpers import (
     stable_closure,
     escalier_count,
     ideal_count,
+    outcome,
     random_ideal,
     random_term_of_degree,
     tuple_divides,
@@ -146,6 +148,22 @@ def test_star_set_matches_the_dense_scan():
 def test_star_set_of_a_principal_ideal_at_a_huge_bound():
     J = MonomialIdeal([t(0, 0, 1)], 3)
     assert star_set(J, 400) == (TermSet([t(0, 0, 1)]), True)
+
+
+def test_star_search_counts_its_nodes_against_the_budget(monkeypatch):
+    # (x1) in 3 variables: one node per star term x1 * eta, eta of degree
+    # below 10 in x2, x3, which makes 1 + 2 + ... + 10 = 55 nodes
+    J = MonomialIdeal([t(1, 0, 0)], 3)
+    monkeypatch.setattr(ideals, "_WORK_BUDGET", 55)
+    assert len(star_set(J, 10)[0]) == 55
+    monkeypatch.setattr(ideals, "_WORK_BUDGET", 54)
+    for call in (lambda: star_set(J, 10), lambda: sigma_profile(J, 10)):
+        with pytest.raises(WorkBudgetExceeded) as info:
+            call()
+        assert (info.value.estimate, info.value.budget) == (55, 54)
+    # a quasi-stable ideal's search stops at its finite star set, at any degree
+    monkeypatch.setattr(ideals, "_WORK_BUDGET", 1)
+    assert sum(sigma_profile(MonomialIdeal([t(0, 0, 1)], 3), 10**6).counts) == comb(10**6 + 1, 2)
 
 
 def test_pommaret_basis_not_quasi_stable_witness():
@@ -494,9 +512,10 @@ def test_slice_counts_are_consistent():
 
 
 def test_regularity_examples():
-    assert regularity(MARKED_EXAMPLE) == 3
-    assert regularity(QUASI) == 2
-    assert regularity(MonomialIdeal([t(4, 0)], 2).__class__([t(0, 4)], 2)) == 4
+    # the top degree of the Pommaret basis, which the pommaret command prints
+    assert pommaret_basis(MARKED_EXAMPLE).max_degree() == 3
+    assert pommaret_basis(QUASI).max_degree() == 2
+    assert pommaret_basis(MonomialIdeal([t(0, 4)], 2)).max_degree() == 4
 
 
 def test_unit_ideal_has_the_star_set_one():
@@ -515,3 +534,16 @@ def test_zero_ideal_is_rejected_by_star_set():
     assert J.is_zero
     with pytest.raises(ValueError):
         star_set(J, 3)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: hilbert_function(TermSet([t(1, 0)]), -1), ValueError),
+        (lambda: MonomialIdeal([t(1, 0)]).contains(t(1, 0, 0)), MismatchedVariableCount),
+        (lambda: MonomialIdeal([]), ValueError),
+    ],
+    ids=["hilbert-at-a-negative-degree", "membership-of-a-foreign-term", "zero-ideal-without-n"],
+)
+def test_ideals_input_edge_cases(call, expected):
+    assert outcome(call) == expected

@@ -11,12 +11,15 @@ from involutive import (
     REDUCED,
     DegreeMismatch,
     HeadNotInM,
+    MismatchedVariableCount,
     MonomialIdeal,
     NonHomogeneousInput,
+    NotComplete,
     NotStablyComplete,
     TailInIdeal,
     Term,
     TermSet,
+    WorkBudgetExceeded,
     build_Gs,
     escalier_slice,
     is_marked_basis,
@@ -26,6 +29,7 @@ from involutive import (
     reduce,
     terms_of_degree,
 )
+from involutive import marked
 from helpers import (
     brute_build_Gs,
     dense_in_rowspace,
@@ -34,6 +38,7 @@ from helpers import (
     dense_rref,
     exp_tuples,
     ideal_count,
+    outcome,
     padd,
     pmul,
     pscale,
@@ -137,7 +142,7 @@ def test_reduce_replay_reproduces_result():
         for step in trace.steps:
             replayed = psub(
                 replayed,
-                pscale(pmul(G.polys[step.head].polynomial(), step.cofactor), step.coefficient),
+                pscale(pmul({step.head: 1, **G.polys[step.head].tail}, step.cofactor), step.coefficient),
             )
         assert replayed == trace.result
         assert all(not G.contains(term) for term in trace.result)
@@ -209,6 +214,24 @@ def test_is_marked_basis_needs_stably_complete_basis():
 def test_oracle_check_examples():
     assert oracle_check(example_basis(), 5)
     assert oracle_check(make_marked_set(EXAMPLE_F), 5)
+
+
+def test_oracle_counts_its_work_before_the_first_degree(monkeypatch):
+    # the terms of P_s and the plain multiples f * eta for every s <= 5
+    G = example_basis()
+    work = sum(
+        len(list(terms_of_degree(2, s - e)))
+        for s in range(6)
+        for e in [0] + [head.degree for head in G.basis]
+        if s >= e
+    )
+    monkeypatch.setattr(marked, "_WORK_BUDGET", work)
+    assert oracle_check(G, 5)
+    monkeypatch.setattr(marked, "_WORK_BUDGET", work - 1)
+    monkeypatch.setattr(marked, "build_Gs", None)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        oracle_check(G, 5)
+    assert (info.value.estimate, info.value.budget) == (work, work - 1)
 
 
 def test_oracle_and_criterion_agree_with_direct_sum_property():
@@ -378,3 +401,25 @@ def test_oracle_bound_must_pass_the_top_basis_degree():
     assert not oracle_check(G, 3)
     with pytest.raises(ValueError, match="does not exceed the largest basis degree 2"):
         oracle_check(G, 2)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: reduce(example_basis(), {t(1, 1, 0): fr(1)}), MismatchedVariableCount),
+        (lambda: reduce(example_basis(), {t(1, 1): fr(1)}, step_cap=0), ValueError),
+        # x1 * x2 lies in (x1, x2^2) but in no Janet cone of it
+        (lambda: reduce(make_marked_set([t(1, 0), t(0, 2)]), {t(1, 1): fr(1)}), NotComplete),
+        (lambda: make_marked_set([t(0, 1), t(1, 0)]).basis, TermSet([t(1, 0), t(0, 1)])),
+        (lambda: make_marked_set(EXAMPLE_F, {t(1, 1): {t(2, 0, 0): fr(1)}}), MismatchedVariableCount),
+    ],
+    ids=[
+        "reduce-a-foreign-term",
+        "reduce-with-no-steps",
+        "reduce-over-an-incomplete-basis",
+        "marked-set-from-a-list",
+        "tail-term-of-a-foreign-size",
+    ],
+)
+def test_marked_input_edge_cases(call, expected):
+    assert outcome(call) == expected

@@ -95,3 +95,35 @@ def test_unknown_names_raise_attribute_error():
         involutive.no_such_name
     with pytest.raises(ImportError):
         exec("from involutive import no_such_name", {})
+
+
+PUBLIC_NAMES = [
+    "CYCLE_DETECTED", "CriterionCheck", "DegreeCapExceeded", "DegreeMismatch",
+    "DivisionAssignment", "ESCALIER", "GenericMarkedSet", "HeadNotInM",
+    "IDEAL_SLICE", "InvolutiveError", "MarkedBasisResult", "MarkedPolynomial",
+    "MarkedSet", "MismatchedVariableCount", "MissingAssignment", "MonomialIdeal",
+    "NonHomogeneousInput", "NotComplete", "NotDivisible", "NotInIdeal",
+    "NotQuasiStable", "NotStablyComplete", "ParamPolynomial", "ParamVar",
+    "REDUCED", "ReductionStep", "ReductionTrace", "STEP_LIMIT",
+    "SchemeEquations", "SigmaProfile", "StabilityReport", "StabilityWitness",
+    "StarFactorization", "TailInIdeal", "Term", "TermSet",
+    "WorkBudgetExceeded", "build_Gs", "classify", "escalier_slice",
+    "evaluate_equations", "generic_marked_set", "hilbert_function", "involutive_test",
+    "is_complete", "is_marked_basis", "is_stably_complete", "janet_complete",
+    "make_marked_set", "oracle_check", "pommaret_basis", "pommaret_multiplicative_vars",
+    "prolongation_residues", "reduce", "scheme_equations", "sigma_profile",
+    "specialize", "star_decompose", "star_set", "terms_of_degree",
+    "variable",
+]
+
+
+def test_the_public_surface_is_pinned():
+    # a new export is a deliberate change to this list
+    assert sorted(involutive.__all__) == PUBLIC_NAMES
+    removed = [
+        "JANET", "POMMARET", "NotInSet", "janet_multiplicative_vars", "lex_compare",
+        "offspring_contains", "one", "pommaret_termination_degree", "regularity",
+    ]
+    for name in removed:
+        with pytest.raises(AttributeError):
+            getattr(involutive, name)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involutive import (
+    DivisionAssignment,
     MissingAssignment,
     WorkBudgetExceeded,
     MonomialIdeal,
@@ -14,6 +15,7 @@ from involutive import (
     ParamVar,
     Term,
     classify,
+    escalier_slice,
     evaluate_equations,
     generic_marked_set,
     is_marked_basis,
@@ -398,3 +400,21 @@ def test_generic_marked_set_counts_its_work_before_listing(monkeypatch):
             generic_marked_set(J)
         assert (exc.value.estimate, exc.value.budget) == (work, work - 1)
         monkeypatch.undo()
+
+
+def test_generic_work_counts_the_pommaret_cones_without_an_assignment(monkeypatch):
+    # the parameters, one per head and escalier term of its degree, plus one
+    # slice per head degree; no assignment is built to count them
+    def refuse(basis):
+        raise AssertionError("the basis is already known to be stably complete")
+
+    monkeypatch.setattr(DivisionAssignment, "pommaret", refuse)
+    rng = random.Random(223)
+    for J in [TWO_PARAMS, MARKED_EXAMPLE, upper_power(4, 3)] + [
+        random_quasi_stable(rng, max_vars=4)[0] for _ in range(20)
+    ]:
+        gm = generic_marked_set(J)
+        degrees = {head.degree for head in gm.basis}
+        expected = sum(len(escalier_slice(J, head.degree)) for head in gm.basis)
+        expected += sum(len(list(terms_of_degree(J.n, d))) for d in degrees)
+        assert scheme._generic_work(gm.basis) == expected
