@@ -52,22 +52,19 @@ def _cmd_mult_vars(data, opts):
     return report, EXIT_OK
 
 
-def _cmd_complete_check(data, opts):
-    from . import division
+def _completeness_check(key: str, check: str):
+    """The command that reports the verdict of ``division.<check>`` on a term
+    set under ``key``, with its witness; the check is looked up as it runs."""
 
-    M = serialize.parse_termset(data)
-    ok, witness = division.is_complete(M)
-    report = {"complete": ok, "witness": serialize.witness_json(witness)}
-    return report, EXIT_OK if ok else EXIT_NEGATIVE
+    def command(data, opts):
+        from . import division
 
+        M = serialize.parse_termset(data)
+        ok, witness = getattr(division, check)(M)
+        report = {key: ok, "witness": serialize.witness_json(witness)}
+        return report, EXIT_OK if ok else EXIT_NEGATIVE
 
-def _cmd_stably_complete_check(data, opts):
-    from . import division
-
-    M = serialize.parse_termset(data)
-    ok, witness = division.is_stably_complete(M)
-    report = {"stably_complete": ok, "witness": serialize.witness_json(witness)}
-    return report, EXIT_OK if ok else EXIT_NEGATIVE
+    return command
 
 
 def _cmd_complete(data, opts):
@@ -91,15 +88,6 @@ def _cmd_star_set(data, opts):
     return report, EXIT_OK
 
 
-def _witness_field(w):
-    if w is None:
-        return None
-    out = {"generator": serialize.term_json(w.generator), "variable": w.variable}
-    if w.divisor_variable is not None:
-        out["divisor_variable"] = w.divisor_variable
-    return out
-
-
 def _cmd_classify(data, opts):
     from . import ideals
 
@@ -110,9 +98,9 @@ def _cmd_classify(data, opts):
         "stable": report.stable,
         "quasi_stable": report.quasi_stable,
         "witnesses": {
-            "strongly_stable": _witness_field(report.strongly_stable_witness),
-            "stable": _witness_field(report.stable_witness),
-            "quasi_stable": _witness_field(report.quasi_stable_witness),
+            "strongly_stable": serialize.stability_witness_json(report.strongly_stable_witness),
+            "stable": serialize.stability_witness_json(report.stable_witness),
+            "quasi_stable": serialize.stability_witness_json(report.quasi_stable_witness),
         },
     }
     return out, EXIT_OK
@@ -230,8 +218,8 @@ def _cmd_specialize(data, opts):
 
 _COMMANDS = {
     "mult-vars": _cmd_mult_vars,
-    "complete-check": _cmd_complete_check,
-    "stably-complete-check": _cmd_stably_complete_check,
+    "complete-check": _completeness_check("complete", "is_complete"),
+    "stably-complete-check": _completeness_check("stably_complete", "is_stably_complete"),
     "complete": _cmd_complete,
     "star-set": _cmd_star_set,
     "classify": _cmd_classify,

@@ -12,10 +12,12 @@ from operator import le
 from typing import Mapping, Optional
 
 from .errors import (
+    _WORK_BUDGET,
     DegreeCapExceeded,
     MismatchedVariableCount,
     NotComplete,
     NotInIdeal,
+    _refuse_past_budget,
 )
 from .terms import Term, TermSet, variable
 
@@ -230,12 +232,24 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     uncovered product x_j * tau is adjoined, then the scan restarts with the
     recomputed multiplicative structure.  Completion of a finite set always
     terminates; ``degree_cap`` is a safety valve and exceeding it raises
-    DegreeCapExceeded carrying the partial set.
+    DegreeCapExceeded carrying the partial set.  The cap does not bound the
+    number of additions, so each rebuild is charged |current| * n, the table
+    and the prolongation scan it repeats, and past the work budget
+    WorkBudgetExceeded is raised with the units charged so far.
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
     current = M
+    work = 0
     while True:
+        work += len(current) * current.n
+        if work > _WORK_BUDGET:
+            _refuse_past_budget(
+                f"the completion rebuilt its table over {work} terms and variables "
+                f"after {len(current) - len(M)} additions",
+                work,
+                _WORK_BUDGET,
+            )
         witness = DivisionAssignment.janet(current)._uncovered
         if witness is None:
             return current

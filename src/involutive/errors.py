@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from typing import NoReturn
+
 
 class InvolutiveError(Exception):
     """Base class for all errors raised by this library."""
@@ -66,9 +68,11 @@ class MissingAssignment(InvolutiveError):
 
 
 # The most units of work a computation does before it refuses with
-# WorkBudgetExceeded: listed terms and parameters, star-search nodes, or the
-# terms and multiples the oracle enumerates.  At a few microseconds each, a
-# computation within it stays within seconds.
+# WorkBudgetExceeded: listed terms, multiples and parameters, star-search
+# nodes, the terms and multiples the oracle enumerates, the table entries a
+# completion rebuilds, or the terms and coefficient words the cycle detector
+# keeps.  At a few microseconds each, a computation within it stays within
+# seconds.
 _WORK_BUDGET = 200_000
 
 
@@ -80,3 +84,10 @@ class WorkBudgetExceeded(InvolutiveError):
         super().__init__(message)
         self.estimate = estimate
         self.budget = budget
+
+
+def _refuse_past_budget(what: str, estimate: int, budget: int) -> NoReturn:
+    """Raise :class:`WorkBudgetExceeded` for a computation past ``budget``;
+    ``what`` says what it needs, counting ``estimate`` units.  The caller
+    compares the two itself, so a hot loop builds no message."""
+    raise WorkBudgetExceeded(f"{what}, past the budget of {budget}", estimate, budget)

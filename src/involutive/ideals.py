@@ -22,7 +22,7 @@ from .errors import (
     MismatchedVariableCount,
     NotComplete,
     NotQuasiStable,
-    WorkBudgetExceeded,
+    _refuse_past_budget,
 )
 from .terms import Term, TermSet, _monomials, terms_of_degree
 
@@ -92,7 +92,12 @@ def _exponent_groups(gens: list[Term], k: int) -> tuple[list[int], list[list[tup
 
 
 def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
-    """All degree-d terms outside J, in lex order."""
+    """All degree-d terms outside J, in lex order.  The degree-d terms it
+    scans are counted first, and past the work budget WorkBudgetExceeded is
+    raised before any is listed."""
+    work = _monomials(d, J.n)
+    if work > _WORK_BUDGET:
+        _refuse_past_budget(f"the degree-{d} slice has {work} terms to scan", work, _WORK_BUDGET)
     return [t for t in terms_of_degree(J.n, d) if not J.contains(t)]
 
 
@@ -138,11 +143,8 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
             gamma, pred, lo, d = stack.pop()
             nodes += 1
             if nodes > _WORK_BUDGET:
-                raise WorkBudgetExceeded(
-                    f"the star search visited {nodes} terms by degree {D}, "
-                    f"past the budget of {_WORK_BUDGET}",
-                    estimate=nodes,
-                    budget=_WORK_BUDGET,
+                _refuse_past_budget(
+                    f"the star search visited {nodes} terms by degree {D}", nodes, _WORK_BUDGET
                 )
             found.add(gamma)
             if d == D:

@@ -29,7 +29,7 @@ from .errors import (
     NotComplete,
     NotStablyComplete,
     TailInIdeal,
-    WorkBudgetExceeded,
+    _refuse_past_budget,
 )
 from .terms import Term, TermSet, _monomials, terms_of_degree, variable
 
@@ -188,6 +188,20 @@ def _subtract_scaled(work: dict, f: MarkedPolynomial, eta: Term, c) -> None:
             work.pop(t, None)
 
 
+def _state_size(work: Mapping[Term, object]) -> int:
+    """What the cycle detector pays to keep a state: its terms plus the
+    64-bit words of its rational coefficients (a coefficient of any other
+    type counts 1)."""
+    size = len(work)
+    for c in work.values():
+        try:
+            bits = c.numerator.bit_length() + c.denominator.bit_length()
+        except AttributeError:
+            bits = 1
+        size += -(-bits // 64)
+    return size
+
+
 def reduce(
     G: MarkedSet, h: Mapping[Term, object], *, step_cap: int = DEFAULT_STEP_CAP
 ) -> ReductionTrace:
@@ -201,7 +215,10 @@ def reduce(
     cofactor, which makes the process terminate whenever the basis is stably
     complete.  Over a merely complete basis the relation can loop, so repeated
     polynomial states are detected and reported as CYCLE_DETECTED, with
-    ``step_cap`` as a final backstop.
+    ``step_cap`` as a final backstop.  The states kept for that are charged
+    their size (:func:`_state_size`), and past the work budget
+    WorkBudgetExceeded is raised, since their coefficients can grow at every
+    step.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
@@ -221,6 +238,7 @@ def reduce(
         raise NotComplete("reduction needs a complete basis", witness=witness)
     track_states = not G.stable_completeness[0]
     seen = {frozenset(work.items())} if track_states else None
+    kept = _state_size(work) if track_states else 0
     steps: list[ReductionStep] = []
     status = REDUCED
     while True:
@@ -247,6 +265,14 @@ def reduce(
                 status = CYCLE_DETECTED
                 break
             seen.add(state)
+            kept += _state_size(work)
+            if kept > _WORK_BUDGET:
+                _refuse_past_budget(
+                    f"the cycle detector keeps {len(seen)} states of {kept} terms and "
+                    "coefficient words",
+                    kept,
+                    _WORK_BUDGET,
+                )
     result = {t: work[t] for t in sorted(work, key=lambda t: t.sort_key)}
     return ReductionTrace(steps, result, status)
 
@@ -260,9 +286,13 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     are disjoint and cover J_s, so every term of J_s appears once.  The eta
     of a cone are the first ``_monomials(e, m)`` degree-e terms in lex order,
     those free of x_{m+1}..x_n.  Entries are sorted by the covered term in
-    lex order.
+    lex order.  The multiples are counted first, and past the work budget
+    WorkBudgetExceeded is raised before any is listed.
     """
     G._require_stably_complete("G^(s)")
+    work = sum(_monomials(s - head.degree, head.min_index or G.n) for head in G.basis)
+    if work > _WORK_BUDGET:
+        _refuse_past_budget(f"G^(s) at degree {s} has {work} multiples", work, _WORK_BUDGET)
     out = []
     for head in G.basis:
         e = s - head.degree
@@ -353,11 +383,10 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
         _monomials(max_degree - head.degree, n + 1) for head in G.basis
     )
     if work > _WORK_BUDGET:
-        raise WorkBudgetExceeded(
-            f"the oracle needs {work} terms and multiples up to degree {max_degree}, "
-            f"past the budget of {_WORK_BUDGET}",
-            estimate=work,
-            budget=_WORK_BUDGET,
+        _refuse_past_budget(
+            f"the oracle needs {work} terms and multiples up to degree {max_degree}",
+            work,
+            _WORK_BUDGET,
         )
     for s in range(1, max_degree + 1):
         outside = [t for t in terms_of_degree(n, s) if not G.contains(t)]

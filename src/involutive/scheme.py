@@ -15,7 +15,7 @@ from itertools import groupby, takewhile
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import _WORK_BUDGET, MissingAssignment, WorkBudgetExceeded
+from .errors import _WORK_BUDGET, MissingAssignment, _refuse_past_budget
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
 from .marked import MarkedPolynomial, MarkedSet, _prolongations
 from .terms import Term, TermSet, _monomials
@@ -230,11 +230,10 @@ def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
     basis = pommaret_basis(J)
     work = _generic_work(basis)
     if work > _WORK_BUDGET:
-        raise WorkBudgetExceeded(
-            f"the generic marked set needs at least {work} parameters and slice terms, "
-            f"past the budget of {_WORK_BUDGET}",
-            estimate=work,
-            budget=_WORK_BUDGET,
+        _refuse_past_budget(
+            f"the generic marked set needs at least {work} parameters and slice terms",
+            work,
+            _WORK_BUDGET,
         )
     params: list[ParamVar] = []
     tails: dict[Term, dict[Term, ParamPolynomial]] = {}

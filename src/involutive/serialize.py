@@ -1,8 +1,12 @@
 """JSON interchange for terms, ideals, marked sets, traces and scheme output.
 
-All emitters produce plain dict/list structures; :func:`dumps` pins the byte
-format (sorted keys, two-space indent, trailing newline) so reports
-round-trip byte-identically.
+Each value format is written once: the emitters build plain dict/list
+structures and leave their ``Fraction`` and ``ParamPolynomial``
+coefficients in place (an int coefficient as the equal ``Fraction``, so that
+it prints as text too).  :func:`dumps` is the one place that prints numbers:
+it turns those coefficients into their text and prints integers of any size,
+and it pins the byte format (sorted keys, two-space indent, trailing newline)
+so reports round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .division import DivisionAssignment
-    from .ideals import MonomialIdeal
+    from .ideals import MonomialIdeal, StabilityWitness
     from .marked import MarkedBasisResult, MarkedSet, ReductionTrace
     from .scheme import GenericMarkedSet, ParamPolynomial, ParamVar, SchemeEquations
 
@@ -52,10 +56,38 @@ def _any_int_size():
         sys.set_int_max_str_digits(limit)
 
 
+def _number_text(value) -> str:
+    """The ``json.dumps`` hook for what JSON cannot hold: a ``Fraction`` or a
+    ``ParamPolynomial`` coefficient prints as its ``str``, and any other
+    object raises TypeError."""
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return str(value)
+    # Only the scheme reports hold other coefficients: a command that never
+    # loads scheme does not load it here.
+    from .scheme import ParamPolynomial
+
+    if isinstance(value, ParamPolynomial):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _coeff(c):
+    """A polynomial coefficient for :func:`dumps` to print as text.  An int
+    (the 1 on a head) becomes the equal ``Fraction``, which prints the same;
+    JSON would print the int as a number."""
+    if isinstance(c, int):
+        from fractions import Fraction
+
+        return Fraction(c)
+    return c
+
+
 def dumps(obj) -> str:
     """The report text; counts and coefficients print in full at any size."""
     with _any_int_size():
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, default=_number_text) + "\n"
 
 
 def parse_coeff(s) -> Fraction:
@@ -73,13 +105,6 @@ def parse_coeff(s) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad coefficient {s!r}") from exc
-
-
-def coeff_text(c) -> str:
-    """``str(c)`` for a coefficient, or a polynomial printing its
-    coefficients, of any size."""
-    with _any_int_size():
-        return str(c)
 
 
 def term_json(t: Term) -> list[int]:
@@ -140,7 +165,7 @@ def assignment_json(assignment: DivisionAssignment) -> list[dict]:
 
 def poly_json(poly: Mapping[Term, object]) -> list[dict]:
     return [
-        {"term": term_json(t), "coeff": coeff_text(poly[t])}
+        {"term": term_json(t), "coeff": _coeff(poly[t])}
         for t in sorted(poly, key=lambda t: t.sort_key)
     ]
 
@@ -199,6 +224,15 @@ def witness_json(witness) -> Optional[dict]:
     return {"term": term_json(term), "variable": j}
 
 
+def stability_witness_json(w: Optional[StabilityWitness]) -> Optional[dict]:
+    if w is None:
+        return None
+    out = {"generator": term_json(w.generator), "variable": w.variable}
+    if w.divisor_variable is not None:
+        out["divisor_variable"] = w.divisor_variable
+    return out
+
+
 def trace_json(trace: ReductionTrace, include_steps: bool) -> dict:
     out = {
         "status": trace.status,
@@ -211,7 +245,7 @@ def trace_json(trace: ReductionTrace, include_steps: bool) -> dict:
                 "term": term_json(s.term),
                 "head": term_json(s.head),
                 "cofactor": term_json(s.cofactor),
-                "coefficient": coeff_text(s.coefficient),
+                "coefficient": _coeff(s.coefficient),
             }
             for s in trace.steps
         ]
@@ -250,21 +284,9 @@ def scheme_json(result: SchemeEquations) -> dict:
     return {
         "ideal": ideal_json(result.generic.ideal),
         "parameters": [pv.name for pv in result.generic.params],
-        "generic_set": {
-            "vars": result.generic.basis.n,
-            "polynomials": [
-                {
-                    "head": term_json(head),
-                    "tail": [
-                        {"term": term_json(t), "coeff": coeff_text(p)}
-                        for t, p in result.generic.tails[head].items()
-                    ],
-                }
-                for head in result.generic.basis
-            ],
-        },
+        "generic_set": marked_set_json(result.generic.marked_set()),
         "equations": [param_poly_json(p) for p in result.equations],
-        "text": [coeff_text(p) for p in result.equations],
+        "text": result.equations,
     }
 
 

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from involutive import scheme
+from involutive import ParamPolynomial, Term, scheme
 from involutive.cli import main
 from involutive.errors import _WORK_BUDGET
-from involutive.serialize import parse_coeff
+from involutive.scheme import ParamVar
+from involutive.serialize import dumps, parse_coeff
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -653,6 +654,14 @@ def test_big_count_values_are_reported(tmp_path, capsys):
     assert out == expected
 
 
+def test_dumps_prints_the_coefficients_left_in_a_report():
+    p = ParamPolynomial.variable(ParamVar(1, Term([0, 2]))) - 3
+    text = dumps({"c": [Fraction(-1, 2), p]})
+    assert text == '{\n  "c": [\n    "-1/2",\n    "-3 + C[1][0,2]"\n  ]\n}\n'
+    with pytest.raises(TypeError):
+        dumps({"t": Term([1])})
+
+
 HUGE_HEAD = {"vars": 2, "generators": [[0, 10**12]]}
 # (x2, x3^2000): 2001 heads of degrees 1..2000; the count passes the budget
 # at degree 104 and stops there, where counting every degree takes seconds
@@ -690,6 +699,20 @@ def test_huge_generic_marked_set_exits_2_at_once(tmp_path, capsys, command, idea
 
 X1 = {"vars": 6, "generators": [[1, 0, 0, 0, 0, 0]]}
 X6_SQUARED = {"vars": 6, "polynomials": [{"head": [0, 0, 0, 0, 0, 2], "tail": []}]}
+TWELFTH_POWERS = {"vars": 4, "terms": [[12, 0, 0, 0], [0, 12, 0, 0], [0, 0, 12, 0], [0, 0, 0, 12]]}
+# A merely complete basis whose reduction cycles with coefficients that grow
+# sixfold a round; its states would fill memory long before the step cap.
+GROWING_CYCLE = {
+    "marked_set": {
+        "vars": 5,
+        "polynomials": [
+            {"head": [0, 0, 1, 0, 1], "tail": [{"term": [0, 0, 1, 1, 0], "coeff": "-2"}]},
+            {"head": [0, 0, 0, 1, 1], "tail": [{"term": [0, 0, 0, 0, 2], "coeff": "-3"}]},
+            {"head": [0, 0, 0, 2, 0], "tail": []},
+        ],
+    },
+    "polynomial": [{"term": [0, 1, 1, 0, 2], "coeff": "1"}],
+}
 
 
 @pytest.mark.parametrize(
@@ -702,6 +725,11 @@ X6_SQUARED = {"vars": 6, "polynomials": [{"head": [0, 0, 0, 0, 0, 2], "tail": []
         ("star-set", X1, 60, _WORK_BUDGET + 1),
         # the terms of degree <= 40 in 6 variables, and the multiples of x6^2
         ("oracle-check", X6_SQUARED, 40, comb(46, 6) + comb(44, 6)),
+        # 4 * (4 + 5 + ... + 316): the rebuilds over 4 to 316 terms, after 312
+        # additions that the degree cap does not bound
+        ("complete", TWELFTH_POWERS, 48, 2 * 316 * 317 - 24),
+        # the sizes of the 4377 states kept, first past the budget
+        ("reduce", GROWING_CYCLE, None, 200_036),
     ],
 )
 def test_unbounded_enumerations_exit_2_within_the_work_budget(
@@ -709,8 +737,9 @@ def test_unbounded_enumerations_exit_2_within_the_work_budget(
 ):
     source = tmp_path / "input.json"
     source.write_text(json.dumps(document))
+    bound_args = () if bound is None else ("--degree-bound", str(bound))
     start = time.perf_counter()
-    code, report = run_json(capsys, command, "--input", str(source), "--degree-bound", str(bound))
+    code, report = run_json(capsys, command, "--input", str(source), *bound_args)
     assert time.perf_counter() - start < 3
     assert code == 2
     error = report["error"]

@@ -12,6 +12,7 @@ from involutive import (
     NotInIdeal,
     Term,
     TermSet,
+    WorkBudgetExceeded,
     hilbert_function,
     is_complete,
     is_stably_complete,
@@ -22,6 +23,7 @@ from involutive import (
     terms_of_degree,
     variable,
 )
+from involutive import division
 from helpers import (
     brute_is_complete,
     brute_janet_complete,
@@ -243,6 +245,17 @@ def test_janet_complete_degree_cap():
     with pytest.raises(DegreeCapExceeded) as info:
         janet_complete(ts((1, 0), (0, 2)), 1)
     assert info.value.partial is not None
+
+
+def test_janet_complete_charges_each_rebuild(monkeypatch):
+    # (x1, x2^2) needs one addition: rebuilds over 2, then 3 terms in 2 variables
+    M = ts((1, 0), (0, 2))
+    monkeypatch.setattr(division, "_WORK_BUDGET", 10)
+    assert len(janet_complete(M, 10)) == 3
+    monkeypatch.setattr(division, "_WORK_BUDGET", 9)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        janet_complete(M, 10)
+    assert (info.value.estimate, info.value.budget) == (10, 9)
 
 
 def test_partition_property_on_examples():

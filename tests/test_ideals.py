@@ -166,6 +166,21 @@ def test_star_search_counts_its_nodes_against_the_budget(monkeypatch):
     assert sum(sigma_profile(MonomialIdeal([t(0, 0, 1)], 3), 10**6).counts) == comb(10**6 + 1, 2)
 
 
+def test_escalier_slice_counts_its_terms_before_listing_them(monkeypatch):
+    J = MonomialIdeal([t(2, 0), t(1, 1), t(0, 3)], 2)
+    monkeypatch.setattr(ideals, "_WORK_BUDGET", 4)
+    assert escalier_slice(J, 3) == []  # the 4 terms of degree 3 are scanned
+    monkeypatch.setattr(ideals, "_WORK_BUDGET", 3)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        escalier_slice(J, 3)
+    assert (info.value.estimate, info.value.budget) == (4, 3)
+    # the degree-10**6 slice has 10**6 + 1 terms: refused before one is listed
+    monkeypatch.undo()
+    with pytest.raises(WorkBudgetExceeded) as info:
+        escalier_slice(J, 10**6)
+    assert info.value.estimate == 10**6 + 1
+
+
 def test_pommaret_basis_not_quasi_stable_witness():
     J = parse_ideal(json.loads((CORPUS / "ideal_not_quasi_stable.json").read_text()))
     with pytest.raises(NotQuasiStable) as info:

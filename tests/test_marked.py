@@ -16,6 +16,7 @@ from involutive import (
     NonHomogeneousInput,
     NotComplete,
     NotStablyComplete,
+    ParamPolynomial,
     TailInIdeal,
     Term,
     TermSet,
@@ -159,6 +160,25 @@ def test_reduce_detects_two_cycle():
     ]
 
 
+def test_the_cycle_detector_charges_the_states_it_keeps(monkeypatch):
+    # the two-cycle keeps two states of one term with coefficient 1 before
+    # it closes: one term and one coefficient word each
+    G, h = cycle_set(), {t(1, 0, 2): fr(1)}
+    monkeypatch.setattr(marked, "_WORK_BUDGET", 4)
+    assert reduce(G, h).status == CYCLE_DETECTED
+    monkeypatch.setattr(marked, "_WORK_BUDGET", 3)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        reduce(G, h)
+    assert (info.value.estimate, info.value.budget) == (4, 3)
+    # over a stably complete basis no state is kept, so nothing is charged
+    monkeypatch.setattr(marked, "_WORK_BUDGET", 0)
+    B = example_basis()
+    assert reduce(B, B.polys[t(3, 0)].times(t(0, 1))).status == REDUCED
+    # 65 + 2 bits of a rational take two words; any other coefficient one
+    state = {t(1, 0, 2): Fraction(2**64, 3), t(0, 1, 2): ParamPolynomial.constant(5)}
+    assert marked._state_size(state) == 2 + 2 + 1
+
+
 def test_reduce_rejects_mixed_degrees():
     G = example_basis()
     with pytest.raises(NonHomogeneousInput):
@@ -189,6 +209,23 @@ def test_build_Gs_example():
     gens = [f.exponents for f in EXAMPLE_F]
     for s in (2, 3, 4, 5):
         assert len(build_Gs(G, s)) == ideal_count(gens, G.n, s)
+
+
+def test_build_Gs_counts_its_multiples_before_listing_them(monkeypatch):
+    # (x1^3, x1x2, x1x2^2, x2^3) holds all 6 terms of degree 5
+    G = example_basis()
+    monkeypatch.setattr(marked, "_WORK_BUDGET", 6)
+    assert len(build_Gs(G, 5)) == 6
+    monkeypatch.setattr(marked, "_WORK_BUDGET", 5)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        build_Gs(G, 5)
+    assert (info.value.estimate, info.value.budget) == (6, 5)
+    # at degree 10**6: one multiple of each head in x1 alone, and the
+    # 10**6 - 2 of x2^3 in x1, x2; refused before one is listed
+    monkeypatch.undo()
+    with pytest.raises(WorkBudgetExceeded) as info:
+        build_Gs(G, 10**6)
+    assert info.value.estimate == 3 + 10**6 - 2
 
 
 def test_is_marked_basis_on_the_mixed_tail_example():
