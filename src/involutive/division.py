@@ -12,12 +12,11 @@ from operator import le
 from typing import Mapping, Optional
 
 from .errors import (
-    _WORK_BUDGET,
     DegreeCapExceeded,
     MismatchedVariableCount,
     NotComplete,
     NotInIdeal,
-    _refuse_past_budget,
+    _charge,
 )
 from .terms import Term, TermSet, variable
 
@@ -243,13 +242,12 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     work = 0
     while True:
         work += len(current) * current.n
-        if work > _WORK_BUDGET:
-            _refuse_past_budget(
-                f"the completion rebuilt its table over {work} terms and variables "
-                f"after {len(current) - len(M)} additions",
-                work,
-                _WORK_BUDGET,
-            )
+        _charge(
+            work,
+            "the completion rebuilt its table over {} terms and variables after {} additions",
+            work,
+            len(current) - len(M),
+        )
         witness = DivisionAssignment.janet(current)._uncovered
         if witness is None:
             return current

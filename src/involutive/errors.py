@@ -1,6 +1,4 @@
-"""Exception types shared across the library."""
-
-from typing import NoReturn
+"""Exception types shared across the library, and its one work meter."""
 
 
 class InvolutiveError(Exception):
@@ -70,9 +68,10 @@ class MissingAssignment(InvolutiveError):
 # The most units of work a computation does before it refuses with
 # WorkBudgetExceeded: listed terms, multiples and parameters, star-search
 # nodes, the terms and multiples the oracle enumerates, the table entries a
-# completion rebuilds, or the terms and coefficient words the cycle detector
-# keeps.  At a few microseconds each, a computation within it stays within
-# seconds.
+# completion rebuilds, the divisibility tests that minimalise generators, the
+# terms a reduction scans, or the terms and coefficient words the cycle
+# detector keeps.  At a few microseconds each, a computation within it stays
+# within seconds.  Only :func:`_charge` reads it.
 _WORK_BUDGET = 200_000
 
 
@@ -86,8 +85,11 @@ class WorkBudgetExceeded(InvolutiveError):
         self.budget = budget
 
 
-def _refuse_past_budget(what: str, estimate: int, budget: int) -> NoReturn:
-    """Raise :class:`WorkBudgetExceeded` for a computation past ``budget``;
-    ``what`` says what it needs, counting ``estimate`` units.  The caller
-    compares the two itself, so a hot loop builds no message."""
-    raise WorkBudgetExceeded(f"{what}, past the budget of {budget}", estimate, budget)
+def _charge(spent: int, what: str, *args) -> None:
+    """The one work meter: raise :class:`WorkBudgetExceeded` once ``spent``
+    units pass the budget.  ``what.format(*args)`` says what the computation
+    needs; it is formatted only on refusal, so a hot loop builds no message."""
+    if spent > _WORK_BUDGET:
+        raise WorkBudgetExceeded(
+            f"{what.format(*args)}, past the budget of {_WORK_BUDGET}", spent, _WORK_BUDGET
+        )

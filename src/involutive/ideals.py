@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from operator import le
 from typing import Iterable, Iterator, Optional
 
@@ -17,13 +18,7 @@ from .division import (
     is_complete,
     is_stably_complete,
 )
-from .errors import (
-    _WORK_BUDGET,
-    MismatchedVariableCount,
-    NotComplete,
-    NotQuasiStable,
-    _refuse_past_budget,
-)
+from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable, _charge
 from .terms import Term, TermSet, _monomials, terms_of_degree
 
 
@@ -53,10 +48,19 @@ class MonomialIdeal:
                 n = terms[0].nvars
         if n is None:
             raise ValueError("variable count required for the zero ideal")
-        minimal = []
-        for t in sorted(set(terms), key=lambda t: t.sort_key):
-            if not any(g.divides(t) for g in minimal):
-                minimal.append(t)
+        # A divisor of t other than t itself has a lower degree, and the set
+        # drops repeats, so each degree's candidates are tested against the
+        # minimal generators of lower degrees alone; those tests are charged
+        # before they are done.
+        minimal: list[Term] = []
+        tests = 0
+        ordered = sorted(set(terms), key=lambda t: t.sort_key)
+        for d, group in groupby(ordered, lambda t: t.degree):
+            group, lower = list(group), tuple(minimal)
+            tests += len(group) * len(lower)
+            what = "minimalising the generators takes {} divisibility tests by degree {}"
+            _charge(tests, what, tests, d)
+            minimal += [t for t in group if not any(g.divides(t) for g in lower)]
         self.generators = TermSet(minimal, n)
         self.n = n
         self._fit_index = tuple(_exponent_groups(minimal, j) for j in range(n))
@@ -96,8 +100,7 @@ def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     scans are counted first, and past the work budget WorkBudgetExceeded is
     raised before any is listed."""
     work = _monomials(d, J.n)
-    if work > _WORK_BUDGET:
-        _refuse_past_budget(f"the degree-{d} slice has {work} terms to scan", work, _WORK_BUDGET)
+    _charge(work, "the degree-{} slice has {} terms to scan", d, work)
     return [t for t in terms_of_degree(J.n, d) if not J.contains(t)]
 
 
@@ -142,10 +145,7 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
         while stack:
             gamma, pred, lo, d = stack.pop()
             nodes += 1
-            if nodes > _WORK_BUDGET:
-                _refuse_past_budget(
-                    f"the star search visited {nodes} terms by degree {D}", nodes, _WORK_BUDGET
-                )
+            _charge(nodes, "the star search visited {} terms by degree {}", nodes, D)
             found.add(gamma)
             if d == D:
                 beyond = beyond or any(_fit_power(J, pred, j) != 1 for j in range(lo, n + 1))

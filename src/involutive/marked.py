@@ -21,7 +21,6 @@ from . import _linalg
 from ._options import DEFAULT_STEP_CAP
 from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
 from .errors import (
-    _WORK_BUDGET,
     DegreeMismatch,
     HeadNotInM,
     MismatchedVariableCount,
@@ -29,7 +28,7 @@ from .errors import (
     NotComplete,
     NotStablyComplete,
     TailInIdeal,
-    _refuse_past_budget,
+    _charge,
 )
 from .terms import Term, TermSet, _monomials, terms_of_degree, variable
 
@@ -215,10 +214,11 @@ def reduce(
     cofactor, which makes the process terminate whenever the basis is stably
     complete.  Over a merely complete basis the relation can loop, so repeated
     polynomial states are detected and reported as CYCLE_DETECTED, with
-    ``step_cap`` as a final backstop.  The states kept for that are charged
-    their size (:func:`_state_size`), and past the work budget
-    WorkBudgetExceeded is raised, since their coefficients can grow at every
-    step.
+    ``step_cap`` as a final backstop.  Each step is charged to the work
+    budget, and past it WorkBudgetExceeded is raised: over a stably complete
+    basis a step pays the terms the next one scans, and over a merely complete
+    one each kept state pays its size (:func:`_state_size`), which is at least
+    its terms, since the coefficients can grow at every step.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
@@ -238,7 +238,7 @@ def reduce(
         raise NotComplete("reduction needs a complete basis", witness=witness)
     track_states = not G.stable_completeness[0]
     seen = {frozenset(work.items())} if track_states else None
-    kept = _state_size(work) if track_states else 0
+    spent = _state_size(work) if track_states else len(work)
     steps: list[ReductionStep] = []
     status = REDUCED
     while True:
@@ -265,14 +265,12 @@ def reduce(
                 status = CYCLE_DETECTED
                 break
             seen.add(state)
-            kept += _state_size(work)
-            if kept > _WORK_BUDGET:
-                _refuse_past_budget(
-                    f"the cycle detector keeps {len(seen)} states of {kept} terms and "
-                    "coefficient words",
-                    kept,
-                    _WORK_BUDGET,
-                )
+            spent += _state_size(work)
+            what = "the cycle detector keeps {} states of {} terms and coefficient words"
+            _charge(spent, what, len(seen), spent)
+        else:
+            spent += len(work)
+            _charge(spent, "the reduction scans {} terms by step {}", spent, len(steps))
     result = {t: work[t] for t in sorted(work, key=lambda t: t.sort_key)}
     return ReductionTrace(steps, result, status)
 
@@ -291,8 +289,7 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     """
     G._require_stably_complete("G^(s)")
     work = sum(_monomials(s - head.degree, head.min_index or G.n) for head in G.basis)
-    if work > _WORK_BUDGET:
-        _refuse_past_budget(f"G^(s) at degree {s} has {work} multiples", work, _WORK_BUDGET)
+    _charge(work, "G^(s) at degree {} has {} multiples", s, work)
     out = []
     for head in G.basis:
         e = s - head.degree
@@ -340,8 +337,9 @@ def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
     ideal), over which the reduction is noetherian and the verdict exact: the
     rewritten keys (cofactor, term) strictly decrease, so no term of the
     product's degree is rewritten twice, and that count of terms is a step cap
-    that cannot bind.  The returned certificate records one reduction trace
-    per (head, variable) pair, in canonical order.
+    that cannot bind; the work budget still meters each reduction.  The
+    returned certificate records one reduction trace per (head, variable)
+    pair, in canonical order.
     """
     G._require_stably_complete("the criterion")
     checks = [
@@ -382,12 +380,7 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     work = _monomials(max_degree, n + 1) + sum(
         _monomials(max_degree - head.degree, n + 1) for head in G.basis
     )
-    if work > _WORK_BUDGET:
-        _refuse_past_budget(
-            f"the oracle needs {work} terms and multiples up to degree {max_degree}",
-            work,
-            _WORK_BUDGET,
-        )
+    _charge(work, "the oracle needs {} terms and multiples up to degree {}", work, max_degree)
     for s in range(1, max_degree + 1):
         outside = [t for t in terms_of_degree(n, s) if not G.contains(t)]
         span = _linalg.rref([poly for _, poly in build_Gs(G, s)], {})

@@ -15,7 +15,7 @@ from itertools import groupby, takewhile
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import _WORK_BUDGET, MissingAssignment, _refuse_past_budget
+from .errors import MissingAssignment, _charge
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
 from .marked import MarkedPolynomial, MarkedSet, _prolongations
 from .terms import Term, TermSet, _monomials
@@ -208,8 +208,9 @@ def _generic_work(basis: TermSet) -> int:
     terms of degree d are the degree-d slice less the degree-d terms of each
     cone tau * x_1..x_min(tau).
 
-    The count runs up the head degrees and stops once past the budget, so
-    its own cost stays bounded too; the total is then a lower bound."""
+    The count runs up the head degrees and is charged once per degree, so
+    past the budget WorkBudgetExceeded is raised with a lower bound and the
+    count's own cost stays bounded too."""
     n = basis.n
     work = 0
     for d, k in sorted(Counter(head.degree for head in basis).items()):
@@ -217,8 +218,7 @@ def _generic_work(basis: TermSet) -> int:
         cones = takewhile(lambda tau: tau.degree <= d, basis)
         inside = sum(_monomials(d - tau.degree, tau.min_index or n) for tau in cones)
         work += k * (_monomials(d, n) - inside) + _monomials(d, n)
-        if work > _WORK_BUDGET:
-            break
+        _charge(work, "the generic marked set needs at least {} parameters and slice terms", work)
     return work
 
 
@@ -228,13 +228,7 @@ def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
     The work is counted first: past a fixed budget, WorkBudgetExceeded is
     raised with the estimate before anything is enumerated."""
     basis = pommaret_basis(J)
-    work = _generic_work(basis)
-    if work > _WORK_BUDGET:
-        _refuse_past_budget(
-            f"the generic marked set needs at least {work} parameters and slice terms",
-            work,
-            _WORK_BUDGET,
-        )
+    _generic_work(basis)
     params: list[ParamVar] = []
     tails: dict[Term, dict[Term, ParamPolynomial]] = {}
     escalier_cache: dict[int, list[Term]] = {}

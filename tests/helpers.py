@@ -15,6 +15,7 @@ from involutive import (
     Term,
     classify,
     escalier_slice,
+    make_marked_set,
     pommaret_basis,
     terms_of_degree,
 )
@@ -266,6 +267,89 @@ def padd(a, b):
 
 def psub(a, b):
     return padd(a, {t: -c for t, c in b.items()})
+
+
+# ----------------------------------------- Groebner bases and points on Mf(J)
+
+def degrevlex_key(e):
+    """Degrevlex with x_n > ... > x_1 on exponent tuples: by degree, then the
+    term with the smaller exponent of x_1 (of x_2 on a tie, ...) is greater."""
+    return sum(e), tuple(-x for x in e)
+
+
+def leading(f):
+    return max(f, key=degrevlex_key)
+
+
+def shift(f, q):
+    """f times the term with exponent tuple q."""
+    return {tuple(a + b for a, b in zip(e, q)): c for e, c in f.items()}
+
+
+def remainder(f, basis):
+    """The remainder of f on division by ``basis``, a dict from leading
+    exponent tuple to monic polynomial: no term of it has a leading term of
+    the basis as a divisor."""
+    f, rest = dict(f), {}
+    while f:
+        m = leading(f)
+        c = f.pop(m)
+        lead = next((g for g in basis if tuple_divides(g, m)), None)
+        if lead is None:
+            rest[m] = c
+            continue
+        q = tuple(a - b for a, b in zip(m, lead))
+        f = psub(f, pscale(shift({e: v for e, v in basis[lead].items() if e != lead}, q), c))
+    return rest
+
+
+def groebner_basis(polys):
+    """The reduced Groebner basis in degrevlex of the ideal generated by
+    ``polys`` (dicts from exponent tuples to Fractions), as a dict from
+    leading exponent tuple to monic polynomial: Buchberger's algorithm,
+    skipping pairs with coprime leading terms (the product criterion), then
+    interreduced."""
+    basis, pairs = {}, []
+
+    def adjoin(f):
+        h = remainder(f, basis)
+        if h:
+            lead = leading(h)
+            pairs.extend((g, lead) for g in basis)
+            basis[lead] = pscale(h, 1 / Fraction(h[lead]))
+
+    for f in polys:
+        adjoin(f)
+    while pairs:
+        a, b = pairs.pop()
+        if any(x and y for x, y in zip(a, b)):
+            top = tuple(map(max, a, b))
+            adjoin(psub(shift(basis[a], [x - y for x, y in zip(top, a)]),
+                        shift(basis[b], [x - y for x, y in zip(top, b)])))
+    minimal = {
+        lead: f for lead, f in basis.items()
+        if not any(g != lead and tuple_divides(g, lead) for g in basis)
+    }
+    return {
+        lead: padd({lead: Fraction(1)}, remainder(psub(f, {lead: 1}), minimal))
+        for lead, f in minimal.items()
+    }
+
+
+def initial_ideal(gb, n):
+    return MonomialIdeal([Term(lead) for lead in gb], n)
+
+
+def marked_point(gb, n):
+    """The J-marked basis {h - NF_I(h) : h in F(J)} of the ideal I with
+    reduced Groebner basis ``gb``, for a quasi-stable J = in(I).  N(J) is a
+    basis of P/I (Macaulay), so I is a point of Mf(J)."""
+    basis = pommaret_basis(initial_ideal(gb, n))
+    tails = {
+        h: {Term(e): -c for e, c in remainder({h.exponents: Fraction(1)}, gb).items()}
+        for h in basis
+    }
+    return make_marked_set(basis, tails)
 
 
 # ------------------------------------------------------------ linear solving

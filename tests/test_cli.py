@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from involutive import ParamPolynomial, Term, scheme
+from involutive import ParamPolynomial, Term
 from involutive.cli import main
 from involutive.errors import _WORK_BUDGET
 from involutive.scheme import ParamVar
@@ -683,7 +683,7 @@ def test_huge_generic_marked_set_exits_2_at_once(tmp_path, capsys, command, idea
     assert code == 2
     error = report["error"]
     assert error["type"] == "WorkBudgetExceeded"
-    assert error["budget"] == scheme._WORK_BUDGET < error["estimate"]
+    assert error["budget"] == _WORK_BUDGET < error["estimate"]
     if ideal is HUGE_HEAD:
         # one head with 10^12 escalier terms of its degree, counted from the
         # Hilbert function instead of listed
@@ -691,9 +691,9 @@ def test_huge_generic_marked_set_exits_2_at_once(tmp_path, capsys, command, idea
         assert error == {
             "type": "WorkBudgetExceeded",
             "message": f"the generic marked set needs at least {estimate} parameters and "
-            f"slice terms, past the budget of {scheme._WORK_BUDGET}",
+            f"slice terms, past the budget of {_WORK_BUDGET}",
             "estimate": estimate,
-            "budget": scheme._WORK_BUDGET,
+            "budget": _WORK_BUDGET,
         }
 
 
@@ -713,6 +713,40 @@ GROWING_CYCLE = {
     },
     "polynomial": [{"term": [0, 1, 1, 0, 2], "coeff": "1"}],
 }
+# x4 -> x1 + x2 + x3 over a stably complete basis: x4^60 takes 37,820 steps,
+# each scanning a support that grows to thousands of terms.
+X4_SIXTIETH = {
+    "marked_set": {
+        "vars": 4,
+        "polynomials": [
+            {
+                "head": [0, 0, 0, 1],
+                "tail": [
+                    {"term": [0, 0, 1, 0], "coeff": "-1"},
+                    {"term": [0, 1, 0, 0], "coeff": "-1"},
+                    {"term": [1, 0, 0, 0], "coeff": "-1"},
+                ],
+            }
+        ],
+    },
+    "polynomial": [{"term": [0, 0, 0, 60], "coeff": "1"}],
+}
+
+
+def weighted_class(d, residue):
+    # the degree-d terms in 3 variables with e1 + 2 e2 + 3 e3 = residue mod 7
+    return [
+        [a, b, d - a - b]
+        for a in range(d + 1)
+        for b in range(d + 1 - a)
+        if (a + 2 * b + 3 * (d - a - b)) % 7 == residue
+    ]
+
+
+# Multiplying by x_i adds i to the weight, which never turns class 0 into
+# class 5: 1,500 generators of degree 200 and 1,500 of degree 201 that no
+# generator divides.
+ANTICHAIN = {"vars": 3, "generators": weighted_class(200, 0)[:1500] + weighted_class(201, 5)[:1500]}
 
 
 @pytest.mark.parametrize(
@@ -730,6 +764,10 @@ GROWING_CYCLE = {
         ("complete", TWELFTH_POWERS, 48, 2 * 316 * 317 - 24),
         # the sizes of the 4377 states kept, first past the budget
         ("reduce", GROWING_CYCLE, None, 200_036),
+        # the terms scanned by the 1,449th step, first past the budget
+        ("reduce", X4_SIXTIETH, None, 200_073),
+        # each degree-201 candidate against each degree-200 generator
+        ("classify", ANTICHAIN, None, 1500 * 1500),
     ],
 )
 def test_unbounded_enumerations_exit_2_within_the_work_budget(

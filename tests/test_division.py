@@ -23,7 +23,7 @@ from involutive import (
     terms_of_degree,
     variable,
 )
-from involutive import division
+from involutive import errors
 from helpers import (
     brute_is_complete,
     brute_janet_complete,
@@ -250,9 +250,9 @@ def test_janet_complete_degree_cap():
 def test_janet_complete_charges_each_rebuild(monkeypatch):
     # (x1, x2^2) needs one addition: rebuilds over 2, then 3 terms in 2 variables
     M = ts((1, 0), (0, 2))
-    monkeypatch.setattr(division, "_WORK_BUDGET", 10)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 10)
     assert len(janet_complete(M, 10)) == 3
-    monkeypatch.setattr(division, "_WORK_BUDGET", 9)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 9)
     with pytest.raises(WorkBudgetExceeded) as info:
         janet_complete(M, 10)
     assert (info.value.estimate, info.value.budget) == (10, 9)

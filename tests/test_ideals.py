@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import time
 from math import comb
 from pathlib import Path
 
@@ -29,8 +30,9 @@ from involutive import (
     pommaret_basis,
     sigma_profile,
     star_set,
+    terms_of_degree,
 )
-from involutive import ideals
+from involutive import errors
 from involutive.ideals import _fit_power, pommaret_termination_degree, sigma_totals
 from involutive.serialize import parse_ideal
 from helpers import (
@@ -154,23 +156,45 @@ def test_star_search_counts_its_nodes_against_the_budget(monkeypatch):
     # (x1) in 3 variables: one node per star term x1 * eta, eta of degree
     # below 10 in x2, x3, which makes 1 + 2 + ... + 10 = 55 nodes
     J = MonomialIdeal([t(1, 0, 0)], 3)
-    monkeypatch.setattr(ideals, "_WORK_BUDGET", 55)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 55)
     assert len(star_set(J, 10)[0]) == 55
-    monkeypatch.setattr(ideals, "_WORK_BUDGET", 54)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 54)
     for call in (lambda: star_set(J, 10), lambda: sigma_profile(J, 10)):
         with pytest.raises(WorkBudgetExceeded) as info:
             call()
         assert (info.value.estimate, info.value.budget) == (55, 54)
     # a quasi-stable ideal's search stops at its finite star set, at any degree
-    monkeypatch.setattr(ideals, "_WORK_BUDGET", 1)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 1)
     assert sum(sigma_profile(MonomialIdeal([t(0, 0, 1)], 3), 10**6).counts) == comb(10**6 + 1, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_generators_match_brute_force(data):
+    # repeats, terms of one degree and mixed degrees: each candidate is tested
+    # only against the kept generators of lower degree
+    n = data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12))
+    gens += data.draw(st.lists(st.sampled_from(gens), max_size=4))
+    minimal = [g for g in gens if not any(h != g and tuple_divides(h, g) for h in gens)]
+    assert MonomialIdeal([Term(g) for g in gens], n).generators == TermSet(minimal, n)
+
+
+def test_classify_of_a_large_power_of_the_maximal_ideal_is_quick():
+    # m^120 in 3 variables: its 7,381 generators share one degree, so none is
+    # tested against another while they are minimalised
+    start = time.perf_counter()
+    J = MonomialIdeal(terms_of_degree(3, 120), 3)
+    assert len(J.generators) == comb(122, 2)
+    assert classify(J).strongly_stable
+    assert time.perf_counter() - start < 2
 
 
 def test_escalier_slice_counts_its_terms_before_listing_them(monkeypatch):
     J = MonomialIdeal([t(2, 0), t(1, 1), t(0, 3)], 2)
-    monkeypatch.setattr(ideals, "_WORK_BUDGET", 4)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 4)
     assert escalier_slice(J, 3) == []  # the 4 terms of degree 3 are scanned
-    monkeypatch.setattr(ideals, "_WORK_BUDGET", 3)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 3)
     with pytest.raises(WorkBudgetExceeded) as info:
         escalier_slice(J, 3)
     assert (info.value.estimate, info.value.budget) == (4, 3)

@@ -30,7 +30,7 @@ from involutive import (
     reduce,
     terms_of_degree,
 )
-from involutive import marked
+from involutive import errors, marked
 from helpers import (
     brute_build_Gs,
     dense_in_rowspace,
@@ -164,16 +164,22 @@ def test_the_cycle_detector_charges_the_states_it_keeps(monkeypatch):
     # the two-cycle keeps two states of one term with coefficient 1 before
     # it closes: one term and one coefficient word each
     G, h = cycle_set(), {t(1, 0, 2): fr(1)}
-    monkeypatch.setattr(marked, "_WORK_BUDGET", 4)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 4)
     assert reduce(G, h).status == CYCLE_DETECTED
-    monkeypatch.setattr(marked, "_WORK_BUDGET", 3)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 3)
     with pytest.raises(WorkBudgetExceeded) as info:
         reduce(G, h)
     assert (info.value.estimate, info.value.budget) == (4, 3)
-    # over a stably complete basis no state is kept, so nothing is charged
-    monkeypatch.setattr(marked, "_WORK_BUDGET", 0)
+    # over a stably complete basis no state is kept, and each step is charged
+    # the terms the next scan reads: x1^3x2 has one, then two, one and none
     B = example_basis()
-    assert reduce(B, B.polys[t(3, 0)].times(t(0, 1))).status == REDUCED
+    h = B.polys[t(3, 0)].times(t(0, 1))
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 4)
+    assert reduce(B, h).status == REDUCED
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 3)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        reduce(B, h)
+    assert (info.value.estimate, info.value.budget) == (4, 3)
     # 65 + 2 bits of a rational take two words; any other coefficient one
     state = {t(1, 0, 2): Fraction(2**64, 3), t(0, 1, 2): ParamPolynomial.constant(5)}
     assert marked._state_size(state) == 2 + 2 + 1
@@ -214,9 +220,9 @@ def test_build_Gs_example():
 def test_build_Gs_counts_its_multiples_before_listing_them(monkeypatch):
     # (x1^3, x1x2, x1x2^2, x2^3) holds all 6 terms of degree 5
     G = example_basis()
-    monkeypatch.setattr(marked, "_WORK_BUDGET", 6)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 6)
     assert len(build_Gs(G, 5)) == 6
-    monkeypatch.setattr(marked, "_WORK_BUDGET", 5)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 5)
     with pytest.raises(WorkBudgetExceeded) as info:
         build_Gs(G, 5)
     assert (info.value.estimate, info.value.budget) == (6, 5)
@@ -262,9 +268,9 @@ def test_oracle_counts_its_work_before_the_first_degree(monkeypatch):
         for e in [0] + [head.degree for head in G.basis]
         if s >= e
     )
-    monkeypatch.setattr(marked, "_WORK_BUDGET", work)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", work)
     assert oracle_check(G, 5)
-    monkeypatch.setattr(marked, "_WORK_BUDGET", work - 1)
+    monkeypatch.setattr(errors, "_WORK_BUDGET", work - 1)
     monkeypatch.setattr(marked, "build_Gs", None)
     with pytest.raises(WorkBudgetExceeded) as info:
         oracle_check(G, 5)

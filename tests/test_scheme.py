@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from involutive import (
@@ -28,10 +28,13 @@ from involutive import (
     terms_of_degree,
     variable,
 )
-from involutive import scheme
+from involutive import errors, scheme
 from helpers import (
     brute_evaluate,
     exp_tuples,
+    groebner_basis,
+    initial_ideal,
+    marked_point,
     random_assignment,
     random_quasi_stable,
     stable_closure,
@@ -381,6 +384,44 @@ def test_param_var_hashing_stays_out_of_the_hot_paths(monkeypatch):
         assert calls[0] <= len(eqs.generic.params)
 
 
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.data())
+def test_groebner_degenerations_are_points_of_the_marked_scheme(data):
+    # For a homogeneous I with in(I) = J quasi-stable, N(J) is a basis of P/I,
+    # so I lies on Mf(J): the true side of the criterion, the oracle and the
+    # equations, at points that no other test draws
+    n = 3
+    forms = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        degree = data.draw(st.integers(2, 3))
+        support = data.draw(st.sets(st.sampled_from(list(exp_tuples(n, degree))), min_size=1))
+        coeffs = st.integers(-3, 3).filter(bool)
+        forms.append({e: Fraction(data.draw(coeffs)) for e in sorted(support)})
+    gb = groebner_basis(forms)
+    J = initial_ideal(gb, n)
+    assume(classify(J).quasi_stable)
+    G = marked_point(gb, n)
+    assert is_marked_basis(G)
+    assert oracle_check(G, G.basis.max_degree() + 1)
+    eqs = scheme_equations(J)
+    heads = eqs.generic.basis.terms
+    point = {
+        pv: G.polys[heads[pv.index - 1]].tail.get(pv.term, Fraction(0))
+        for pv in eqs.generic.params
+    }
+    assert not any(evaluate_equations(eqs, point))
+    assert specialize(eqs.generic, point).polys == G.polys
+    # one coordinate moved off the point: the three verdicts still agree
+    moved = next((pv for pv, value in point.items() if value), None)
+    if moved is None:
+        return
+    point[moved] += 1
+    H = specialize(eqs.generic, point)
+    verdict = is_marked_basis(H).is_basis
+    assert oracle_check(H, H.basis.max_degree() + 1) == verdict
+    assert (not any(evaluate_equations(eqs, point))) == verdict
+
+
 def test_generic_marked_set_counts_its_work_before_listing(monkeypatch):
     # The estimate is the parameters plus the degree slices scanned for them:
     # the exact budget lists the set, one less refuses it before any slice is
@@ -392,9 +433,9 @@ def test_generic_marked_set_counts_its_work_before_listing(monkeypatch):
         gm = generic_marked_set(J)
         degrees = {head.degree for head in gm.basis}
         work = len(gm.params) + sum(len(list(terms_of_degree(J.n, d))) for d in degrees)
-        monkeypatch.setattr(scheme, "_WORK_BUDGET", work)
+        monkeypatch.setattr(errors, "_WORK_BUDGET", work)
         assert generic_marked_set(J).params == gm.params
-        monkeypatch.setattr(scheme, "_WORK_BUDGET", work - 1)
+        monkeypatch.setattr(errors, "_WORK_BUDGET", work - 1)
         monkeypatch.setattr(scheme, "escalier_slice", None)
         with pytest.raises(WorkBudgetExceeded) as exc:
             generic_marked_set(J)

@@ -1,7 +1,8 @@
 """The benchmark's tracer (``bench/tracer.py``) wraps library methods and
 reads library attributes by name.  A refactor that drops one must fail here,
 in the unit tests, and not only in the benchmark's own self-test.  The
-library's own checks must not vanish under ``python -O`` either."""
+library's own checks must not vanish under ``python -O`` either, and its work
+budget has one meter."""
 
 import ast
 import importlib
@@ -64,12 +65,34 @@ def test_traced_package_names_are_restored(monkeypatch):
     assert involutive.janet_complete is division.janet_complete
 
 
+def library_trees():
+    for path in sorted((ROOT / "src" / "involutive").rglob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_library_checks_survive_optimisation():
     # python -O strips assert statements: a check must raise explicitly
     found = [
-        f"{path.relative_to(ROOT)}:{node.lineno}"
-        for path in sorted((ROOT / "src" / "involutive").rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_work_budget_has_one_meter():
+    # errors._charge alone reads the budget and raises past it, so a test
+    # patches one name and every loop that can run away is refused alike
+    named, raised, meter = set(), [], None
+    for name, tree in library_trees():
+        for node in ast.walk(tree):
+            if "_WORK_BUDGET" in (getattr(node, key, None) for key in ("id", "name", "attr")):
+                named.add(name)
+            called = getattr(node, "func", None)
+            if getattr(called, "id", None) == "WorkBudgetExceeded":
+                raised.append((name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and node.name == "_charge":
+                meter = (name, range(node.lineno, node.end_lineno + 1))
+    assert named == {"errors.py"}
+    assert len(raised) == 1 and raised[0][0] == meter[0] and raised[0][1] in meter[1]
