@@ -29,8 +29,6 @@ def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
 
     x_j is multiplicative for tau iff tau has the largest x_j exponent among
     the terms of M that agree with tau in every exponent above position j.
-    Equal variable sets are shared between terms, which keeps an assignment
-    (and the index built from it) small.
     """
     mult: dict[Term, list[int]] = {t: [] for t in M}
     for j in range(1, M.n + 1):
@@ -43,20 +41,12 @@ def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
             e = t.exponents
             if e[j - 1] == top[e[j:]]:
                 vars_.append(j)
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    table = {}
-    for t, vars_ in mult.items():
-        fs = frozenset(vars_)
-        table[t] = shared.setdefault(fs, fs)
-    return table
+    return {t: frozenset(vars_) for t, vars_ in mult.items()}
 
 
 def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
     """Variables x_j with x_j <= min(tau); all of them for the constant term."""
-    m = tau.min_index
-    if m is None:
-        return frozenset(range(1, tau.nvars + 1))
-    return frozenset(range(1, m + 1))
+    return frozenset(range(1, (tau.min_index or tau.nvars) + 1))
 
 
 # One (positions, table) pair per set of non-multiplicative positions: the

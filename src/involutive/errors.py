@@ -69,9 +69,9 @@ class MissingAssignment(InvolutiveError):
 # WorkBudgetExceeded: listed terms, multiples and parameters, star-search
 # nodes, the terms and multiples the oracle enumerates, the table entries a
 # completion rebuilds, the divisibility tests that minimalise generators, the
-# terms a reduction scans, or the terms and coefficient words the cycle
-# detector keeps.  At a few microseconds each, a computation within it stays
-# within seconds.  Only :func:`_charge` reads it.
+# terms a reduction scans, the terms and coefficient words the cycle
+# detector keeps, or the coefficient products of the scheme's normal forms.
+# At a few microseconds each, a computation within it stays within seconds.  Only :func:`_charge` reads it.
 _WORK_BUDGET = 200_000
 
 

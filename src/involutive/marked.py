@@ -139,7 +139,6 @@ def make_marked_set(
     polys: dict[Term, MarkedPolynomial] = {}
     for head in M:
         tail = tails.get(head, {})
-        clean: dict[Term, object] = {}
         for t, c in tail.items():
             if not c:
                 continue
@@ -151,8 +150,7 @@ def make_marked_set(
                 )
             if M.generates(t):
                 raise TailInIdeal(f"tail term {t} lies in the ideal")
-            clean[t] = c
-        polys[head] = MarkedPolynomial(head, clean)
+        polys[head] = MarkedPolynomial(head, tail)
     return MarkedSet(M, polys)
 
 

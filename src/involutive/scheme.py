@@ -245,27 +245,6 @@ def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
     return GenericMarkedSet(J, basis, tuple(params), tails)
 
 
-def _add_normal_form(G: MarkedSet, memo: dict, out: dict, gamma: Term, coeff: Mapping) -> None:
-    """out += coeff * NF(gamma) over coefficient maps, with NF(gamma) kept in ``memo``.
-
-    Over a stably complete basis reduction is noetherian and every term of J
-    is one head * eta, so the reduced form is linear: NF(t) = t outside J and
-    NF(head * eta) = -sum(c_beta * NF(beta * eta)) over the head's tail.
-    """
-    nf = memo.get(gamma)
-    if nf is None:
-        fact = G.decompose(gamma)
-        if fact is None:
-            nf = {gamma: {(): 1}}
-        else:
-            nf = {}
-            for beta, c in G.polys[fact.head].tail.items():
-                _add_normal_form(G, memo, nf, beta * fact.cofactor, (-c).coeffs)
-        memo[gamma] = nf
-    for t, p in nf.items():
-        _add_product(out.setdefault(t, {}), coeff, p)
-
-
 def prolongation_residues(
     gm: GenericMarkedSet,
 ) -> list[tuple[Term, int, dict[Term, ParamPolynomial]]]:
@@ -275,15 +254,47 @@ def prolongation_residues(
 
     The prolongations come in the order of the criterion's walk in
     :mod:`marked`, and each residue maps its nonzero coefficients by term in
-    ``sort_key`` order.
+    ``sort_key`` order.  The coefficient products are charged to the work
+    budget before they are made, and past it WorkBudgetExceeded is raised
+    with the units charged so far.
     """
     G = gm.marked_set()
     memo: dict[Term, dict] = {}
+    spent = 0
+
+    def add_normal_form(out: dict, gamma: Term, coeff: Mapping) -> None:
+        """out += coeff * NF(gamma) over coefficient maps, with NF(gamma) kept in ``memo``.
+
+        Over a stably complete basis reduction is noetherian and every term of
+        J is one head * eta, so the reduced form is linear: NF(t) = t outside J
+        and NF(head * eta) = -sum(c_beta * NF(beta * eta)) over the head's tail.
+        """
+        nonlocal spent
+        nf = memo.get(gamma)
+        if nf is None:
+            fact = G.assignment.cover(gamma)
+            if fact is None:
+                nf = {gamma: {(): 1}}
+            else:
+                nf = {}
+                for beta, c in G.polys[fact.head].tail.items():
+                    add_normal_form(nf, beta * fact.cofactor, (-c).coeffs)
+            memo[gamma] = nf
+        # One unit per coefficient product, plus one per 8 parameter factors
+        # that the products with each coefficient of the normal form write.
+        k, factors = len(coeff), sum(map(len, coeff))
+        spent += sum(
+            k * len(p) + (len(p) * factors + k * sum(map(len, p))) // 8 for p in nf.values()
+        )
+        _charge(spent, "the normal forms need {} units of coefficient products", spent)
+        for t, p in nf.items():
+            _add_product(out.setdefault(t, {}), coeff, p)
+
     out = []
     for head, j, h in _prolongations(G):
         acc: dict[Term, dict] = {}
         for t, c in h.items():
-            _add_normal_form(G, memo, acc, t, ParamPolynomial._coerce(c).coeffs)
+            add_normal_form(acc, t, ParamPolynomial._coerce(c).coeffs)
         residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc, key=lambda t: t.sort_key))
         out.append((head, j, {t: p for t, p in residue if p}))
     return out

@@ -164,10 +164,8 @@ def assignment_json(assignment: DivisionAssignment) -> list[dict]:
 
 
 def poly_json(poly: Mapping[Term, object]) -> list[dict]:
-    return [
-        {"term": term_json(t), "coeff": _coeff(poly[t])}
-        for t in sorted(poly, key=lambda t: t.sort_key)
-    ]
+    # Every producer (marked tails, reduction results, residues) keeps sort_key order.
+    return [{"term": term_json(t), "coeff": _coeff(c)} for t, c in poly.items()]
 
 
 def parse_poly(data, n: int) -> dict[Term, Fraction]:

@@ -747,6 +747,9 @@ def weighted_class(d, residue):
 # class 5: 1,500 generators of degree 200 and 1,500 of degree 201 that no
 # generator divides.
 ANTICHAIN = {"vars": 3, "generators": weighted_class(200, 0)[:1500] + weighted_class(201, 5)[:1500]}
+# 609 parameters pass the generic set's count; the normal forms of the
+# prolongations multiply the ones along x2^600 into ever longer monomials.
+X2_SIX_HUNDREDTH = {"vars": 3, "generators": [[0, 0, 2], [0, 1, 1], [0, 600, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -768,6 +771,9 @@ ANTICHAIN = {"vars": 3, "generators": weighted_class(200, 0)[:1500] + weighted_c
         ("reduce", X4_SIXTIETH, None, 200_073),
         # each degree-201 candidate against each degree-200 generator
         ("classify", ANTICHAIN, None, 1500 * 1500),
+        # the coefficient products and factors of the normal forms, first past
+        # the budget
+        ("scheme-equations", X2_SIX_HUNDREDTH, None, 203_250),
     ],
 )
 def test_unbounded_enumerations_exit_2_within_the_work_budget(

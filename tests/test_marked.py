@@ -21,12 +21,16 @@ from involutive import (
     Term,
     TermSet,
     WorkBudgetExceeded,
+    MarkedPolynomial,
     build_Gs,
     escalier_slice,
+    generic_marked_set,
     is_marked_basis,
+    janet_complete,
     make_marked_set,
     oracle_check,
     pommaret_basis,
+    prolongation_residues,
     reduce,
     terms_of_degree,
 )
@@ -433,6 +437,46 @@ def test_criterion_reductions_end_within_their_degree(data):
         assert len({s.term for s in steps}) == len(steps)
         assert len(steps) <= comb(check.head.degree + G.n, G.n - 1)
     assert result.is_basis == oracle_check(G, G.basis.max_degree() + 1)
+
+
+def draw_complete_marked_set(data):
+    """A marked set on the Janet completion of drawn terms in 3 variables, with
+    random tails outside its ideal: complete, and often not stably complete."""
+    term = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    drawn = data.draw(st.lists(term, min_size=1, max_size=3))
+    M = janet_complete(TermSet([tuple(vs.count(i) for i in (1, 2, 3)) for vs in drawn]), 12)
+    coeff = st.sampled_from([Fraction(0)] + NONZERO)
+    tails = {}
+    for head in M:
+        outside = [g for g in terms_of_degree(3, head.degree) if not M.generates(g)]
+        tails[head] = {g: data.draw(coeff) for g in outside}
+    return make_marked_set(M, tails)
+
+
+def in_sort_key_order(poly):
+    return list(poly) == sorted(poly, key=lambda t: t.sort_key)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_tails_results_and_residues_come_in_sort_key_order(data):
+    # poly_json emits these maps in their own order, so each producer must
+    # keep its terms in (degree, lex) order whatever order it was given
+    stably = data.draw(st.booleans())
+    G = draw_marked_set(data) if stably else draw_complete_marked_set(data)
+    for f in G:
+        assert in_sort_key_order(f.tail)
+        shuffled = dict(data.draw(st.permutations(list(f.tail.items()))))
+        assert in_sort_key_order(MarkedPolynomial(f.head, shuffled).tail)
+    d = data.draw(st.integers(0, G.basis.max_degree() + 1))
+    slice_terms = list(terms_of_degree(G.n, d))
+    support = data.draw(st.lists(st.sampled_from(slice_terms), min_size=1, unique=True))
+    h = {g: data.draw(st.sampled_from(NONZERO)) for g in support}
+    assert in_sort_key_order(reduce(G, h, step_cap=40).result)
+    if stably:
+        gm = generic_marked_set(MonomialIdeal(G.basis.terms, G.n))
+        for _, _, residue in prolongation_residues(gm):
+            assert in_sort_key_order(residue)
 
 
 def test_oracle_bound_must_pass_the_top_basis_degree():

@@ -459,3 +459,38 @@ def test_generic_work_counts_the_pommaret_cones_without_an_assignment(monkeypatc
         expected = sum(len(escalier_slice(J, head.degree)) for head in gm.basis)
         expected += sum(len(list(terms_of_degree(J.n, d))) for d in degrees)
         assert scheme._generic_work(gm.basis) == expected
+
+
+def test_prolongation_residues_charge_their_coefficient_products(monkeypatch):
+    # one unit per product of parameter monomials, plus one per 8 parameter
+    # factors that each product call writes: the exact budget lists the
+    # residues, one unit less refuses before the products past it are made
+    made = [0]
+    original = scheme._add_product
+
+    def counting(out, a, b):
+        factors = sum(len(m1) + len(m2) for m1 in a for m2 in b)
+        made[0] += len(a) * len(b) + factors // 8
+        return original(out, a, b)
+
+    monkeypatch.setattr(scheme, "_add_product", counting)
+    budget = errors._WORK_BUDGET
+    rng = random.Random(227)
+    ideals = [TWO_PARAMS, MARKED_EXAMPLE, THREE_POINTS, upper_power(4, 3)]
+    ideals += [random_quasi_stable(rng, max_vars=4)[0] for _ in range(12)]
+    for J in ideals:
+        monkeypatch.setattr(errors, "_WORK_BUDGET", budget)
+        gm = generic_marked_set(J)
+        made[0] = 0
+        residues = prolongation_residues(gm)
+        work = made[0]
+        if not work:
+            continue
+        monkeypatch.setattr(errors, "_WORK_BUDGET", work)
+        assert prolongation_residues(gm) == residues
+        monkeypatch.setattr(errors, "_WORK_BUDGET", work - 1)
+        made[0] = 0
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            prolongation_residues(gm)
+        assert (exc.value.estimate, exc.value.budget) == (work, work - 1)
+        assert made[0] < work
