@@ -1,13 +1,17 @@
 """Marked polynomials and sets, the star-constrained reduction, the marked
 basis criterion and an independent linear-algebra oracle, which eliminates
-the same sparse term-to-coefficient maps to row echelon form.
+the same sparse polynomials to row echelon form over the integers.
 
-Coefficients are exact rationals (``fractions.Fraction``) in the concrete
-case.  The generic sets of :mod:`scheme` carry integer-ring parameter
-polynomials, which this module only stores and multiplies by terms: scheme
-walks the same non-multiplicative prolongations f_head * x_j as the criterion
-here, and reduces them through memoised normal forms instead of
-:func:`reduce`.
+Inside, a polynomial maps lex keys to coefficients: a term's exponent tuple
+with x_n first (``Term.lex_key``), so that tuple order is lex order and a
+product of terms is ``tuple(map(add, a, b))``.  Inputs are converted once,
+and what is returned is converted back to ``Term`` objects through one memo
+per marked set.  Coefficients are exact rationals (``fractions.Fraction``)
+or ints in the concrete case.  The generic sets of :mod:`scheme` carry
+integer-ring parameter polynomials, which this module only stores and
+multiplies by terms: scheme walks the same non-multiplicative prolongations
+f_head * x_j as the criterion here, and reduces them through memoised normal
+forms instead of :func:`reduce`.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
 from ._options import DEFAULT_STEP_CAP
-from .division import DivisionAssignment, StarFactorization, is_complete, is_stably_complete
+from .division import DivisionAssignment, is_complete, is_stably_complete
 from .errors import (
     DegreeMismatch,
     HeadNotInM,
@@ -30,7 +35,7 @@ from .errors import (
     TailInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, _monomials, terms_of_degree, variable
+from .terms import Term, TermSet, _lex_keys, _monomials, terms_of_degree, variable
 
 REDUCED = "reduced"
 STEP_LIMIT = "step-limit"
@@ -78,7 +83,8 @@ class MarkedSet:
     Stable completeness of M is computed lazily and cached (the assignment
     caches the completeness verdict).  Star decompositions come from the
     Janet assignment of M itself and are memoized, since reduction revisits
-    the same terms.
+    the same terms.  Lex keys become ``Term`` objects again through one memo
+    per set (:meth:`_term`), so reports share them.
     """
 
     def __init__(self, basis: TermSet, polys: dict[Term, MarkedPolynomial]):
@@ -86,11 +92,35 @@ class MarkedSet:
         self.n = basis.n
         self.polys = polys
         self.assignment = DivisionAssignment.janet(basis)
-        self._decompositions: dict[Term, Optional[StarFactorization]] = {}
+        self._decompositions: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
+        self._terms: dict[tuple, Term] = {}
 
     @cached_property
     def stable_completeness(self) -> tuple[bool, Optional[tuple[Term, int]]]:
         return is_stably_complete(self.basis, self.assignment)
+
+    @cached_property
+    def _keyed(self) -> dict[tuple, list[tuple[tuple, object]]]:
+        """Each polynomial under its head's key, as (key, coefficient) pairs:
+        the head first with the int coefficient 1, then the tail in order."""
+        out = {}
+        for head, f in self.polys.items():
+            terms = (head, *f.tail)
+            keys = [t.lex_key for t in terms]
+            self._terms.update(zip(keys, terms))
+            out[keys[0]] = list(zip(keys, (1, *f.tail.values())))
+        return out
+
+    def _term(self, key: tuple) -> Term:
+        """The term of a lex key, one object per key and set."""
+        t = self._terms.get(key)
+        if t is None:
+            t = self._terms[key] = Term(key[::-1])
+        return t
+
+    def _terms_of(self, poly: Iterable[tuple[tuple, object]]) -> dict[Term, object]:
+        """(key, coefficient) pairs as a ``{Term: coefficient}`` map."""
+        return {self._term(k): c for k, c in poly}
 
     def _require_stably_complete(self, what: str) -> None:
         """Raise :class:`NotStablyComplete` unless M is stably complete; the
@@ -104,15 +134,25 @@ class MarkedSet:
         independent of the cover lookup behind :meth:`decompose`."""
         return self.basis.generates(t)
 
-    def decompose(self, t: Term) -> Optional[StarFactorization]:
-        """The star factorization of t, None when no cone of M holds t.
+    def decompose(self, k: tuple) -> Optional[tuple[tuple, tuple]]:
+        """The star factorization of the term with lex key k as the keys
+        (head, cofactor), with the lex-greatest covering head; None when no
+        cone of M holds the term.
 
-        Over a complete M (which reduction checks first) None means t lies
-        outside the ideal.
+        Over a complete M (which reduction checks first) None means the term
+        lies outside the ideal.
         """
-        if t not in self._decompositions:
-            self._decompositions[t] = self.assignment.cover(t)
-        return self._decompositions[t]
+        try:
+            return self._decompositions[k]
+        except KeyError:
+            pass
+        heads = self.assignment._heads(k[::-1])
+        fact = None
+        if heads:
+            head = max(tau.lex_key for tau in heads)
+            fact = (head, tuple(map(sub, k, head)))
+        self._decompositions[k] = fact
+        return fact
 
     def __iter__(self):
         return iter(self.polys.values())
@@ -173,19 +213,24 @@ class ReductionTrace:
         return self.status == REDUCED and not self.result
 
 
-def _subtract_scaled(work: dict, f: MarkedPolynomial, eta: Term, c) -> None:
+def _times(f: Iterable[tuple[tuple, object]], eta: tuple) -> dict[tuple, object]:
+    """The product of a keyed polynomial by the term with lex key eta."""
+    return {tuple(map(add, k, eta)): c for k, c in f}
+
+
+def _subtract_scaled(work: dict, f: list, eta: tuple, c) -> None:
     # work -= c * f * eta, dropping cancelled terms
-    for t, a in f.times(eta).items():
-        cur = work.get(t)
+    for k, a in _times(f, eta).items():
+        cur = work.get(k)
         val = c * a
         new = -val if cur is None else cur - val
         if new:
-            work[t] = new
+            work[k] = new
         else:
-            work.pop(t, None)
+            work.pop(k, None)
 
 
-def _state_size(work: Mapping[Term, object]) -> int:
+def _state_size(work: Mapping) -> int:
     """What the cycle detector pays to keep a state: its terms plus the
     64-bit words of its rational coefficients (a coefficient of any other
     type counts 1)."""
@@ -220,7 +265,7 @@ def reduce(
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
-    work: dict[Term, object] = {}
+    work: dict[tuple, object] = {}
     degrees = set()
     for t, c in h.items():
         if not c:
@@ -228,7 +273,7 @@ def reduce(
         if t.nvars != G.n:
             raise MismatchedVariableCount(f"{t} has {t.nvars} variables, expected {G.n}")
         degrees.add(t.degree)
-        work[t] = c
+        work[t.lex_key] = c
     if len(degrees) > 1:
         raise NonHomogeneousInput(f"mixed degrees {sorted(degrees)}")
     ok, witness = is_complete(G.basis, G.assignment)
@@ -237,26 +282,27 @@ def reduce(
     track_states = not G.stable_completeness[0]
     seen = {frozenset(work.items())} if track_states else None
     spent = _state_size(work) if track_states else len(work)
-    steps: list[ReductionStep] = []
+    keyed, decompose = G._keyed, G.decompose
+    steps: list[tuple] = []
     status = REDUCED
     while True:
         best = None
-        for t in work:
-            fact = G.decompose(t)
+        for k in work:
+            fact = decompose(k)
             if fact is None:
                 continue
-            key = (fact.cofactor.lex_key, t.lex_key)
-            if best is None or key > best[0]:
-                best = (key, t, fact)
+            key = (fact[1], k)
+            if best is None or key > best:
+                best, head = key, fact[0]
         if best is None:
             break
         if len(steps) >= step_cap:
             status = STEP_LIMIT
             break
-        _, t, fact = best
-        c = work[t]
-        _subtract_scaled(work, G.polys[fact.head], fact.cofactor, c)
-        steps.append(ReductionStep(t, fact.head, fact.cofactor, c))
+        eta, k = best
+        c = work[k]
+        _subtract_scaled(work, keyed[head], eta, c)
+        steps.append((k, head, eta, c))
         if track_states:
             state = frozenset(work.items())
             if state in seen:
@@ -269,8 +315,28 @@ def reduce(
         else:
             spent += len(work)
             _charge(spent, "the reduction scans {} terms by step {}", spent, len(steps))
-    result = {t: work[t] for t in sorted(work, key=lambda t: t.sort_key)}
-    return ReductionTrace(steps, result, status)
+    term = G._term
+    # One degree throughout, so key order is sort_key order.
+    return ReductionTrace(
+        [ReductionStep(term(k), term(head), term(eta), c) for k, head, eta, c in steps],
+        G._terms_of((k, work[k]) for k in sorted(work)),
+        status,
+    )
+
+
+def _star_multiples(G: MarkedSet, s: int) -> list[tuple[tuple, dict[tuple, object]]]:
+    """G^(s) on lex keys, as :func:`build_Gs` lists it."""
+    out = []
+    for head in G.basis:
+        e = s - head.degree
+        if e < 0:
+            break
+        f = G._keyed[head.lex_key]
+        for eta in islice(_lex_keys(G.n, e), _monomials(e, head.min_index or G.n)):
+            poly = _times(f, eta)
+            out.append((next(iter(poly)), poly))  # the head's product comes first
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
@@ -288,16 +354,7 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     G._require_stably_complete("G^(s)")
     work = sum(_monomials(s - head.degree, head.min_index or G.n) for head in G.basis)
     _charge(work, "G^(s) at degree {} has {} multiples", s, work)
-    out = []
-    for head in G.basis:
-        e = s - head.degree
-        if e < 0:
-            break
-        f = G.polys[head]
-        for eta in islice(terms_of_degree(G.n, e), _monomials(e, head.min_index or G.n)):
-            out.append((head * eta, f.times(eta)))
-    out.sort(key=lambda entry: entry[0].lex_key)
-    return out
+    return [(G._term(k), G._terms_of(poly.items())) for k, poly in _star_multiples(G, s)]
 
 
 @dataclass(frozen=True)
@@ -320,12 +377,13 @@ class MarkedBasisResult:
         return self.is_basis
 
 
-def _prolongations(G: MarkedSet) -> Iterator[tuple[Term, int, dict[Term, object]]]:
-    """Each non-multiplicative prolongation as (head, j, f_head * x_j), for x_j
-    above min(head): heads in basis order, j ascending."""
+def _prolongations(G: MarkedSet) -> Iterator[tuple[Term, int, dict[tuple, object]]]:
+    """Each non-multiplicative prolongation as (head, j, f_head * x_j) on lex
+    keys, for x_j above min(head): heads in basis order, j ascending."""
     for head in G.basis:
+        f = G._keyed[head.lex_key]
         for j in range((head.min_index or G.n) + 1, G.n + 1):
-            yield head, j, G.polys[head].times(variable(G.n, j))
+            yield head, j, _times(f, variable(G.n, j).lex_key)
 
 
 def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
@@ -341,7 +399,9 @@ def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
     """
     G._require_stably_complete("the criterion")
     checks = [
-        CriterionCheck(head, j, reduce(G, h, step_cap=_monomials(head.degree + 1, G.n)))
+        CriterionCheck(
+            head, j, reduce(G, G._terms_of(h.items()), step_cap=_monomials(head.degree + 1, G.n))
+        )
         for head, j, h in _prolongations(G)
     ]
     return MarkedBasisResult(all(check.ok for check in checks), checks)
@@ -380,17 +440,18 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     )
     _charge(work, "the oracle needs {} terms and multiples up to degree {}", work, max_degree)
     for s in range(1, max_degree + 1):
-        outside = [t for t in terms_of_degree(n, s) if not G.contains(t)]
-        span = _linalg.rref([poly for _, poly in build_Gs(G, s)], {})
+        outside = [t.lex_key for t in terms_of_degree(n, s) if not G.contains(t)]
+        span = _linalg.rref([poly for _, poly in _star_multiples(G, s)], {})
         # Every plain multiple must already lie in the span of the star multiples.
-        for f in G.polys.values():
-            if f.head.degree > s:
-                continue
-            for eta in terms_of_degree(n, s - f.head.degree):
-                if not _linalg.in_rowspace(f.times(eta), span):
+        for head in G.basis:
+            if head.degree > s:
+                break
+            f = G._keyed[head.lex_key]
+            for eta in _lex_keys(n, s - head.degree):
+                if not _linalg.in_rowspace(_times(f, eta), span):
                     return False
         # Star multiples plus escalier monomials must give a direct sum filling P_s.
-        combined = len(_linalg.rref([{t: 1} for t in outside], dict(span)))
+        combined = len(_linalg.rref([{k: 1} for k in outside], dict(span)))
         if combined != len(span) + len(outside) or combined != _monomials(s, n):
             return False
     return True

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, takewhile
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import MissingAssignment, _charge
@@ -259,10 +260,13 @@ def prolongation_residues(
     with the units charged so far.
     """
     G = gm.marked_set()
-    memo: dict[Term, dict] = {}
+    # Each tail negated once, under its head's key; every term a lex key.
+    neg_tails = {k: [(b, (-c).coeffs) for b, c in f[1:]] for k, f in G._keyed.items()}
+    # NF(gamma), with the size (terms, factors) of each of its coefficients.
+    memo: dict[tuple, tuple[dict, list[tuple[int, int]]]] = {}
     spent = 0
 
-    def add_normal_form(out: dict, gamma: Term, coeff: Mapping) -> None:
+    def add_normal_form(out: dict, gamma: tuple, coeff: Mapping) -> None:
         """out += coeff * NF(gamma) over coefficient maps, with NF(gamma) kept in ``memo``.
 
         Over a stably complete basis reduction is noetherian and every term of
@@ -270,33 +274,34 @@ def prolongation_residues(
         and NF(head * eta) = -sum(c_beta * NF(beta * eta)) over the head's tail.
         """
         nonlocal spent
-        nf = memo.get(gamma)
-        if nf is None:
-            fact = G.assignment.cover(gamma)
+        entry = memo.get(gamma)
+        if entry is None:
+            fact = G.decompose(gamma)
             if fact is None:
                 nf = {gamma: {(): 1}}
             else:
+                head, eta = fact
                 nf = {}
-                for beta, c in G.polys[fact.head].tail.items():
-                    add_normal_form(nf, beta * fact.cofactor, (-c).coeffs)
-            memo[gamma] = nf
+                for beta, c in neg_tails[head]:
+                    add_normal_form(nf, tuple(map(add, beta, eta)), c)
+            entry = memo[gamma] = nf, [(len(p), sum(map(len, p))) for p in nf.values()]
+        nf, sizes = entry
         # One unit per coefficient product, plus one per 8 parameter factors
         # that the products with each coefficient of the normal form write.
         k, factors = len(coeff), sum(map(len, coeff))
-        spent += sum(
-            k * len(p) + (len(p) * factors + k * sum(map(len, p))) // 8 for p in nf.values()
-        )
+        spent += sum(k * a + (a * factors + k * b) // 8 for a, b in sizes)
         _charge(spent, "the normal forms need {} units of coefficient products", spent)
         for t, p in nf.items():
             _add_product(out.setdefault(t, {}), coeff, p)
 
     out = []
     for head, j, h in _prolongations(G):
-        acc: dict[Term, dict] = {}
+        acc: dict[tuple, dict] = {}
         for t, c in h.items():
             add_normal_form(acc, t, ParamPolynomial._coerce(c).coeffs)
-        residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc, key=lambda t: t.sort_key))
-        out.append((head, j, {t: p for t, p in residue if p}))
+        # One degree throughout, so key order is sort_key order.
+        residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc))
+        out.append((head, j, G._terms_of((t, p) for t, p in residue if p)))
     return out
 
 
@@ -315,13 +320,8 @@ def scheme_equations(J: MonomialIdeal) -> SchemeEquations:
     every specialization of the generic set is a marked basis.
     """
     gm = generic_marked_set(J)
-    equations: list[ParamPolynomial] = []
-    seen: set[ParamPolynomial] = set()
-    for _, _, residue in prolongation_residues(gm):
-        for p in residue.values():
-            if p not in seen:
-                seen.add(p)
-                equations.append(p)
+    residues = prolongation_residues(gm)
+    equations = list(dict.fromkeys(p for _, _, residue in residues for p in residue.values()))
     return SchemeEquations(gm, equations)
 
 

@@ -105,19 +105,21 @@ def variable(n: int, j: int) -> Term:
     return Term(1 if i == j - 1 else 0 for i in range(n))
 
 
+def _lex_keys(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The lex keys (``Term.lex_key``, x_n first) of all degree-d terms in n
+    variables, in increasing order."""
+    if n == 1:
+        yield (d,)
+        return
+    for e in range(d + 1):  # exponent of x_n, smallest first
+        for rest in _lex_keys(n - 1, d - e):
+            yield (e,) + rest
+
+
 def terms_of_degree(n: int, d: int) -> Iterator[Term]:
     """All degree-d terms in n variables, in increasing lex order."""
-
-    def rec(k: int, rest: int):
-        if k == 1:
-            yield (rest,)
-            return
-        for e in range(rest + 1):  # exponent of x_k, smallest first
-            for head in rec(k - 1, rest - e):
-                yield head + (e,)
-
-    for exps in rec(n, d):
-        yield Term(exps)
+    for key in _lex_keys(n, d):
+        yield Term(key[::-1])
 
 
 def _monomials(d: int, n: int) -> int:

@@ -10,8 +10,13 @@ from fractions import Fraction
 from math import comb
 
 from involutive import (
+    CYCLE_DETECTED,
+    REDUCED,
+    STEP_LIMIT,
     InvolutiveError,
     MonomialIdeal,
+    ReductionStep,
+    ReductionTrace,
     Term,
     classify,
     escalier_slice,
@@ -138,6 +143,53 @@ def brute_build_Gs(G, s):
             head, cofactor = found
             out.append((Term(gamma), G.polys[Term(head)].times(Term(cofactor))))
     return out
+
+
+def reference_reduce(G, h, step_cap):
+    """The star-constrained reduction on ``{Term: coefficient}`` maps, with
+    the star factorizations of the assignment's own cover lookup: the slow
+    reference for the library's lex-key ``reduce``.  It rewrites the term
+    with the lex-greatest (cofactor, term) first, detects repeated states
+    over a basis that is not stably complete and stops at ``step_cap``;
+    nothing is charged to the work budget."""
+    work = {t: c for t, c in h.items() if c}
+    track_states = not G.stable_completeness[0]
+    seen = {frozenset(work.items())}
+    steps = []
+    status = REDUCED
+    while True:
+        best = None
+        for t in work:
+            fact = G.assignment.cover(t)
+            if fact is None:
+                continue
+            key = (fact.cofactor.lex_key, t.lex_key)
+            if best is None or key > best[0]:
+                best = (key, t, fact)
+        if best is None:
+            break
+        if len(steps) >= step_cap:
+            status = STEP_LIMIT
+            break
+        _, t, fact = best
+        c = work[t]
+        for u, a in G.polys[fact.head].times(fact.cofactor).items():
+            cur = work.get(u)
+            val = c * a
+            new = -val if cur is None else cur - val
+            if new:
+                work[u] = new
+            else:
+                work.pop(u, None)
+        steps.append(ReductionStep(t, fact.head, fact.cofactor, c))
+        if track_states:
+            state = frozenset(work.items())
+            if state in seen:
+                status = CYCLE_DETECTED
+                break
+            seen.add(state)
+    result = {t: work[t] for t in sorted(work, key=lambda t: t.sort_key)}
+    return ReductionTrace(steps, result, status)
 
 
 def brute_janet_complete(members, degree_cap):

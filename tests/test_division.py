@@ -435,14 +435,15 @@ def test_marked_set_lookup_answers_membership_and_factorization(drawn):
     completed = tuples_of(C)
     mult = {m: brute_mult_vars(completed, m) for m in completed}
     for gamma in probes + completed:
-        fact = G.decompose(Term(gamma))
-        assert G.decompose(Term(gamma)) is fact
+        # the lookup takes and gives lex keys, the exponents from x_n down
+        fact = G.decompose(gamma[::-1])
+        assert G.decompose(gamma[::-1]) is fact
         if not tuple_in_ideal(members, gamma):
             assert fact is None
         else:
             assert fact is not None
             expected = brute_star_decompose(completed, mult, gamma)
-            assert (fact.head.exponents, fact.cofactor.exponents) == expected
+            assert (fact[0][::-1], fact[1][::-1]) == expected
 
 
 def test_star_decompose_takes_the_lex_greatest_of_nested_pommaret_cones():

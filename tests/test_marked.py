@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +33,16 @@ from involutive import (
     prolongation_residues,
     reduce,
     terms_of_degree,
+    variable,
 )
-from involutive import errors, marked
+from involutive import _linalg, errors, marked
 from helpers import (
     brute_build_Gs,
     dense_in_rowspace,
     dense_oracle_check,
     dense_rank,
     dense_rref,
+    dense_vector,
     exp_tuples,
     ideal_count,
     outcome,
@@ -50,6 +52,7 @@ from helpers import (
     psub,
     random_quasi_stable,
     random_tails,
+    reference_reduce,
     solve_coords,
     stable_closure,
 )
@@ -477,6 +480,102 @@ def test_tails_results_and_residues_come_in_sort_key_order(data):
         gm = generic_marked_set(MonomialIdeal(G.basis.terms, G.n))
         for _, _, residue in prolongation_residues(gm):
             assert in_sort_key_order(residue)
+
+
+MIXED = NONZERO + [1, -1, 2, 3]
+
+
+def draw_reduction(data):
+    """A marked set and a polynomial to reduce, with int and Fraction
+    coefficients: on a stably complete set (a prolongation or a drawn
+    polynomial), on a complete one, or on the cycle basis with tails -c and
+    -e, which returns x1*x3^2 to c*e times itself and so cycles when c*e = 1."""
+    source = data.draw(st.sampled_from(("stable", "complete", "cycle")))
+    if source == "cycle":
+        c = data.draw(st.sampled_from(NONZERO))
+        e = 1 / c if data.draw(st.booleans()) else data.draw(st.sampled_from(NONZERO))
+        G = make_marked_set(
+            cycle_set().basis, {t(1, 0, 1): {t(1, 1, 0): -c}, t(0, 1, 1): {t(0, 0, 2): -e}}
+        )
+        extra = data.draw(st.lists(st.sampled_from(list(terms_of_degree(3, 3))), unique=True))
+        h = {g: data.draw(st.sampled_from(MIXED)) for g in [t(1, 0, 2), *extra]}
+        return G, h
+    G = draw_marked_set(data) if source == "stable" else draw_complete_marked_set(data)
+    if source == "stable" and data.draw(st.booleans()):
+        head = data.draw(st.sampled_from(G.basis.terms))
+        return G, G.polys[head].times(variable(G.n, data.draw(st.integers(1, G.n))))
+    d = data.draw(st.integers(0, G.basis.max_degree() + 1))
+    slice_terms = list(terms_of_degree(G.n, d))
+    support = data.draw(st.lists(st.sampled_from(slice_terms), min_size=1, unique=True))
+    return G, {g: data.draw(st.sampled_from(MIXED)) for g in support}
+
+
+def assert_same_trace(got, want):
+    assert got.status == want.status
+    assert [(s.term, s.head, s.cofactor) for s in got.steps] == [
+        (s.term, s.head, s.cofactor) for s in want.steps
+    ]
+    assert [(type(s.coefficient), s.coefficient) for s in got.steps] == [
+        (type(s.coefficient), s.coefficient) for s in want.steps
+    ]
+    assert [(t, type(c), c) for t, c in got.result.items()] == [
+        (t, type(c), c) for t, c in want.result.items()
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_keyed_reduce_matches_the_term_keyed_reference(data):
+    # the same trace as the reduction on Term-keyed maps: every step, each
+    # coefficient's value and type, the result in sort_key order and the
+    # status, whether it reduces, cycles or hits the step cap
+    G, h = draw_reduction(data)
+    cap = data.draw(st.integers(1, 30))
+    assert_same_trace(reduce(G, h, step_cap=cap), reference_reduce(G, h, cap))
+    if G.stable_completeness[0]:
+        # the criterion's prolongations carry their head's coefficient as the int 1
+        for check in is_marked_basis(G).checks:
+            h = G.polys[check.head].times(variable(G.n, check.variable))
+            cap = comb(check.head.degree + G.n, G.n - 1)
+            assert_same_trace(check.trace, reference_reduce(G, h, cap))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_elimination_matches_the_dense_rank(data):
+    # sparse rows on tuple keys with int and Fraction coefficients, zero rows
+    # and repeated rows: the fraction-free echelon form has the dense rank,
+    # its rows are primitive integer rows led by their pivots, and row-space
+    # membership agrees with the dense test
+    width = data.draw(st.integers(1, 3))
+    keys = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * width), min_size=1, max_size=6, unique=True)
+    )
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    coeff = st.one_of(st.integers(-4, 4), fraction)
+    row = st.dictionaries(st.sampled_from(keys), coeff, max_size=len(keys))
+    rows = data.draw(st.lists(row, max_size=6))
+    if rows:
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    pivots = _linalg.rref(rows, {})
+    dense = [dense_vector(r, keys) for r in rows]
+    assert len(pivots) == dense_rank(dense)
+    for lead, pivot in pivots.items():
+        assert max(pivot) == lead and all(type(c) is int for c in pivot.values())
+        assert gcd(*pivot.values()) == 1
+    basis, cols = dense_rref(dense)
+    probes = data.draw(st.lists(row, max_size=4))
+    if rows:
+        # a combination of the rows, which lies in their span
+        scales = data.draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+        combo = {}
+        for r, a in zip(rows, scales):
+            combo = padd(combo, pscale(r, a))
+        probes.append(combo)
+    for probe in probes:
+        assert _linalg.in_rowspace(probe, pivots) == dense_in_rowspace(
+            dense_vector(probe, keys), basis, cols
+        )
 
 
 def test_oracle_bound_must_pass_the_top_basis_degree():

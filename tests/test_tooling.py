@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import involutive
-from involutive import Term, TermSet, division, make_marked_set
+from involutive import Term, TermSet, division, make_marked_set, reduce
 from involutive.marked import MarkedSet
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,11 +43,23 @@ def test_tracer_finds_every_function_it_keys():
         assert callable(getattr(module, name, None)), key
 
 
-def test_tracer_hooks_find_the_attributes_they_read():
+def test_tracer_hooks_find_the_attributes_they_read(monkeypatch):
     # the reduce hook reads stable_completeness, the decompose hook the memo
     assert "stable_completeness" in MarkedSet.__dict__
     G = make_marked_set(TermSet([Term([1, 0])]))
     assert G._decompositions == {}
+    # reduce looks its terms up through the wrapped method, and the memo is
+    # keyed by what each call was given, or the decompose counters read 0
+    called = []
+    lookup = MarkedSet.decompose
+
+    def recording(self, k):
+        called.append(k)
+        return lookup(self, k)
+
+    monkeypatch.setattr(MarkedSet, "decompose", recording)
+    reduce(G, {Term([2, 1]): 1, Term([0, 3]): 2})
+    assert G._decompositions and set(G._decompositions) == set(called)
 
 
 def test_traced_package_names_are_restored(monkeypatch):
