@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
+from operator import le, sub
 from typing import Mapping, Optional
 
 from .errors import (
@@ -49,9 +49,10 @@ def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
     return frozenset(range(1, (tau.min_index or tau.nvars) + 1))
 
 
-# One (positions, table) pair per set of non-multiplicative positions: the
-# table maps the exponents at those positions to the terms that have them.
-_CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[Term]]]]
+# One (positions, table) pair per set of non-multiplicative variables: the
+# table maps a lex key's entries at their slots (x_j sits at n - j) to the
+# lex keys of the terms that have them.
+_CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[tuple[int, ...]]]]]
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,10 @@ class StarFactorization:
 class DivisionAssignment:
     """One multiplicative-variable set per term of a fixed TermSet.
 
-    The assignment answers every cover question about its own basis: which
-    terms' involutive cones hold a term (:meth:`cover`), whether the cones
-    cover the ideal (``_uncovered``) and whether two of them nest
-    (``_nested``).
+    The assignment answers every cover question about its own basis, on lex
+    keys (``Term.lex_key``): which terms' involutive cones hold a term
+    (``_cover``, and :meth:`cover` on terms), whether the cones cover the
+    ideal (``_uncovered``) and whether two of them nest (``_nested``).
     """
 
     flavor: str
@@ -86,32 +87,40 @@ class DivisionAssignment:
 
     @cached_property
     def _cover_index(self) -> _CoverIndex:
-        """The basis grouped by non-multiplicative positions.
+        """The basis, as lex keys, grouped by non-multiplicative positions.
 
         tau covers gamma (gamma lies in the involutive cone of tau) exactly
         when gamma agrees with tau at every non-multiplicative position of tau
         and tau <= gamma elsewhere, so a lookup is one probe per group.
         """
-        groups: dict[frozenset[int], list[Term]] = {}
+        n = self.basis.n
+        groups: dict[frozenset[int], list[tuple[int, ...]]] = {}
         for tau in self.basis:
-            groups.setdefault(self.mult[tau], []).append(tau)
+            groups.setdefault(self.mult[tau], []).append(tau.lex_key)
         index: _CoverIndex = []
         for vars_, members in groups.items():
-            fixed = [i for i in range(self.basis.n) if i + 1 not in vars_]
-            table: dict[tuple[int, ...], list[Term]] = {}
-            for tau in members:
-                table.setdefault(tuple([tau.exponents[i] for i in fixed]), []).append(tau)
+            fixed = [n - j for j in range(1, n + 1) if j not in vars_]
+            table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for k in members:
+                table.setdefault(tuple([k[i] for i in fixed]), []).append(k)
             index.append((fixed, table))
         return index
 
-    def _heads(self, exps: tuple[int, ...]) -> list[Term]:
-        """The basis terms whose involutive cone contains the exponent vector exps."""
+    def _heads(self, k: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The lex keys of the basis terms whose involutive cones hold the term with key k."""
         return [
-            tau
+            h
             for fixed, table in self._cover_index
-            for tau in table.get(tuple([exps[i] for i in fixed]), ())
-            if all(map(le, tau.exponents, exps))
+            for h in table.get(tuple([k[i] for i in fixed]), ())
+            if all(map(le, h, k))
         ]
+
+    def _cover(self, k: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The term with lex key k as the keys (head, cofactor) of its lex-greatest
+        covering head, None when no involutive cone holds it: the one cover
+        lookup, behind :meth:`cover` and ``MarkedSet.decompose``."""
+        head = max(self._heads(k), default=None)
+        return None if head is None else (head, tuple(map(sub, k, head)))
 
     def cover(self, gamma: Term) -> Optional[StarFactorization]:
         """gamma as the lex-greatest covering head times its cofactor; None
@@ -119,23 +128,20 @@ class DivisionAssignment:
         gamma lies outside the ideal."""
         if gamma.nvars != self.basis.n:
             raise MismatchedVariableCount(f"{self.basis.n} variables vs {gamma.nvars}")
-        heads = self._heads(gamma.exponents)
-        if not heads:
-            return None
-        head = max(heads, key=lambda t: t.lex_key)
-        return StarFactorization(head, gamma / head)
+        fact = self._cover(gamma.lex_key)
+        return None if fact is None else StarFactorization(*(Term(k[::-1]) for k in fact))
 
     @cached_property
     def _uncovered(self) -> Optional[tuple[Term, int]]:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
+        n = self.basis.n
         for tau in self.basis:
-            e = tau.exponents
-            vars_ = self.mult[tau]
-            for j in range(1, self.basis.n + 1):
-                if j not in vars_ and not self._heads(e[: j - 1] + (e[j - 1] + 1,) + e[j:]):
-                    return tau, j
+            k, vars_ = tau.lex_key, self.mult[tau]
+            for i in reversed(range(n)):  # x_j sits at slot i = n - j
+                if n - i not in vars_ and not self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :]):
+                    return tau, n - i
         return None
 
     @cached_property
@@ -143,9 +149,9 @@ class DivisionAssignment:
         """The first basis term in canonical order that lies in the cone of
         another, with that other term; None when the cones are disjoint."""
         for tau in self.basis:
-            outer = [s for s in self._heads(tau.exponents) if s != tau]
+            outer = [h for h in self._heads(tau.lex_key) if h != tau.lex_key]
             if outer:
-                return tau, outer[0]
+                return tau, Term(outer[0][::-1])
         return None
 
 

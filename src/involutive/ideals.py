@@ -15,6 +15,7 @@ from ._options import ESCALIER, IDEAL_SLICE, SIGMA_MODES
 from .division import (
     JANET,
     DivisionAssignment,
+    _own_assignment,
     is_complete,
     is_stably_complete,
 )
@@ -56,11 +57,11 @@ class MonomialIdeal:
         tests = 0
         ordered = sorted(set(terms), key=lambda t: t.sort_key)
         for d, group in groupby(ordered, lambda t: t.degree):
-            group, lower = list(group), tuple(minimal)
+            group, lower = list(group), TermSet(minimal, n)
             tests += len(group) * len(lower)
             what = "minimalising the generators takes {} divisibility tests by degree {}"
             _charge(tests, what, tests, d)
-            minimal += [t for t in group if not any(g.divides(t) for g in lower)]
+            minimal += [t for t in group if not lower.generates(t)]
         self.generators = TermSet(minimal, n)
         self.n = n
         self._fit_index = tuple(_exponent_groups(minimal, j) for j in range(n))
@@ -306,8 +307,7 @@ def hilbert_function(
     tau holds tau times the degree-(k - deg tau) terms in its multiplicative
     variables: just tau when it has none.
     """
-    if assignment is None:
-        assignment = DivisionAssignment.janet(M)
+    assignment = _own_assignment(M, assignment)
     ok, witness = is_complete(M, assignment)
     if not ok:
         raise NotComplete("Hilbert formula needs a complete set", witness=witness)

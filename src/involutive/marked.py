@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
@@ -137,7 +137,7 @@ class MarkedSet:
     def decompose(self, k: tuple) -> Optional[tuple[tuple, tuple]]:
         """The star factorization of the term with lex key k as the keys
         (head, cofactor), with the lex-greatest covering head; None when no
-        cone of M holds the term.
+        cone of M holds the term: the assignment's cover lookup, memoized.
 
         Over a complete M (which reduction checks first) None means the term
         lies outside the ideal.
@@ -145,14 +145,8 @@ class MarkedSet:
         try:
             return self._decompositions[k]
         except KeyError:
-            pass
-        heads = self.assignment._heads(k[::-1])
-        fact = None
-        if heads:
-            head = max(tau.lex_key for tau in heads)
-            fact = (head, tuple(map(sub, k, head)))
-        self._decompositions[k] = fact
-        return fact
+            fact = self._decompositions[k] = self.assignment._cover(k)
+            return fact
 
     def __iter__(self):
         return iter(self.polys.values())

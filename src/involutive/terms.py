@@ -109,7 +109,8 @@ def _lex_keys(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """The lex keys (``Term.lex_key``, x_n first) of all degree-d terms in n
     variables, in increasing order."""
     if n == 1:
-        yield (d,)
+        if d >= 0:
+            yield (d,)
         return
     for e in range(d + 1):  # exponent of x_n, smallest first
         for rest in _lex_keys(n - 1, d - e):

@@ -205,6 +205,11 @@ def test_escalier_slice_counts_its_terms_before_listing_them(monkeypatch):
     assert info.value.estimate == 10**6 + 1
 
 
+def test_escalier_slice_below_degree_zero_is_empty():
+    for J in (MonomialIdeal([t(2)], 1), MonomialIdeal([t(2, 0), t(0, 1)], 2)):
+        assert escalier_slice(J, -1) == []
+
+
 def test_pommaret_basis_not_quasi_stable_witness():
     J = parse_ideal(json.loads((CORPUS / "ideal_not_quasi_stable.json").read_text()))
     with pytest.raises(NotQuasiStable) as info:

@@ -10,6 +10,7 @@ from involutive import (
     terms_of_degree,
     variable,
 )
+from involutive.terms import _monomials
 from helpers import exp_tuples, random_term_of_degree
 
 
@@ -116,6 +117,14 @@ def test_terms_of_degree_enumeration():
             keys = [x.lex_key for x in listed]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+
+
+def test_terms_of_degree_has_the_counted_length():
+    # _monomials is the enumeration's length, 0 below degree 0 in any number
+    # of variables, one variable included
+    for n in range(1, 5):
+        for d in range(-3, 7):
+            assert len(list(terms_of_degree(n, d))) == _monomials(d, n)
 
 
 def test_termset_canonical_order_and_dedup():

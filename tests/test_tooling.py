@@ -108,3 +108,22 @@ def test_the_work_budget_has_one_meter():
                 meter = (name, range(node.lineno, node.end_lineno + 1))
     assert named == {"errors.py"}
     assert len(raised) == 1 and raised[0][0] == meter[0] and raised[0][1] in meter[1]
+
+
+def test_each_divisibility_question_has_one_body():
+    # term divisibility lives in terms, the cover lookup in division and the
+    # fit-power index in ideals: other modules ask them and name none of them
+    owners = {
+        "divides": "terms.py",
+        "_heads": "division.py",
+        "_cover_index": "division.py",
+        "_fit_index": "ideals.py",
+    }
+    strays = [
+        f"{name}:{node.lineno}"
+        for name, tree in library_trees()
+        for node in ast.walk(tree)
+        for key in ("id", "name", "attr")
+        if owners.get(getattr(node, key, None), name) != name
+    ]
+    assert strays == []
