@@ -20,7 +20,7 @@ from .division import (
     is_stably_complete,
 )
 from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable, _charge
-from .terms import Term, TermSet, _monomials, terms_of_degree
+from .terms import Term, TermSet, _escalier_keys, _monomials
 
 
 class MonomialIdeal:
@@ -102,7 +102,7 @@ def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     raised before any is listed."""
     work = _monomials(d, J.n)
     _charge(work, "the degree-{} slice has {} terms to scan", d, work)
-    return [t for t in terms_of_degree(J.n, d) if not J.contains(t)]
+    return [Term(k[::-1]) for k in _escalier_keys(J.generators, d)]
 
 
 def _bump(e: tuple, j: int, by: int = 1) -> tuple:

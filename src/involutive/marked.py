@@ -35,7 +35,7 @@ from .errors import (
     TailInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, _lex_keys, _monomials, terms_of_degree, variable
+from .terms import Term, TermSet, _escalier_keys, _lex_keys, _monomials, variable
 
 REDUCED = "reduced"
 STEP_LIMIT = "step-limit"
@@ -411,9 +411,10 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     trivial intersection.  G^(s) is eliminated once per degree; the direct-sum
     rank extends a copy of its echelon form by the escalier unit rows.
     Independent of the reduction relation and of the cover lookup: G^(s)
-    comes from the multiplicative cones and membership in the ideal is the
-    linear scan of :meth:`MarkedSet.contains`, so the stable-completeness
-    precondition is all the oracle shares with the criterion.
+    comes from the multiplicative cones and the escalier monomials from the
+    linear membership scan of the heads' lex keys in :mod:`terms`, so the
+    stable-completeness precondition is all the oracle shares with the
+    criterion.
     ``max_degree`` must exceed the largest basis degree: the prolongations
     f_head * x_j of the top-degree polynomials live one degree higher, and
     below that bound a non-basis can pass.  The terms of P_s and the plain
@@ -434,7 +435,7 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     )
     _charge(work, "the oracle needs {} terms and multiples up to degree {}", work, max_degree)
     for s in range(1, max_degree + 1):
-        outside = [t.lex_key for t in terms_of_degree(n, s) if not G.contains(t)]
+        outside = _escalier_keys(G.basis, s)
         span = _linalg.rref([poly for _, poly in _star_multiples(G, s)], {})
         # Every plain multiple must already lie in the span of the star multiples.
         for head in G.basis:

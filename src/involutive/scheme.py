@@ -46,15 +46,6 @@ class ParamVar:
         return self.name
 
 
-def _add_product(out: dict, a: Mapping, b: Mapping) -> dict:
-    """out += a * b over coefficient maps; cancelled monomials stay as zeros."""
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
-
 class ParamPolynomial:
     """Sparse integer polynomial in the scheme parameters.
 
@@ -114,7 +105,12 @@ class ParamPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ParamPolynomial(_add_product({}, self.coeffs, other.coeffs))
+        out: dict = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return ParamPolynomial(out)
 
     __rmul__ = __mul__
 
@@ -260,14 +256,16 @@ def prolongation_residues(
     with the units charged so far.
     """
     G = gm.marked_set()
-    # Each tail negated once, under its head's key; every term a lex key.
-    neg_tails = {k: [(b, (-c).coeffs) for b, c in f[1:]] for k, f in G._keyed.items()}
-    # NF(gamma), with the size (terms, factors) of each of its coefficients.
-    memo: dict[tuple, tuple[dict, list[tuple[int, int]]]] = {}
+    # Each tail negated once, under its head's key, as multipliers; every term a lex key.
+    neg_tails = {k: [(b, _multiplier((-c).coeffs)) for b, c in f[1:]] for k, f in G._keyed.items()}
+    # NF(gamma), the size (terms, factors) of each of its coefficients, and
+    # what a product by a constant and by one parameter charges.
+    memo: dict[tuple, tuple[dict, list[tuple[int, int]], int, int]] = {}
     spent = 0
 
-    def add_normal_form(out: dict, gamma: tuple, coeff: Mapping) -> None:
-        """out += coeff * NF(gamma) over coefficient maps, with NF(gamma) kept in ``memo``.
+    def add_normal_form(out: dict, gamma: tuple, multiplier: tuple) -> None:
+        """out += coeff * NF(gamma) over coefficient maps, with NF(gamma) kept in
+        ``memo`` and coeff given by :func:`_multiplier`.
 
         Over a stably complete basis reduction is noetherian and every term of
         J is one head * eta, so the reduced form is linear: NF(t) = t outside J
@@ -284,25 +282,57 @@ def prolongation_residues(
                 nf = {}
                 for beta, c in neg_tails[head]:
                     add_normal_form(nf, tuple(map(add, beta, eta)), c)
-            entry = memo[gamma] = nf, [(len(p), sum(map(len, p))) for p in nf.values()]
-        nf, sizes = entry
+            sizes = [(len(p), sum(map(len, p))) for p in nf.values()]
+            by_constant = sum(a + b // 8 for a, b in sizes)
+            by_parameter = sum(a + (a + b) // 8 for a, b in sizes)
+            entry = memo[gamma] = nf, sizes, by_constant, by_parameter
+        nf, sizes, by_constant, by_parameter = entry
+        pairs, k, factors = multiplier
         # One unit per coefficient product, plus one per 8 parameter factors
         # that the products with each coefficient of the normal form write.
-        k, factors = len(coeff), sum(map(len, coeff))
-        spent += sum(k * a + (a * factors + k * b) // 8 for a, b in sizes)
+        if k > 1 or factors > 1:
+            spent += sum(k * a + (a * factors + k * b) // 8 for a, b in sizes)
+        else:
+            spent += by_parameter if factors else by_constant
         _charge(spent, "the normal forms need {} units of coefficient products", spent)
+        # out[t] += coeff * p over the terms t of NF(gamma).  Monomials are
+        # sorted tuples of parameter keys, so a product joins its factors when
+        # one ends before the other starts (always so for a constant, or one
+        # parameter times one) and sorts them otherwise; cancelled monomials
+        # stay as zeros.  The constant 1 copies p to a term not yet in out.
+        unit = pairs == (((), 1),)
         for t, p in nf.items():
-            _add_product(out.setdefault(t, {}), coeff, p)
+            acc = out.get(t)
+            if acc is None:
+                if unit:
+                    out[t] = dict(p)
+                    continue
+                acc = out[t] = {}
+            for m1, c1 in pairs:
+                for m2, c2 in p.items():
+                    if not m1 or not m2 or m1[-1] <= m2[0]:
+                        m = m1 + m2
+                    elif m2[-1] <= m1[0]:
+                        m = m2 + m1
+                    else:
+                        m = tuple(sorted(m1 + m2))
+                    acc[m] = acc.get(m, 0) + c1 * c2
 
     out = []
     for head, j, h in _prolongations(G):
         acc: dict[tuple, dict] = {}
         for t, c in h.items():
-            add_normal_form(acc, t, ParamPolynomial._coerce(c).coeffs)
+            add_normal_form(acc, t, _multiplier(ParamPolynomial._coerce(c).coeffs))
         # One degree throughout, so key order is sort_key order.
         residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc))
         out.append((head, j, G._terms_of((t, p) for t, p in residue if p)))
     return out
+
+
+def _multiplier(coeffs: Mapping[tuple, int]) -> tuple[tuple, int, int]:
+    """A coefficient map as a multiplier of normal forms: its (monomial,
+    coefficient) pairs, its number k of terms and its parameter factors."""
+    return tuple(coeffs.items()), len(coeffs), sum(map(len, coeffs))
 
 
 @dataclass

@@ -7,7 +7,7 @@ of x_{k+1}.  Variable indices in the public API are 1-based.
 from __future__ import annotations
 
 from math import comb
-from operator import index
+from operator import index, le
 from typing import Iterable, Iterator, Optional
 
 from .errors import MismatchedVariableCount, NotDivisible
@@ -132,9 +132,12 @@ def _monomials(d: int, n: int) -> int:
 
 
 class TermSet:
-    """A finite set of distinct terms in canonical (degree, then lex) order."""
+    """A finite set of distinct terms in canonical (degree, then lex) order.
 
-    __slots__ = ("terms", "n", "_members")
+    ``_member_keys`` holds the members' lex keys for the membership scan,
+    listed on its first use; it is not part of the set's value."""
+
+    __slots__ = ("terms", "n", "_members", "_member_keys")
 
     def __init__(self, terms: Iterable[Term], n: Optional[int] = None):
         seen = {}
@@ -153,6 +156,7 @@ class TermSet:
         self.n = n
         self.terms = tuple(sorted(seen, key=lambda t: t.sort_key))
         self._members = frozenset(self.terms)
+        self._member_keys = None
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
@@ -165,7 +169,17 @@ class TermSet:
 
     def generates(self, t: Term) -> bool:
         """Membership of t in the monomial ideal generated by the set."""
-        return any(g.divides(t) for g in self.terms)
+        if t.nvars != self.n:
+            raise MismatchedVariableCount(f"{self.n} variables vs {t.nvars}")
+        return self._generates_key(t.lex_key)
+
+    def _generates_key(self, k: tuple) -> bool:
+        """:meth:`generates` for the term with lex key k in the set's variables:
+        whether some member's key is at most k slot by slot."""
+        keys = self._member_keys
+        if keys is None:
+            keys = self._member_keys = [t.lex_key for t in self.terms]
+        return any(all(map(le, g, k)) for g in keys)
 
     def __eq__(self, other) -> bool:
         return (
@@ -182,3 +196,9 @@ class TermSet:
 
     def max_degree(self) -> int:
         return max((t.degree for t in self.terms), default=0)
+
+
+def _escalier_keys(M: TermSet, d: int) -> list[tuple]:
+    """The lex keys of the degree-d terms outside the ideal that M generates,
+    in increasing order."""
+    return [k for k in _lex_keys(M.n, d) if not M._generates_key(k)]

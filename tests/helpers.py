@@ -15,6 +15,7 @@ from involutive import (
     STEP_LIMIT,
     InvolutiveError,
     MonomialIdeal,
+    ParamPolynomial,
     ReductionStep,
     ReductionTrace,
     Term,
@@ -23,6 +24,7 @@ from involutive import (
     make_marked_set,
     pommaret_basis,
     terms_of_degree,
+    variable,
 )
 
 
@@ -51,6 +53,13 @@ def tuple_in_ideal(gens, t):
 def escalier_count(gens, n, k):
     """|N(J)_k| by direct enumeration."""
     return sum(1 for t in exp_tuples(n, k) if not tuple_in_ideal(gens, t))
+
+
+def brute_escalier(gens, n, d):
+    """The degree-d exponent tuples outside the ideal, in lex order (the
+    exponent of x_n compared first), by a divisibility scan of each."""
+    outside = [t for t in exp_tuples(n, d) if not tuple_in_ideal(gens, t)]
+    return sorted(outside, key=lambda t: t[::-1])
 
 
 def ideal_count(gens, n, k):
@@ -190,6 +199,52 @@ def reference_reduce(G, h, step_cap):
             seen.add(state)
     result = {t: work[t] for t in sorted(work, key=lambda t: t.sort_key)}
     return ReductionTrace(steps, result, status)
+
+
+def reference_prolongation_residues(gm):
+    """The residues of ``prolongation_residues`` made one coefficient product
+    at a time on ``{Term: ...}`` maps, with memoised normal forms over the
+    star factorizations of the assignment's cover lookup, and the work units
+    those products charge: one per product of parameter monomials, plus one
+    per 8 parameter factors that each product of two coefficient maps
+    writes.  Returns (residues, units); nothing is charged to the budget."""
+    G = gm.marked_set()
+    memo = {}
+    units = 0
+
+    def add_product(out, a, b):
+        # out += a * b over coefficient maps; cancelled monomials stay as zeros
+        nonlocal units
+        units += len(a) * len(b) + sum(len(m1) + len(m2) for m1 in a for m2 in b) // 8
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+
+    def add_normal_form(out, gamma, coeffs):
+        # NF(t) = t outside J, NF(head * eta) = -sum(c_beta * NF(beta * eta))
+        nf = memo.get(gamma)
+        if nf is None:
+            fact = G.assignment.cover(gamma)
+            if fact is None:
+                nf = {gamma: {(): 1}}
+            else:
+                nf = {}
+                for beta, c in G.polys[fact.head].tail.items():
+                    add_normal_form(nf, beta * fact.cofactor, (-c).coeffs)
+            memo[gamma] = nf
+        for t, p in nf.items():
+            add_product(out.setdefault(t, {}), coeffs, p)
+
+    residues = []
+    for head in G.basis:
+        for j in range((head.min_index or G.n) + 1, G.n + 1):
+            acc = {}
+            for t, c in G.polys[head].times(variable(G.n, j)).items():
+                add_normal_form(acc, t, ParamPolynomial._coerce(c).coeffs)
+            residue = {t: ParamPolynomial(acc[t]) for t in sorted(acc, key=lambda t: t.sort_key)}
+            residues.append((head, j, {t: p for t, p in residue.items() if p}))
+    return residues, units
 
 
 def brute_janet_complete(members, degree_cap):

@@ -32,11 +32,13 @@ from involutive import (
     star_set,
     terms_of_degree,
 )
-from involutive import errors
+from involutive import errors, make_marked_set
 from involutive.ideals import _fit_power, pommaret_termination_degree, sigma_totals
 from involutive.serialize import parse_ideal
+from involutive.terms import _escalier_keys
 from helpers import (
     exp_tuples,
+    brute_escalier,
     brute_fit_power,
     brute_quasi_stable_fits,
     brute_sigma,
@@ -203,6 +205,31 @@ def test_escalier_slice_counts_its_terms_before_listing_them(monkeypatch):
     with pytest.raises(WorkBudgetExceeded) as info:
         escalier_slice(J, 10**6)
     assert info.value.estimate == 10**6 + 1
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_membership_scans_agree_with_brute_divisibility(data):
+    # the lex-key scan, TermSet.generates, MonomialIdeal.contains,
+    # escalier_slice and the oracle's escalier list against a divisibility
+    # scan of each term, on sets that need not be minimal
+    n = data.draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    gens = data.draw(st.lists(exps, min_size=1, max_size=6))
+    M = TermSet([Term(g) for g in gens], n)
+    J = MonomialIdeal(M)
+    d = data.draw(st.integers(0, 6))
+    outside = brute_escalier(gens, n, d)
+    for e in exp_tuples(n, d):
+        inside = e not in outside
+        assert M._generates_key(e[::-1]) == M.generates(Term(e)) == J.contains(Term(e)) == inside
+    assert escalier_slice(J, d) == [Term(e) for e in outside]
+    G = make_marked_set(M)
+    assert _escalier_keys(G.basis, d) == [e[::-1] for e in outside]
+    wider = Term((0,) * (n + 1))
+    for ask in (M.generates, J.contains):
+        with pytest.raises(MismatchedVariableCount):
+            ask(wider)
 
 
 def test_escalier_slice_below_degree_zero_is_empty():

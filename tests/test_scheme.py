@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +30,7 @@ from involutive import (
     variable,
 )
 from involutive import errors, scheme
+from involutive.scheme import GenericMarkedSet
 from helpers import (
     brute_evaluate,
     exp_tuples,
@@ -37,6 +39,7 @@ from helpers import (
     marked_point,
     random_assignment,
     random_quasi_stable,
+    reference_prolongation_residues,
     stable_closure,
 )
 
@@ -463,34 +466,79 @@ def test_generic_work_counts_the_pommaret_cones_without_an_assignment(monkeypatc
 
 def test_prolongation_residues_charge_their_coefficient_products(monkeypatch):
     # one unit per product of parameter monomials, plus one per 8 parameter
-    # factors that each product call writes: the exact budget lists the
-    # residues, one unit less refuses before the products past it are made
-    made = [0]
-    original = scheme._add_product
-
-    def counting(out, a, b):
-        factors = sum(len(m1) + len(m2) for m1 in a for m2 in b)
-        made[0] += len(a) * len(b) + factors // 8
-        return original(out, a, b)
-
-    monkeypatch.setattr(scheme, "_add_product", counting)
-    budget = errors._WORK_BUDGET
+    # factors that each product of two coefficient maps writes, counted by
+    # the reference one product at a time: the exact budget lists the
+    # residues, one unit less refuses with that estimate
     rng = random.Random(227)
-    ideals = [TWO_PARAMS, MARKED_EXAMPLE, THREE_POINTS, upper_power(4, 3)]
-    ideals += [random_quasi_stable(rng, max_vars=4)[0] for _ in range(12)]
+    named = [TWO_PARAMS, MARKED_EXAMPLE, THREE_POINTS, upper_power(4, 3)]
+    ideals = named + [random_quasi_stable(rng, max_vars=4)[0] for _ in range(12)]
+    units, refused = [], []
     for J in ideals:
-        monkeypatch.setattr(errors, "_WORK_BUDGET", budget)
+        monkeypatch.undo()
         gm = generic_marked_set(J)
-        made[0] = 0
-        residues = prolongation_residues(gm)
-        work = made[0]
-        if not work:
-            continue
+        residues, work = reference_prolongation_residues(gm)
         monkeypatch.setattr(errors, "_WORK_BUDGET", work)
         assert prolongation_residues(gm) == residues
+        units.append(work)
+        if not residues:
+            continue  # no prolongation to reduce, so nothing consults the meter
         monkeypatch.setattr(errors, "_WORK_BUDGET", work - 1)
-        made[0] = 0
         with pytest.raises(WorkBudgetExceeded) as exc:
             prolongation_residues(gm)
         assert (exc.value.estimate, exc.value.budget) == (work, work - 1)
-        assert made[0] < work
+        refused.append(J)
+    # every named ideal is refused one unit short: the normal forms of the
+    # two in two variables vanish, so the meter refuses them at no units
+    assert refused[: len(named)] == named
+    assert units[: len(named)] == [0, 0, 51, 2938]
+    assert len(refused) > len(named)
+
+
+def hand_built_tails(data, gm):
+    """The generic tails with each coefficient kept, dropped, made a nonzero
+    constant, or made a sum of up to three parameter monomials of degree at
+    most 2 with nonzero coefficients."""
+    keys = [pv.sort_key for pv in gm.params]
+    coeff = st.integers(-3, 3).filter(bool)
+    tails = {}
+    for head, tail in gm.tails.items():
+        tails[head] = {}
+        for beta, p in tail.items():
+            kind = data.draw(st.sampled_from(["keep", "drop", "constant", "polynomial"]))
+            if kind == "keep":
+                tails[head][beta] = p
+            elif kind == "constant":
+                tails[head][beta] = ParamPolynomial({(): data.draw(coeff)})
+            elif kind == "polynomial":
+                monomial = st.lists(st.sampled_from(keys), max_size=2).map(lambda m: tuple(sorted(m)))
+                monomials = data.draw(st.lists(monomial, min_size=1, max_size=3, unique=True))
+                tails[head][beta] = ParamPolynomial({m: data.draw(coeff) for m in monomials})
+    return tails
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_prolongation_residues_and_their_charge_match_the_reference(data):
+    # the one accumulation loop against one product at a time: the residues,
+    # and the exact budget that lists them, on random quasi-stable ideals in
+    # up to 4 variables and on hand-built tails with constant and
+    # multi-monomial coefficients
+    n = data.draw(st.integers(2, 4))
+    term = st.lists(st.integers(1, n), min_size=1, max_size=4 if n < 4 else 3)
+    drawn = data.draw(st.lists(term, min_size=1, max_size=4))
+    gens = [tuple(vs.count(i) for i in range(1, n + 1)) for vs in drawn]
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    if not classify(J).quasi_stable:
+        J = MonomialIdeal([Term(g) for g in stable_closure(gens, n)], n)
+    gm = generic_marked_set(J)
+    if n < 4 and data.draw(st.booleans()):
+        gm = GenericMarkedSet(J, gm.basis, gm.params, hand_built_tails(data, gm))
+    residues, work = reference_prolongation_residues(gm)
+    with patch.object(errors, "_WORK_BUDGET", work):
+        assert prolongation_residues(gm) == residues
+    # with no prolongation to reduce, nothing consults the meter
+    assume(residues)
+    with patch.object(errors, "_WORK_BUDGET", work - 1):
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            prolongation_residues(gm)
+    assert (exc.value.estimate, exc.value.budget) == (work, work - 1)

@@ -111,10 +111,13 @@ def test_the_work_budget_has_one_meter():
 
 
 def test_each_divisibility_question_has_one_body():
-    # term divisibility lives in terms, the cover lookup in division and the
-    # fit-power index in ideals: other modules ask them and name none of them
+    # term divisibility and the membership scan over the members' lex keys
+    # live in terms, the cover lookup in division and the fit-power index in
+    # ideals: other modules ask them and name none of them
     owners = {
         "divides": "terms.py",
+        "_generates_key": "terms.py",
+        "_member_keys": "terms.py",
         "_heads": "division.py",
         "_cover_index": "division.py",
         "_fit_index": "ideals.py",
