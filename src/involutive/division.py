@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le, sub
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import (
     DegreeCapExceeded,
@@ -71,6 +71,8 @@ class DivisionAssignment:
     keys (``Term.lex_key``): which terms' involutive cones hold a term
     (``_cover``, and :meth:`cover` on terms), whether the cones cover the
     ideal (``_uncovered``) and whether two of them nest (``_nested``).
+    Probes are lazy (``_heads``): completeness stops at the first covering
+    head of each prolongation, and a Janet lookup takes its only head.
     """
 
     flavor: str
@@ -106,20 +108,25 @@ class DivisionAssignment:
             index.append((fixed, table))
         return index
 
-    def _heads(self, k: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The lex keys of the basis terms whose involutive cones hold the term with key k."""
-        return [
+    def _heads(self, k: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The lex keys of the basis terms whose involutive cones hold the term
+        with key k, found lazily, one group of the cover index at a time, so
+        a caller that needs one head probes no further."""
+        return (
             h
             for fixed, table in self._cover_index
             for h in table.get(tuple([k[i] for i in fixed]), ())
             if all(map(le, h, k))
-        ]
+        )
 
     def _cover(self, k: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The term with lex key k as the keys (head, cofactor) of its lex-greatest
         covering head, None when no involutive cone holds it: the one cover
-        lookup, behind :meth:`cover` and ``MarkedSet.decompose``."""
-        head = max(self._heads(k), default=None)
+        lookup, behind :meth:`cover` and ``MarkedSet.decompose``.  Janet cones
+        are disjoint, so a Janet lookup takes the first head it finds, the
+        only one; Pommaret cones can nest, so those are all compared."""
+        heads = self._heads(k)
+        head = next(heads, None) if self.flavor == JANET else max(heads, default=None)
         return None if head is None else (head, tuple(map(sub, k, head)))
 
     def cover(self, gamma: Term) -> Optional[StarFactorization]:
@@ -140,7 +147,7 @@ class DivisionAssignment:
         for tau in self.basis:
             k, vars_ = tau.lex_key, self.mult[tau]
             for i in reversed(range(n)):  # x_j sits at slot i = n - j
-                if n - i not in vars_ and not self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :]):
+                if n - i not in vars_ and not any(self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :])):
                     return tau, n - i
         return None
 
@@ -149,9 +156,10 @@ class DivisionAssignment:
         """The first basis term in canonical order that lies in the cone of
         another, with that other term; None when the cones are disjoint."""
         for tau in self.basis:
-            outer = [h for h in self._heads(tau.lex_key) if h != tau.lex_key]
-            if outer:
-                return tau, Term(outer[0][::-1])
+            k = tau.lex_key
+            outer = next((h for h in self._heads(k) if h != k), None)
+            if outer is not None:
+                return tau, Term(outer[::-1])
         return None
 
 

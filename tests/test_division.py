@@ -35,6 +35,7 @@ from helpers import (
     divisor_tuples,
     outcome,
     random_term_of_degree,
+    tuple_covers,
     tuple_in_ideal,
 )
 
@@ -400,6 +401,36 @@ def test_cover_index_matches_brute_force(drawn, data):
                 is_complete(sub, assignment)
             with pytest.raises(ValueError):
                 star_decompose(sub, Term(probes[0]), assignment)
+
+
+@PROPERTY
+@given(term_sets())
+def test_lazy_cover_probes_match_brute_force(drawn):
+    # _heads yields exactly the covering heads; a Janet probe yields at most
+    # one, which _cover's first head relies on; _nested is the first member
+    # in canonical order inside another member's cone, with such a member
+    members, probes = drawn
+    M = TermSet([Term(m) for m in members])
+    for assignment, rule, disjoint in (
+        (DivisionAssignment.janet(M), lambda t: brute_mult_vars(members, t), True),
+        (DivisionAssignment.pommaret(M), brute_pommaret_vars, False),
+    ):
+        mult = {m: rule(m) for m in members}
+        for gamma in probes + members:
+            heads = sorted(h[::-1] for h in assignment._heads(gamma[::-1]))
+            assert heads == sorted(m for m in members if tuple_covers(m, mult[m], gamma))
+            assert not disjoint or len(heads) <= 1
+        outers = {
+            tau: [o for o in members if o != tau and tuple_covers(o, mult[o], tau)]
+            for tau in canonical_order(members)
+        }
+        inner = next((tau for tau, found in outers.items() if found), None)
+        nested = assignment._nested
+        if inner is None:
+            assert nested is None
+        else:
+            assert nested[0].exponents == inner
+            assert nested[1].exponents in outers[inner]
 
 
 @PROPERTY
