@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le, sub
-from typing import Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     DegreeCapExceeded,
@@ -18,7 +18,7 @@ from .errors import (
     NotInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, variable
+from .terms import Term, TermSet, _monomials, variable
 
 JANET = "janet"
 POMMARET = "pommaret"
@@ -29,24 +29,31 @@ def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
 
     x_j is multiplicative for tau iff tau has the largest x_j exponent among
     the terms of M that agree with tau in every exponent above position j.
+    The passes run from x_n down and number those classes of terms as ints.
     """
-    mult: dict[Term, list[int]] = {t: [] for t in M}
-    for j in range(1, M.n + 1):
-        top: dict[tuple[int, ...], int] = {}
-        for t in M:
-            e = t.exponents
-            if top.get(e[j:], -1) < e[j - 1]:
-                top[e[j:]] = e[j - 1]
-        for t, vars_ in mult.items():
-            e = t.exponents
-            if e[j - 1] == top[e[j:]]:
+    terms, classes, mult = M.terms, [0] * len(M), [[] for _ in M]
+    for j in range(M.n, 0, -1):
+        column = [t.exponents[j - 1] for t in terms]
+        top, refined = {}, {}
+        for c, e in zip(classes, column):
+            if top.get(c, -1) < e:
+                top[c] = e
+        for vars_, c, e in zip(mult, classes, column):
+            if e == top[c]:
                 vars_.append(j)
-    return {t: frozenset(vars_) for t, vars_ in mult.items()}
+        classes = [refined.setdefault(p, len(refined)) for p in zip(classes, column)]
+    return {t: frozenset(reversed(vars_)) for t, vars_ in zip(terms, mult)}
 
 
 def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
     """Variables x_j with x_j <= min(tau); all of them for the constant term."""
     return frozenset(range(1, (tau.min_index or tau.nvars) + 1))
+
+
+def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
+    """The degree-d terms of the cones tau * k[x_j : j in vars_] of (tau, vars_)
+    pairs, with multiplicity: the degree-(d - deg tau) terms in vars_ each."""
+    return sum(_monomials(d - tau.degree, len(vars_)) for tau, vars_ in cones)
 
 
 # One (positions, table) pair per set of non-multiplicative variables: the
@@ -65,7 +72,7 @@ class StarFactorization:
 
 @dataclass(frozen=True, eq=False)
 class DivisionAssignment:
-    """One multiplicative-variable set per term of a fixed TermSet.
+    """One multiplicative-variable set per term of a fixed TermSet, in its order.
 
     The assignment answers every cover question about its own basis, on lex
     keys (``Term.lex_key``): which terms' involutive cones hold a term
@@ -138,17 +145,26 @@ class DivisionAssignment:
         fact = self._cover(gamma.lex_key)
         return None if fact is None else StarFactorization(*(Term(k[::-1]) for k in fact))
 
+    def _nonmultiplicative(self) -> Iterator[tuple[Term, int]]:
+        """The pairs (tau, j) with x_j not multiplicative for tau, the basis in
+        order and then j ascending: completeness and the criterion range over them."""
+        js = range(1, self.basis.n + 1)
+        for tau in self.basis:
+            vars_ = self.mult[tau]
+            for j in js:
+                if j not in vars_:
+                    yield tau, j
+
     @cached_property
     def _uncovered(self) -> Optional[tuple[Term, int]]:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
         n = self.basis.n
-        for tau in self.basis:
-            k, vars_ = tau.lex_key, self.mult[tau]
-            for i in reversed(range(n)):  # x_j sits at slot i = n - j
-                if n - i not in vars_ and not any(self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :])):
-                    return tau, n - i
+        for tau, j in self._nonmultiplicative():
+            k, i = tau.lex_key, n - j  # x_j sits at slot n - j
+            if not any(self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :])):
+                return tau, j
         return None
 
     @cached_property

@@ -15,6 +15,7 @@ from ._options import ESCALIER, IDEAL_SLICE, SIGMA_MODES
 from .division import (
     JANET,
     DivisionAssignment,
+    _cone_terms,
     _own_assignment,
     is_complete,
     is_stably_complete,
@@ -316,9 +317,7 @@ def hilbert_function(
         raise ValueError(f"{tau} lies in the cone of {outer}: cones must be disjoint")
     if k < 0:
         raise ValueError("degree must be non-negative")
-    return _monomials(k, M.n) - sum(
-        _monomials(k - tau.degree, len(assignment.mult[tau])) for tau in M
-    )
+    return _monomials(k, M.n) - _cone_terms(assignment.mult.items(), k)
 
 
 @dataclass(frozen=True)

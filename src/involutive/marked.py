@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
 from ._options import DEFAULT_STEP_CAP
-from .division import DivisionAssignment, is_complete, is_stably_complete
+from .division import DivisionAssignment, _cone_terms, is_complete, is_stably_complete
 from .errors import (
     DegreeMismatch,
     HeadNotInM,
@@ -321,12 +321,12 @@ def reduce(
 def _star_multiples(G: MarkedSet, s: int) -> list[tuple[tuple, dict[tuple, object]]]:
     """G^(s) on lex keys, as :func:`build_Gs` lists it."""
     out = []
-    for head in G.basis:
+    for head, vars_ in G.assignment.mult.items():
         e = s - head.degree
         if e < 0:
             break
         f = G._keyed[head.lex_key]
-        for eta in islice(_lex_keys(G.n, e), _monomials(e, head.min_index or G.n)):
+        for eta in islice(_lex_keys(G.n, e), _monomials(e, len(vars_))):
             poly = _times(f, eta)
             out.append((next(iter(poly)), poly))  # the head's product comes first
     out.sort(key=itemgetter(0))
@@ -346,7 +346,7 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     WorkBudgetExceeded is raised before any is listed.
     """
     G._require_stably_complete("G^(s)")
-    work = sum(_monomials(s - head.degree, head.min_index or G.n) for head in G.basis)
+    work = _cone_terms(G.assignment.mult.items(), s)
     _charge(work, "G^(s) at degree {} has {} multiples", s, work)
     return [(G._term(k), G._terms_of(poly.items())) for k, poly in _star_multiples(G, s)]
 
@@ -373,11 +373,9 @@ class MarkedBasisResult:
 
 def _prolongations(G: MarkedSet) -> Iterator[tuple[Term, int, dict[tuple, object]]]:
     """Each non-multiplicative prolongation as (head, j, f_head * x_j) on lex
-    keys, for x_j above min(head): heads in basis order, j ascending."""
-    for head in G.basis:
-        f = G._keyed[head.lex_key]
-        for j in range((head.min_index or G.n) + 1, G.n + 1):
-            yield head, j, _times(f, variable(G.n, j).lex_key)
+    keys, in canonical order; over a stably complete basis, x_j above min(head)."""
+    for head, j in G.assignment._nonmultiplicative():
+        yield head, j, _times(G._keyed[head.lex_key], variable(G.n, j).lex_key)
 
 
 def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
@@ -411,7 +409,8 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     trivial intersection.  G^(s) is eliminated once per degree; the direct-sum
     rank extends a copy of its echelon form by the escalier unit rows.
     Independent of the reduction relation and of the cover lookup: G^(s)
-    comes from the multiplicative cones and the escalier monomials from the
+    comes from the cones of the Janet assignment, which over the stably
+    complete basis are the Pommaret cones, and the escalier monomials from the
     linear membership scan of the heads' lex keys in :mod:`terms`, so the
     stable-completeness precondition is all the oracle shares with the
     criterion.

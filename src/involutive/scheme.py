@@ -16,6 +16,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .division import _cone_terms, pommaret_multiplicative_vars
 from .errors import MissingAssignment, _charge
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
 from .marked import MarkedPolynomial, MarkedSet, _prolongations
@@ -213,7 +214,7 @@ def _generic_work(basis: TermSet) -> int:
     for d, k in sorted(Counter(head.degree for head in basis).items()):
         # The basis is in degree order, so the count stops at the heads counted.
         cones = takewhile(lambda tau: tau.degree <= d, basis)
-        inside = sum(_monomials(d - tau.degree, tau.min_index or n) for tau in cones)
+        inside = _cone_terms(((tau, pommaret_multiplicative_vars(tau)) for tau in cones), d)
         work += k * (_monomials(d, n) - inside) + _monomials(d, n)
         _charge(work, "the generic marked set needs at least {} parameters and slice terms", work)
     return work

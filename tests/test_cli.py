@@ -794,6 +794,24 @@ def test_unbounded_enumerations_exit_2_within_the_work_budget(
     )
 
 
+def test_mult_vars_in_many_variables_answers_within_seconds(tmp_path, capsys):
+    # the Janet table makes one pass per variable over a column of exponents,
+    # so two terms in 20,000 variables are answered in a fraction of a second
+    n = 20_000
+    high, low = [0] * n, [0] * n
+    high[0], high[-1], low[1] = 2, 1, 3
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"vars": n, "terms": [high, low]}))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "mult-vars", "--input", str(source))
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    # x2^3 comes first in lex order; x_n is multiplicative for x1^2*x_n alone
+    assert [e["term"] for e in report["janet"]] == [low, high]
+    assert [e["mult"] for e in report["janet"]] == [list(range(1, n)), list(range(1, n + 1))]
+    assert [e["mult"] for e in report["pommaret"]] == [[1, 2], [1]]
+
+
 MARKED = {"vars": 2, "polynomials": [{"head": [1, 0], "tail": []}]}
 IDEAL = {"vars": 2, "generators": [[2, 0], [1, 1], [0, 3]]}
 

@@ -24,6 +24,7 @@ from involutive import (
     variable,
 )
 from involutive import errors
+from involutive.division import _cone_terms
 from helpers import (
     brute_is_complete,
     brute_janet_complete,
@@ -33,6 +34,7 @@ from helpers import (
     brute_star_decompose,
     canonical_order,
     divisor_tuples,
+    exp_tuples,
     outcome,
     random_term_of_degree,
     tuple_covers,
@@ -431,6 +433,40 @@ def test_lazy_cover_probes_match_brute_force(drawn):
         else:
             assert nested[0].exponents == inner
             assert nested[1].exponents in outers[inner]
+
+
+@PROPERTY
+@given(term_sets(max_vars=4, max_exp=2, max_size=5), st.integers(0, 5))
+def test_nonmultiplicative_walk_and_cone_count_match_brute_force(drawn, d):
+    # the walk is every (tau, j) with x_j not multiplicative for tau, in basis
+    # order and then j ascending; the cone count is the degree-d terms of the
+    # cones with multiplicity, and over a Janet completion, whose cones are
+    # disjoint and cover the ideal, the degree-d terms they cover
+    members, _ = drawn
+    M = TermSet([Term(m) for m in members])
+    n, degree_d = M.n, list(exp_tuples(M.n, d))
+    for assignment, rule in (
+        (DivisionAssignment.janet(M), lambda t: brute_mult_vars(members, t)),
+        (DivisionAssignment.pommaret(M), brute_pommaret_vars),
+    ):
+        mult = {m: rule(m) for m in members}
+        walk = [(tau.exponents, j) for tau, j in assignment._nonmultiplicative()]
+        assert walk == [
+            (tau, j) for tau in canonical_order(members) for j in range(1, n + 1) if j not in mult[tau]
+        ]
+        assert _cone_terms(assignment.mult.items(), d) == sum(
+            tuple_covers(tau, mult[tau], gamma) for tau in members for gamma in degree_d
+        )
+    lcm_degree = sum(max(col) for col in zip(*members))
+    C = janet_complete(M, lcm_degree)
+    completed = tuples_of(C)
+    covered = [
+        gamma
+        for gamma in degree_d
+        if any(brute_offspring_member(completed, tau, gamma) for tau in completed)
+    ]
+    assert covered == [gamma for gamma in degree_d if tuple_in_ideal(members, gamma)]
+    assert _cone_terms(DivisionAssignment.janet(C).mult.items(), d) == len(covered)
 
 
 @PROPERTY

@@ -130,3 +130,33 @@ def test_each_divisibility_question_has_one_body():
         if owners.get(getattr(node, key, None), name) != name
     ]
     assert strays == []
+
+
+def test_division_owns_the_multiplicative_structure():
+    # marked and scheme take multiplicative variables from division and never
+    # read min(tau) themselves; the cone count and the walk of the
+    # non-multiplicative pairs (tau, j) are each defined once, in division,
+    # and the modules that count cones or walk prolongations call them
+    trees = dict(library_trees())
+    readers = [
+        f"{name}:{node.lineno}"
+        for name in ("marked.py", "scheme.py")
+        for node in ast.walk(trees[name])
+        if getattr(node, "attr", None) == "min_index"
+    ]
+    assert readers == []
+    owners = {"_cone_terms": set(), "_nonmultiplicative": set()}
+    callers = {"_cone_terms": set(), "_nonmultiplicative": set()}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in owners:
+                owners[node.name].add(name)
+            called = getattr(node, "func", None)
+            called = getattr(called, "id", None) or getattr(called, "attr", None)
+            if called in callers:
+                callers[called].add(name)
+    assert owners == {"_cone_terms": {"division.py"}, "_nonmultiplicative": {"division.py"}}
+    assert callers == {
+        "_cone_terms": {"ideals.py", "marked.py", "scheme.py"},
+        "_nonmultiplicative": {"division.py", "marked.py"},
+    }
