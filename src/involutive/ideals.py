@@ -30,8 +30,9 @@ class MonomialIdeal:
     ``_fit_index[j - 1]`` indexes the generators by their x_j exponent for
     the fit-power test: a sorted list of the distinct exponents and, in
     parallel, the groups of generators carrying each, every exponent tuple
-    with its j-th slot dropped.  It is built once here and is not part of
-    the ideal's value.
+    with its j-th slot dropped, as the keys of an insertion-ordered dict so
+    that a group is both scanned in order and probed for an exact fit.  It
+    is built once here and is not part of the ideal's value.
     """
 
     __slots__ = ("generators", "n", "_fit_index")
@@ -86,13 +87,15 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.generators!r})"
 
 
-def _exponent_groups(gens: list[Term], k: int) -> tuple[list[int], list[list[tuple]]]:
+def _exponent_groups(gens: list[Term], k: int) -> tuple[list[int], list[dict[tuple, None]]]:
     """The generators grouped by their exponent in slot k, in ascending order of
-    it: (sorted exponents, groups of the generators' tuples without slot k)."""
-    groups: dict[int, list[tuple]] = {}
+    it: (sorted exponents, groups of the generators' tuples without slot k).
+    Each group is a dict keyed by those tuples in generator order, so one
+    lookup tells whether a given tuple is among them."""
+    groups: dict[int, dict[tuple, None]] = {}
     for g in gens:
         e = g.exponents
-        groups.setdefault(e[k], []).append(e[:k] + e[k + 1 :])
+        groups.setdefault(e[k], {})[e[:k] + e[k + 1 :]] = None
     keys = sorted(groups)
     return keys, [groups[key] for key in keys]
 
@@ -111,8 +114,9 @@ def _bump(e: tuple, j: int, by: int = 1) -> tuple:
     return e[: j - 1] + (e[j - 1] + by,) + e[j:]
 
 
-def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
-    """Star terms of J of degree <= D, and whether J has a star term past D.
+def _star_terms(J: MonomialIdeal, D: int) -> tuple[set[tuple], bool]:
+    """Exponent tuples of the star terms of J of degree <= D, and whether J
+    has a star term past D.
 
     A star term gamma with m = min(gamma) factors as g * eta with g a minimal
     generator, min(g) = m and eta in x_{m+1}..x_n: the generator dividing
@@ -122,8 +126,9 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
     stop a branch as soon as the predecessor enters J.  By the same closure,
     a star term past D is a generator of degree > D or implies one at D+1,
     a child of a degree-D survivor.  As pred lies outside J, pred * x_j is in
-    J iff x_j fits pred at power 1.  The search runs on exponent tuples;
-    only the star terms found become Terms, through the returned TermSet.
+    J iff x_j fits pred at power 1.  The search runs on exponent tuples and
+    returns them: a caller that lists the star terms makes them Terms, one
+    that only counts cones reads the tuples.
     Past the work budget of visited nodes it raises WorkBudgetExceeded with
     the nodes visited so far: the star set of a non-quasi-stable ideal is
     infinite, so its size is not known before the search.
@@ -155,7 +160,7 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[TermSet, bool]:
             for j in range(lo, n + 1):
                 if _fit_power(J, pred, j) != 1:
                     stack.append((_bump(gamma, j), _bump(pred, j), j, d + 1))
-    return TermSet(found, n), beyond
+    return found, beyond
 
 
 @dataclass(frozen=True)
@@ -181,12 +186,17 @@ def _fit_power(J: MonomialIdeal, b: tuple, j: int) -> Optional[int]:
     Some generator must fit under b in every exponent but the j-th.  One
     with an x_j exponent of at most b_j would divide b, so the search walks
     J's x_j index from the first exponent above b_j upwards and the first
-    group holding a fitting generator gives t = exponent - b_j >= 1.
+    group holding a fitting generator gives t = exponent - b_j >= 1.  That
+    first group is probed first for a generator equal to b off slot j, the
+    usual case in an ideal generated in one degree; only a miss scans.
     """
     keys, groups = J._fit_index[j - 1]
     bj = b[j - 1]
     rest = b[: j - 1] + b[j:]
-    for k in range(bisect_right(keys, bj), len(keys)):
+    first = bisect_right(keys, bj)
+    if first < len(keys) and rest in groups[first]:
+        return keys[first] - bj
+    for k in range(first, len(keys)):
         for e in groups[k]:
             if all(map(le, e, rest)):
                 return keys[k] - bj
@@ -275,9 +285,9 @@ def star_set(J: MonomialIdeal, degree_bound: int) -> tuple[TermSet, bool]:
     star terms of every higher degree, and it always fails when J is not
     quasi-stable, since then the star set is infinite.
     """
-    terms, beyond = _star_terms(J, degree_bound)
+    found, beyond = _star_terms(J, degree_bound)
     exhaustive = not beyond and degree_bound >= pommaret_termination_degree(J) - 1
-    return terms, exhaustive
+    return TermSet(found, J.n), exhaustive
 
 
 def pommaret_basis(J: MonomialIdeal) -> TermSet:
@@ -289,9 +299,10 @@ def pommaret_basis(J: MonomialIdeal) -> TermSet:
             "the ideal is not quasi-stable, its star set is infinite",
             witness=exc.witness,
         ) from None
-    basis, beyond = _star_terms(J, d - 1)
+    found, beyond = _star_terms(J, d - 1)
     if beyond:
         raise AssertionError("star set failed to stabilize below the proven bound")
+    basis = TermSet(found, J.n)
     ok, witness = is_stably_complete(basis)
     if not ok:
         raise AssertionError(f"star set is not stably complete, witness {witness}")
@@ -334,6 +345,7 @@ def _sigma_counts(J: MonomialIdeal, degrees: tuple[int, ...], mode: str) -> list
     degree <= p, m = min(gamma) (n for the term 1) and eta of degree
     e = p - deg gamma in x_1..x_m: gamma lands in sigma_m when e = 0, and an
     eta with minimal variable x_v is x_v times a degree-(e-1) term in x_v..x_m.
+    The star terms stay exponent tuples: only their (m, degree) is read.
     """
     if min(degrees) < 1:
         raise ValueError("sigma invariants are defined for degree >= 1")
@@ -341,12 +353,12 @@ def _sigma_counts(J: MonomialIdeal, degrees: tuple[int, ...], mode: str) -> list
         raise ValueError(f"mode must be one of {SIGMA_MODES}")
     n = J.n
     stars = () if J.is_zero else _star_terms(J, max(degrees))[0]
+    cones = [(next((i for i, x in enumerate(e, 1) if x), n), sum(e)) for e in stars]
     profiles = []
     for p in degrees:
         counts = [0] * n
-        for gamma in stars:
-            m = gamma.min_index or n
-            e = p - gamma.degree
+        for m, deg in cones:
+            e = p - deg
             if e == 0:
                 counts[m - 1] += 1
             for v in range(1, m + 1):

@@ -142,6 +142,20 @@ def test_pommaret(capsys):
     assert report["regularity"] == 2
 
 
+def test_pommaret_of_a_power_of_the_maximal_ideal(tmp_path, capsys):
+    # m^60 in 3 variables is stable, so its 1,891 generators are its Pommaret
+    # basis, listed in canonical (lex, x3 first) order
+    d = 60
+    gens = [[a, b, d - a - b] for a in range(d + 1) for b in range(d + 1 - a)]
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"vars": 3, "generators": gens}))
+    code, report = run_json(capsys, "pommaret", "--input", str(source))
+    assert code == 0
+    assert len(gens) == comb(d + 2, 2) == 1891
+    assert report["terms"] == sorted(gens, key=lambda e: e[::-1])
+    assert report["regularity"] == d
+
+
 def test_pommaret_negative(capsys):
     code, report = run_json(
         capsys, "pommaret", "--input", str(CORPUS / "ideal_not_quasi_stable.json")

@@ -6,7 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import involutive
@@ -338,6 +338,42 @@ def test_fit_power_matches_brute_force_on_many_generators(data):
     J = MonomialIdeal([Term(g) for g in gens], n)
     for j in range(1, n + 1):
         assert _fit_power(J, base, j) == brute_fit_power(gens, base, j)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_fit_power_and_star_set_on_bases_next_to_the_generators(data):
+    # dense stable ideals, m^d or the stable closure of a few generators, where
+    # x_j^t * base is often a generator itself: the fit index's exact probe
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        gens = list(exp_tuples(n, data.draw(st.integers(1, 5))))
+    else:
+        exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+        gens = sorted(stable_closure(data.draw(st.lists(exps, min_size=2, max_size=4)), n))
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    minimal = {g.exponents for g in J.generators}
+    # a proper divisor of a minimal generator g, so outside J: g with x_j
+    # lowered by 1 or 2, and its other exponents kept or lowered too
+    g = data.draw(st.sampled_from(sorted(minimal)))
+    j = data.draw(st.sampled_from([i for i, e in enumerate(g, 1) if e]))
+    lower = [0] * n
+    lower[j - 1] = min(data.draw(st.integers(1, 2)), g[j - 1])
+    if data.draw(st.booleans()):
+        lower = [d or data.draw(st.integers(0, e)) for d, e in zip(lower, g)]
+    base = tuple(e - d for e, d in zip(g, lower))
+    for k in range(1, n + 1):
+        fit = _fit_power(J, base, k)
+        assert fit == brute_fit_power(gens, base, k)
+        exact = fit is not None and base[: k - 1] + (base[k - 1] + fit,) + base[k:] in minimal
+        event(f"fit {'none' if fit is None else min(fit, 2)}, generator hit exactly: {exact}")
+    # a stable ideal's star set is its generators, so it ends at degree top
+    top = max(map(sum, gens))
+    full = brute_star_set(gens, n, top + 1)
+    assert {s.exponents for s in pommaret_basis(J)} == full
+    terms, exhaustive = star_set(J, top)
+    assert {s.exponents for s in terms} == full
+    assert exhaustive == (top >= pommaret_termination_degree(J) - 1)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
