@@ -29,20 +29,19 @@ def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
 
     x_j is multiplicative for tau iff tau has the largest x_j exponent among
     the terms of M that agree with tau in every exponent above position j.
-    The passes run from x_n down and number those classes of terms as ints.
+    The passes read the lex keys' columns, x_n first, and number classes as ints.
     """
     terms, classes, mult = M.terms, [0] * len(M), [[] for _ in M]
-    for j in range(M.n, 0, -1):
-        column = [t.exponents[j - 1] for t in terms]
+    for i, column in enumerate(zip(*(t.lex_key for t in terms))):
         top, refined = {}, {}
         for c, e in zip(classes, column):
             if top.get(c, -1) < e:
                 top[c] = e
         for vars_, c, e in zip(mult, classes, column):
             if e == top[c]:
-                vars_.append(j)
+                vars_.append(M.n - i)  # slot i holds x_{n-i}
         classes = [refined.setdefault(p, len(refined)) for p in zip(classes, column)]
-    return {t: frozenset(reversed(vars_)) for t, vars_ in zip(terms, mult)}
+    return {t: frozenset(vars_) for t, vars_ in zip(terms, mult)}
 
 
 def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
@@ -143,7 +142,7 @@ class DivisionAssignment:
         if gamma.nvars != self.basis.n:
             raise MismatchedVariableCount(f"{self.basis.n} variables vs {gamma.nvars}")
         fact = self._cover(gamma.lex_key)
-        return None if fact is None else StarFactorization(*(Term(k[::-1]) for k in fact))
+        return None if fact is None else StarFactorization(*map(Term._of_key, fact))
 
     def _nonmultiplicative(self) -> Iterator[tuple[Term, int]]:
         """The pairs (tau, j) with x_j not multiplicative for tau, the basis in
@@ -175,7 +174,7 @@ class DivisionAssignment:
             k = tau.lex_key
             outer = next((h for h in self._heads(k) if h != k), None)
             if outer is not None:
-                return tau, Term(outer[::-1])
+                return tau, Term._of_key(outer)
         return None
 
 

@@ -27,12 +27,12 @@ from .terms import Term, TermSet, _escalier_keys, _monomials
 class MonomialIdeal:
     """A monomial ideal held by its minimal generating set.
 
-    ``_fit_index[j - 1]`` indexes the generators by their x_j exponent for
-    the fit-power test: a sorted list of the distinct exponents and, in
-    parallel, the groups of generators carrying each, every exponent tuple
-    with its j-th slot dropped, as the keys of an insertion-ordered dict so
-    that a group is both scanned in order and probed for an exact fit.  It
-    is built once here and is not part of the ideal's value.
+    ``_fit_index[i]`` indexes the generators by slot i of their lex keys (x_j
+    at i = n - j) for the fit-power test: a sorted list of the distinct
+    exponents and, in parallel, the groups of generators carrying each, every
+    key with slot i dropped, as the keys of an insertion-ordered dict so that
+    a group is both scanned in order and probed for an exact fit.  It is
+    built once here and is not part of the ideal's value.
     """
 
     __slots__ = ("generators", "n", "_fit_index")
@@ -66,7 +66,7 @@ class MonomialIdeal:
             minimal += [t for t in group if not lower.generates(t)]
         self.generators = TermSet(minimal, n)
         self.n = n
-        self._fit_index = tuple(_exponent_groups(minimal, j) for j in range(n))
+        self._fit_index = tuple(_exponent_groups(minimal, i) for i in range(n))
 
     def contains(self, t: Term) -> bool:
         if t.nvars != self.n:
@@ -87,15 +87,15 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.generators!r})"
 
 
-def _exponent_groups(gens: list[Term], k: int) -> tuple[list[int], list[dict[tuple, None]]]:
-    """The generators grouped by their exponent in slot k, in ascending order of
-    it: (sorted exponents, groups of the generators' tuples without slot k).
+def _exponent_groups(gens: list[Term], i: int) -> tuple[list[int], list[dict[tuple, None]]]:
+    """The generators grouped by slot i of their lex keys, in ascending order
+    of it: (sorted exponents, groups of the generators' keys without slot i).
     Each group is a dict keyed by those tuples in generator order, so one
     lookup tells whether a given tuple is among them."""
     groups: dict[int, dict[tuple, None]] = {}
     for g in gens:
-        e = g.exponents
-        groups.setdefault(e[k], {})[e[:k] + e[k + 1 :]] = None
+        k = g.lex_key
+        groups.setdefault(k[i], {})[k[:i] + k[i + 1 :]] = None
     keys = sorted(groups)
     return keys, [groups[key] for key in keys]
 
@@ -106,17 +106,17 @@ def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     raised before any is listed."""
     work = _monomials(d, J.n)
     _charge(work, "the degree-{} slice has {} terms to scan", d, work)
-    return [Term(k[::-1]) for k in _escalier_keys(J.generators, d)]
+    return list(map(Term._of_key, _escalier_keys(J.generators, d)))
 
 
-def _bump(e: tuple, j: int, by: int = 1) -> tuple:
-    """The exponents of x_j^by * e for an exponent tuple e (j is 1-based)."""
-    return e[: j - 1] + (e[j - 1] + by,) + e[j:]
+def _bump(k: tuple, i: int, by: int = 1) -> tuple:
+    """The lex key k with ``by`` added at slot i: x_j^by times the term, i = n - j."""
+    return k[:i] + (k[i] + by,) + k[i + 1 :]
 
 
-def _star_terms(J: MonomialIdeal, D: int) -> tuple[set[tuple], bool]:
-    """Exponent tuples of the star terms of J of degree <= D, and whether J
-    has a star term past D.
+def _star_terms(J: MonomialIdeal, D: int) -> tuple[dict[tuple, int], bool]:
+    """The star terms of J of degree <= D as {lex key: min index, n for 1},
+    and whether J has a star term past D.
 
     A star term gamma with m = min(gamma) factors as g * eta with g a minimal
     generator, min(g) = m and eta in x_{m+1}..x_n: the generator dividing
@@ -126,9 +126,9 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[set[tuple], bool]:
     stop a branch as soon as the predecessor enters J.  By the same closure,
     a star term past D is a generator of degree > D or implies one at D+1,
     a child of a degree-D survivor.  As pred lies outside J, pred * x_j is in
-    J iff x_j fits pred at power 1.  The search runs on exponent tuples and
-    returns them: a caller that lists the star terms makes them Terms, one
-    that only counts cones reads the tuples.
+    J iff x_j fits pred at power 1.  The search runs on lex keys, x_j at
+    slot n - j, and returns each with its m: a caller that lists the star
+    terms makes them Terms, one that only counts cones reads (m, degree).
     Past the work budget of visited nodes it raises WorkBudgetExceeded with
     the nodes visited so far: the star set of a non-quasi-stable ideal is
     infinite, so its size is not known before the search.
@@ -136,7 +136,7 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[set[tuple], bool]:
     if J.is_zero:
         raise ValueError("the zero ideal has no star set")
     n = J.n
-    found: set[tuple] = set()
+    found: dict[tuple, int] = {}
     beyond = False
     nodes = 0
     for g in J.generators:
@@ -145,21 +145,21 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[set[tuple], bool]:
             beyond = True
             continue
         if m is None:  # J is the unit ideal, whose only star term is 1
-            found.add(g.exponents)
+            found[g.lex_key] = n
             continue
-        # (star term, its predecessor, index of the smallest variable to add, degree)
-        stack = [(g.exponents, _bump(g.exponents, m, -1), m + 1, g.degree)]
+        # (star term, its predecessor, highest slot of a variable to add, degree)
+        stack = [(g.lex_key, _bump(g.lex_key, n - m, -1), n - m - 1, g.degree)]
         while stack:
-            gamma, pred, lo, d = stack.pop()
+            gamma, pred, top, d = stack.pop()
             nodes += 1
             _charge(nodes, "the star search visited {} terms by degree {}", nodes, D)
-            found.add(gamma)
+            found[gamma] = m
             if d == D:
-                beyond = beyond or any(_fit_power(J, pred, j) != 1 for j in range(lo, n + 1))
+                beyond = beyond or any(_fit_power(J, pred, i) != 1 for i in range(top + 1))
                 continue
-            for j in range(lo, n + 1):
-                if _fit_power(J, pred, j) != 1:
-                    stack.append((_bump(gamma, j), _bump(pred, j), j, d + 1))
+            for i in range(top + 1):
+                if _fit_power(J, pred, i) != 1:
+                    stack.append((_bump(gamma, i), _bump(pred, i), i, d + 1))
     return found, beyond
 
 
@@ -180,26 +180,25 @@ class StabilityReport:
     quasi_stable_witness: Optional[StabilityWitness] = None
 
 
-def _fit_power(J: MonomialIdeal, b: tuple, j: int) -> Optional[int]:
-    """Smallest t with x_j^t * b in J for an exponent tuple b outside J, or None.
+def _fit_power(J: MonomialIdeal, b: tuple, i: int) -> Optional[int]:
+    """Smallest t with x_j^t * b in J for a lex key b outside J, or None (i = n - j).
 
-    Some generator must fit under b in every exponent but the j-th.  One
-    with an x_j exponent of at most b_j would divide b, so the search walks
-    J's x_j index from the first exponent above b_j upwards and the first
-    group holding a fitting generator gives t = exponent - b_j >= 1.  That
-    first group is probed first for a generator equal to b off slot j, the
-    usual case in an ideal generated in one degree; only a miss scans.
+    Some generator must fit under b in every slot but i.  One with an x_j
+    exponent of at most b[i] would divide b, so the search walks J's index of
+    slot i from the first exponent above b[i] upwards and the first group
+    holding a fitting generator gives t = exponent - b[i] >= 1.  That first
+    group is probed first for a generator equal to b off slot i, the usual
+    case in an ideal generated in one degree; only a miss scans.
     """
-    keys, groups = J._fit_index[j - 1]
-    bj = b[j - 1]
-    rest = b[: j - 1] + b[j:]
-    first = bisect_right(keys, bj)
+    keys, groups = J._fit_index[i]
+    rest = b[:i] + b[i + 1 :]
+    first = bisect_right(keys, b[i])
     if first < len(keys) and rest in groups[first]:
-        return keys[first] - bj
-    for k in range(first, len(keys)):
-        for e in groups[k]:
+        return keys[first] - b[i]
+    for at in range(first, len(keys)):
+        for e in groups[at]:
             if all(map(le, e, rest)):
-                return keys[k] - bj
+                return keys[at] - b[i]
     return None
 
 
@@ -209,16 +208,16 @@ def _moves(J: MonomialIdeal, strongly: bool) -> Iterator[tuple[Term, int, int, O
     ``strongly``, and j > i.  g/x_i lies outside J because g is minimal, so
     the move stays in J iff its fit power is 1."""
     for g in J.generators:
-        k = g.min_index
-        if k is None:
+        m = g.min_index
+        if m is None:
             continue
-        e = g.exponents
-        for i in range(k, J.n + 1 if strongly else k + 1):
-            if e[i - 1] == 0:
+        k, n = g.lex_key, J.n
+        for i in range(m, n + 1 if strongly else m + 1):
+            if k[n - i] == 0:
                 continue
-            base = _bump(e, i, -1)
-            for j in range(i + 1, J.n + 1):
-                yield g, i, j, _fit_power(J, base, j)
+            base = _bump(k, n - i, -1)
+            for j in range(i + 1, n + 1):
+                yield g, i, j, _fit_power(J, base, n - j)
 
 
 def classify(J: MonomialIdeal) -> StabilityReport:
@@ -287,7 +286,7 @@ def star_set(J: MonomialIdeal, degree_bound: int) -> tuple[TermSet, bool]:
     """
     found, beyond = _star_terms(J, degree_bound)
     exhaustive = not beyond and degree_bound >= pommaret_termination_degree(J) - 1
-    return TermSet(found, J.n), exhaustive
+    return TermSet(map(Term._of_key, found), J.n), exhaustive
 
 
 def pommaret_basis(J: MonomialIdeal) -> TermSet:
@@ -302,7 +301,7 @@ def pommaret_basis(J: MonomialIdeal) -> TermSet:
     found, beyond = _star_terms(J, d - 1)
     if beyond:
         raise AssertionError("star set failed to stabilize below the proven bound")
-    basis = TermSet(found, J.n)
+    basis = TermSet(map(Term._of_key, found), J.n)
     ok, witness = is_stably_complete(basis)
     if not ok:
         raise AssertionError(f"star set is not stably complete, witness {witness}")
@@ -345,15 +344,15 @@ def _sigma_counts(J: MonomialIdeal, degrees: tuple[int, ...], mode: str) -> list
     degree <= p, m = min(gamma) (n for the term 1) and eta of degree
     e = p - deg gamma in x_1..x_m: gamma lands in sigma_m when e = 0, and an
     eta with minimal variable x_v is x_v times a degree-(e-1) term in x_v..x_m.
-    The star terms stay exponent tuples: only their (m, degree) is read.
+    The star terms stay lex keys (x_j at slot n - j): only (m, degree) is read.
     """
     if min(degrees) < 1:
         raise ValueError("sigma invariants are defined for degree >= 1")
     if mode not in SIGMA_MODES:
         raise ValueError(f"mode must be one of {SIGMA_MODES}")
     n = J.n
-    stars = () if J.is_zero else _star_terms(J, max(degrees))[0]
-    cones = [(next((i for i, x in enumerate(e, 1) if x), n), sum(e)) for e in stars]
+    stars = {} if J.is_zero else _star_terms(J, max(degrees))[0]
+    cones = [(m, sum(k)) for k, m in stars.items()]
     profiles = []
     for p in degrees:
         counts = [0] * n

@@ -115,7 +115,7 @@ class MarkedSet:
         """The term of a lex key, one object per key and set."""
         t = self._terms.get(key)
         if t is None:
-            t = self._terms[key] = Term(key[::-1])
+            t = self._terms[key] = Term._of_key(key)
         return t
 
     def _terms_of(self, poly: Iterable[tuple[tuple, object]]) -> dict[Term, object]:

@@ -32,7 +32,7 @@ class ParamVar:
 
     @classmethod
     def of_key(cls, key: tuple) -> "ParamVar":
-        return cls(key[0], Term(key[1][::-1]))
+        return cls(key[0], Term._of_key(key[1]))
 
     @property
     def name(self) -> str:

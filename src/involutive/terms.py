@@ -1,13 +1,14 @@
 """Terms (monomials) over a fixed ordered variable set x_1 < x_2 < ... < x_n.
 
-A term is stored as its exponent vector; slot k (0-based) holds the exponent
-of x_{k+1}.  Variable indices in the public API are 1-based.
+A term stores its lex key, the exponents with x_n first (x_j at slot n - j),
+so tuple order is lex order; ``exponents`` is the public x_1-first view.
+Variable indices in the public API are 1-based.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import index, le
+from operator import add, index, le, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import MismatchedVariableCount, NotDivisible
@@ -16,7 +17,7 @@ from .errors import MismatchedVariableCount, NotDivisible
 class Term:
     """Immutable monomial with exact divisibility and lex comparison support."""
 
-    __slots__ = ("exponents", "degree")
+    __slots__ = ("lex_key", "degree")
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(map(index, exponents))
@@ -24,66 +25,74 @@ class Term:
             raise ValueError("a term needs at least one variable")
         if min(exps) < 0:
             raise ValueError(f"negative exponent in {exps!r}")
-        self.exponents = exps
+        self.lex_key = exps[::-1]
         self.degree = sum(exps)
+
+    @classmethod
+    def _of_key(cls, key: tuple) -> "Term":
+        """The term with lex key ``key``, which the library made: not checked."""
+        t = cls.__new__(cls)
+        t.lex_key = key
+        t.degree = sum(key)
+        return t
+
+    @property
+    def exponents(self) -> tuple:
+        """The exponent vector, x_1 first."""
+        return self.lex_key[::-1]
 
     @property
     def nvars(self) -> int:
-        return len(self.exponents)
+        return len(self.lex_key)
 
     @property
     def min_index(self) -> Optional[int]:
         """1-based index of the smallest variable dividing the term, None for 1."""
-        for i, e in enumerate(self.exponents):
+        for j, e in enumerate(reversed(self.lex_key), 1):
             if e:
-                return i + 1
+                return j
         return None
-
-    @property
-    def lex_key(self) -> tuple:
-        # Lex scans from x_n down to x_1, so the reversed vector compares directly.
-        return self.exponents[::-1]
 
     @property
     def sort_key(self) -> tuple:
         """Canonical (degree, lex) ordering key."""
-        return (self.degree, self.exponents[::-1])
+        return (self.degree, self.lex_key)
 
     def _check(self, other: "Term") -> None:
-        if len(self.exponents) != len(other.exponents):
+        if len(self.lex_key) != len(other.lex_key):
             raise MismatchedVariableCount(
-                f"{len(self.exponents)} variables vs {len(other.exponents)}"
+                f"{len(self.lex_key)} variables vs {len(other.lex_key)}"
             )
 
     def __mul__(self, other: "Term") -> "Term":
         self._check(other)
-        return Term(a + b for a, b in zip(self.exponents, other.exponents))
+        return Term._of_key(tuple(map(add, self.lex_key, other.lex_key)))
 
     def divides(self, other: "Term") -> bool:
         self._check(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(map(le, self.lex_key, other.lex_key))
 
     def __truediv__(self, other: "Term") -> "Term":
         self._check(other)
         if not other.divides(self):
             raise NotDivisible(f"{other} does not divide {self}")
-        return Term(a - b for a, b in zip(self.exponents, other.exponents))
+        return Term._of_key(tuple(map(sub, self.lex_key, other.lex_key)))
 
     def predecessor(self, j: int) -> "Term":
         """Divide out one power of x_j (j is 1-based)."""
-        if not 1 <= j <= len(self.exponents):
+        k = self.lex_key
+        if not 1 <= j <= len(k):
             raise ValueError(f"variable index {j} out of range")
-        if self.exponents[j - 1] == 0:
+        i = len(k) - j  # x_j sits at slot n - j
+        if k[i] == 0:
             raise NotDivisible(f"x_{j} does not divide {self}")
-        exps = list(self.exponents)
-        exps[j - 1] -= 1
-        return Term(exps)
+        return Term._of_key(k[:i] + (k[i] - 1,) + k[i + 1 :])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Term) and self.exponents == other.exponents
+        return isinstance(other, Term) and self.lex_key == other.lex_key
 
     def __hash__(self) -> int:
-        return hash(self.exponents)
+        return hash(self.lex_key)
 
     def __repr__(self) -> str:
         return f"Term({list(self.exponents)!r})"
@@ -102,12 +111,11 @@ def variable(n: int, j: int) -> Term:
     """The term x_j in n variables (j is 1-based)."""
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for n={n}")
-    return Term(1 if i == j - 1 else 0 for i in range(n))
+    return Term._of_key(tuple(1 if s == n - j else 0 for s in range(n)))
 
 
 def _lex_keys(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The lex keys (``Term.lex_key``, x_n first) of all degree-d terms in n
-    variables, in increasing order."""
+    """The lex keys of all degree-d terms in n variables, in increasing order."""
     if n == 1:
         if d >= 0:
             yield (d,)
@@ -119,8 +127,7 @@ def _lex_keys(n: int, d: int) -> Iterator[tuple[int, ...]]:
 
 def terms_of_degree(n: int, d: int) -> Iterator[Term]:
     """All degree-d terms in n variables, in increasing lex order."""
-    for key in _lex_keys(n, d):
-        yield Term(key[::-1])
+    return map(Term._of_key, _lex_keys(n, d))
 
 
 def _monomials(d: int, n: int) -> int:
@@ -132,12 +139,11 @@ def _monomials(d: int, n: int) -> int:
 
 
 class TermSet:
-    """A finite set of distinct terms in canonical (degree, then lex) order.
+    """A finite set of distinct terms in canonical (degree, then lex) order,
+    with a frozenset of them for the ``in`` test.  Membership in the ideal
+    they generate scans the members' stored lex keys."""
 
-    ``_member_keys`` holds the members' lex keys for the membership scan,
-    listed on its first use; it is not part of the set's value."""
-
-    __slots__ = ("terms", "n", "_members", "_member_keys")
+    __slots__ = ("terms", "n", "_members")
 
     def __init__(self, terms: Iterable[Term], n: Optional[int] = None):
         seen = {}
@@ -156,7 +162,6 @@ class TermSet:
         self.n = n
         self.terms = tuple(sorted(seen, key=lambda t: t.sort_key))
         self._members = frozenset(self.terms)
-        self._member_keys = None
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
@@ -176,10 +181,7 @@ class TermSet:
     def _generates_key(self, k: tuple) -> bool:
         """:meth:`generates` for the term with lex key k in the set's variables:
         whether some member's key is at most k slot by slot."""
-        keys = self._member_keys
-        if keys is None:
-            keys = self._member_keys = [t.lex_key for t in self.terms]
-        return any(all(map(le, g, k)) for g in keys)
+        return any(all(map(le, g.lex_key, k)) for g in self.terms)
 
     def __eq__(self, other) -> bool:
         return (

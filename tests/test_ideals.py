@@ -321,8 +321,8 @@ def test_fit_power_matches_brute_force(data):
     base = data.draw(exps)
     assume(not tuple_in_ideal(gens, base))
     J = MonomialIdeal([Term(g) for g in gens], n)
-    for j in range(1, n + 1):
-        assert _fit_power(J, base, j) == brute_fit_power(gens, base, j)
+    for j in range(1, n + 1):  # _fit_power reads lex keys, with x_j at slot n - j
+        assert _fit_power(J, base[::-1], n - j) == brute_fit_power(gens, base, j)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -336,8 +336,8 @@ def test_fit_power_matches_brute_force_on_many_generators(data):
             if not tuple_divides(g, base)]
     assume(gens)
     J = MonomialIdeal([Term(g) for g in gens], n)
-    for j in range(1, n + 1):
-        assert _fit_power(J, base, j) == brute_fit_power(gens, base, j)
+    for j in range(1, n + 1):  # _fit_power reads lex keys, with x_j at slot n - j
+        assert _fit_power(J, base[::-1], n - j) == brute_fit_power(gens, base, j)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -363,7 +363,7 @@ def test_fit_power_and_star_set_on_bases_next_to_the_generators(data):
         lower = [d or data.draw(st.integers(0, e)) for d, e in zip(lower, g)]
     base = tuple(e - d for e, d in zip(g, lower))
     for k in range(1, n + 1):
-        fit = _fit_power(J, base, k)
+        fit = _fit_power(J, base[::-1], n - k)
         assert fit == brute_fit_power(gens, base, k)
         exact = fit is not None and base[: k - 1] + (base[k - 1] + fit,) + base[k:] in minimal
         event(f"fit {'none' if fit is None else min(fit, 2)}, generator hit exactly: {exact}")

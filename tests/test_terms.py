@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involutive import (
     MismatchedVariableCount,
@@ -144,3 +146,29 @@ def test_termset_empty_needs_explicit_n():
     with pytest.raises(ValueError):
         TermSet([])
     assert len(TermSet([], n=3)) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_a_term_has_two_views_of_one_exponent_vector(data):
+    # the stored lex key (x_n first) and the x_1-first exponents: every
+    # operation on keys agrees with the same operation on exponents
+    n = data.draw(st.integers(1, 6))
+    vectors = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    e, f = data.draw(vectors), data.draw(vectors)
+    a, b = Term(e), Term(f)
+    assert a.exponents == tuple(e)
+    assert a.lex_key == tuple(e)[::-1]
+    k = tuple(e)[::-1]
+    made = Term._of_key(k)
+    assert made == a and hash(made) == hash(a) and made.degree == a.degree == sum(e)
+    assert made.exponents == tuple(e)
+    assert a.min_index == next((i for i, x in enumerate(e, 1) if x), None)
+    assert a.sort_key == (sum(e), tuple(e)[::-1])
+    assert (a * b).exponents == tuple(x + y for x, y in zip(e, f))
+    assert (a * b).degree == sum(e) + sum(f)
+    assert (a * b) / b == a and ((a * b) / a).exponents == tuple(f)
+    assert a.divides(b) == all(x <= y for x, y in zip(e, f))
+    if a.divides(b):
+        assert (b / a).exponents == tuple(y - x for x, y in zip(e, f))
+        assert (b / a).degree == sum(f) - sum(e)

@@ -117,7 +117,6 @@ def test_each_divisibility_question_has_one_body():
     owners = {
         "divides": "terms.py",
         "_generates_key": "terms.py",
-        "_member_keys": "terms.py",
         "_heads": "division.py",
         "_cover_index": "division.py",
         "_fit_index": "ideals.py",
@@ -160,3 +159,30 @@ def test_division_owns_the_multiplicative_structure():
         "_cone_terms": {"ideals.py", "marked.py", "scheme.py"},
         "_nonmultiplicative": {"division.py", "marked.py"},
     }
+
+
+def test_terms_alone_knows_the_exponent_orientation():
+    # a term stores its lex key (x_n first): only terms reverses a tuple, on
+    # input and for the x_1-first view, and the computing layers never read
+    # that view; serialize and the names of scheme parameters print it
+    reversals = [
+        f"{name}:{node.lineno}"
+        for name, tree in library_trees()
+        if name != "terms.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Slice)
+        and node.lower is None
+        and node.upper is None
+        and isinstance(node.step, ast.UnaryOp)
+        and isinstance(node.step.op, ast.USub)
+        and getattr(node.step.operand, "value", None) == 1
+    ]
+    assert reversals == []
+    trees = dict(library_trees())
+    readers = [
+        f"{name}:{node.lineno}"
+        for name in ("division.py", "ideals.py", "marked.py", "_linalg.py")
+        for node in ast.walk(trees[name])
+        if getattr(node, "attr", None) == "exponents"
+    ]
+    assert readers == []
