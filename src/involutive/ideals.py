@@ -69,8 +69,6 @@ class MonomialIdeal:
         self._fit_index = tuple(_exponent_groups(minimal, i) for i in range(n))
 
     def contains(self, t: Term) -> bool:
-        if t.nvars != self.n:
-            raise MismatchedVariableCount(f"{t} has {t.nvars} variables, expected {self.n}")
         return self.generators.generates(t)
 
     @property

@@ -5,8 +5,10 @@ the same sparse polynomials to row echelon form over the integers.
 Inside, a polynomial maps lex keys to coefficients: a term's exponent tuple
 with x_n first (``Term.lex_key``), so that tuple order is lex order and a
 product of terms is ``tuple(map(add, a, b))``.  Inputs are converted once,
-and what is returned is converted back to ``Term`` objects through one memo
-per marked set.  Coefficients are exact rationals (``fractions.Fraction``)
+and what is returned is built back from its keys by ``Term._of_key``, with no
+memo.  A marked set has one constructor, ``MarkedSet(basis, tails)``, which
+makes its polynomials; :func:`make_marked_set` validates the tails before
+calling it.  Coefficients are exact rationals (``fractions.Fraction``)
 or ints in the concrete case.  The generic sets of :mod:`scheme` carry
 integer-ring parameter polynomials, which this module only stores and
 multiplies by terms: scheme walks the same non-multiplicative prolongations
@@ -78,22 +80,23 @@ class MarkedPolynomial:
 class MarkedSet:
     """Marked polynomials indexed by a complete division basis M.
 
-    Construct through :func:`make_marked_set`, which validates the tails
-    (the generic sets of :mod:`scheme` draw theirs from the escalier).
-    Stable completeness of M is computed lazily and cached (the assignment
-    caches the completeness verdict).  Star decompositions come from the
-    Janet assignment of M itself and are memoized, since reduction revisits
-    the same terms.  Lex keys become ``Term`` objects again through one memo
-    per set (:meth:`_term`), so reports share them.
+    The one constructor takes M and a ``{head: {term: coefficient}}`` map of
+    tails (a head missing from it gets an empty tail) and makes one marked
+    polynomial per element of M, in basis order.  It checks nothing:
+    :func:`make_marked_set` validates the tails first, and the generic sets
+    of :mod:`scheme` draw theirs from the escalier.  Stable completeness of M
+    is computed lazily and cached (the assignment caches the completeness
+    verdict).  Star decompositions come from the Janet assignment of M itself
+    and are memoized, since reduction revisits the same terms.  What is
+    returned is built from lex keys by ``Term._of_key``.
     """
 
-    def __init__(self, basis: TermSet, polys: dict[Term, MarkedPolynomial]):
+    def __init__(self, basis: TermSet, tails: Mapping[Term, Mapping[Term, object]]):
         self.basis = basis
         self.n = basis.n
-        self.polys = polys
+        self.polys = {head: MarkedPolynomial(head, tails.get(head, {})) for head in basis}
         self.assignment = DivisionAssignment.janet(basis)
         self._decompositions: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
-        self._terms: dict[tuple, Term] = {}
 
     @cached_property
     def stable_completeness(self) -> tuple[bool, Optional[tuple[Term, int]]]:
@@ -105,22 +108,9 @@ class MarkedSet:
         the head first with the int coefficient 1, then the tail in order."""
         out = {}
         for head, f in self.polys.items():
-            terms = (head, *f.tail)
-            keys = [t.lex_key for t in terms]
-            self._terms.update(zip(keys, terms))
+            keys = [t.lex_key for t in (head, *f.tail)]
             out[keys[0]] = list(zip(keys, (1, *f.tail.values())))
         return out
-
-    def _term(self, key: tuple) -> Term:
-        """The term of a lex key, one object per key and set."""
-        t = self._terms.get(key)
-        if t is None:
-            t = self._terms[key] = Term._of_key(key)
-        return t
-
-    def _terms_of(self, poly: Iterable[tuple[tuple, object]]) -> dict[Term, object]:
-        """(key, coefficient) pairs as a ``{Term: coefficient}`` map."""
-        return {self._term(k): c for k, c in poly}
 
     def _require_stably_complete(self, what: str) -> None:
         """Raise :class:`NotStablyComplete` unless M is stably complete; the
@@ -170,10 +160,8 @@ def make_marked_set(
     for head in tails:
         if head not in M:
             raise HeadNotInM(f"{head} is not in the division basis")
-    polys: dict[Term, MarkedPolynomial] = {}
     for head in M:
-        tail = tails.get(head, {})
-        for t, c in tail.items():
+        for t, c in tails.get(head, {}).items():
             if not c:
                 continue
             if t.nvars != M.n:
@@ -184,8 +172,7 @@ def make_marked_set(
                 )
             if M.generates(t):
                 raise TailInIdeal(f"tail term {t} lies in the ideal")
-        polys[head] = MarkedPolynomial(head, tail)
-    return MarkedSet(M, polys)
+    return MarkedSet(M, tails)
 
 
 @dataclass(frozen=True)
@@ -210,6 +197,11 @@ class ReductionTrace:
 def _times(f: Iterable[tuple[tuple, object]], eta: tuple) -> dict[tuple, object]:
     """The product of a keyed polynomial by the term with lex key eta."""
     return {tuple(map(add, k, eta)): c for k, c in f}
+
+
+def _terms_of(poly: Iterable[tuple[tuple, object]]) -> dict[Term, object]:
+    """(key, coefficient) pairs as a ``{Term: coefficient}`` map."""
+    return {Term._of_key(k): c for k, c in poly}
 
 
 def _subtract_scaled(work: dict, f: list, eta: tuple, c) -> None:
@@ -309,11 +301,11 @@ def reduce(
         else:
             spent += len(work)
             _charge(spent, "the reduction scans {} terms by step {}", spent, len(steps))
-    term = G._term
+    term = Term._of_key
     # One degree throughout, so key order is sort_key order.
     return ReductionTrace(
         [ReductionStep(term(k), term(head), term(eta), c) for k, head, eta, c in steps],
-        G._terms_of((k, work[k]) for k in sorted(work)),
+        _terms_of((k, work[k]) for k in sorted(work)),
         status,
     )
 
@@ -348,7 +340,7 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     G._require_stably_complete("G^(s)")
     work = _cone_terms(G.assignment.mult.items(), s)
     _charge(work, "G^(s) at degree {} has {} multiples", s, work)
-    return [(G._term(k), G._terms_of(poly.items())) for k, poly in _star_multiples(G, s)]
+    return [(Term._of_key(k), _terms_of(poly.items())) for k, poly in _star_multiples(G, s)]
 
 
 @dataclass(frozen=True)
@@ -392,7 +384,7 @@ def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
     G._require_stably_complete("the criterion")
     checks = [
         CriterionCheck(
-            head, j, reduce(G, G._terms_of(h.items()), step_cap=_monomials(head.degree + 1, G.n))
+            head, j, reduce(G, _terms_of(h.items()), step_cap=_monomials(head.degree + 1, G.n))
         )
         for head, j, h in _prolongations(G)
     ]

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .division import _cone_terms, pommaret_multiplicative_vars
 from .errors import MissingAssignment, _charge
 from .ideals import MonomialIdeal, escalier_slice, pommaret_basis
-from .marked import MarkedPolynomial, MarkedSet, _prolongations
+from .marked import MarkedSet, _prolongations, _terms_of
 from .terms import Term, TermSet, _monomials
 
 
@@ -190,12 +190,9 @@ class GenericMarkedSet:
     tails: dict[Term, dict[Term, ParamPolynomial]]
 
     def marked_set(self) -> MarkedSet:
-        return _escalier_marked_set(self.basis, self.tails)
-
-
-def _escalier_marked_set(basis: TermSet, tails: Mapping[Term, Mapping]) -> MarkedSet:
-    # Tails drawn from the escalier pass make_marked_set's checks by construction.
-    return MarkedSet(basis, {head: MarkedPolynomial(head, tail) for head, tail in tails.items()})
+        # Tails drawn from the escalier pass make_marked_set's checks by
+        # construction, so this set and its specialisations skip them.
+        return MarkedSet(self.basis, self.tails)
 
 
 def _generic_work(basis: TermSet) -> int:
@@ -326,7 +323,7 @@ def prolongation_residues(
             add_normal_form(acc, t, _multiplier(ParamPolynomial._coerce(c).coeffs))
         # One degree throughout, so key order is sort_key order.
         residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc))
-        out.append((head, j, G._terms_of((t, p) for t, p in residue if p)))
+        out.append((head, j, _terms_of((t, p) for t, p in residue if p)))
     return out
 
 
@@ -362,7 +359,7 @@ def specialize(
     """Evaluate every parameter to a rational, producing a concrete marked set."""
     evaluated = iter(_evaluate([p for tail in gm.tails.values() for p in tail.values()], values))
     tails = {head: {t: next(evaluated) for t in tail} for head, tail in gm.tails.items()}
-    return _escalier_marked_set(gm.basis, tails)
+    return MarkedSet(gm.basis, tails)  # escalier tails, as in marked_set
 
 
 def evaluate_equations(

@@ -140,8 +140,8 @@ def _monomials(d: int, n: int) -> int:
 
 class TermSet:
     """A finite set of distinct terms in canonical (degree, then lex) order,
-    with a frozenset of them for the ``in`` test.  Membership in the ideal
-    they generate scans the members' stored lex keys."""
+    with the dict that deduplicated them kept for the ``in`` test.  Membership
+    in the ideal they generate scans the members' stored lex keys."""
 
     __slots__ = ("terms", "n", "_members")
 
@@ -161,7 +161,7 @@ class TermSet:
             raise ValueError("cannot infer variable count from an empty set")
         self.n = n
         self.terms = tuple(sorted(seen, key=lambda t: t.sort_key))
-        self._members = frozenset(self.terms)
+        self._members = seen
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)

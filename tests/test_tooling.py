@@ -186,3 +186,39 @@ def test_terms_alone_knows_the_exponent_orientation():
         if getattr(node, "attr", None) == "exponents"
     ]
     assert readers == []
+
+
+def test_a_marked_set_has_one_constructor():
+    # MarkedSet.__init__ alone makes marked polynomials, from the basis and
+    # the tails; make_marked_set validates the tails before calling it, and
+    # scheme's generic set and its specialisations call it directly.  Lex
+    # keys become terms through Term._of_key, with no memo on the set
+    calls = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                called = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if called in ("MarkedPolynomial", "MarkedSet"):
+                    calls.add((called, f"{module}:{'.'.join(scope)}"))
+            visit(child, module, scope)
+
+    memo = []
+    for name, tree in library_trees():
+        visit(tree, name, ())
+        memo += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if getattr(node, "attr", None) in ("_term", "_terms")
+        ]
+    assert calls == {
+        ("MarkedPolynomial", "marked.py:MarkedSet.__init__"),
+        ("MarkedSet", "marked.py:make_marked_set"),
+        ("MarkedSet", "scheme.py:GenericMarkedSet.marked_set"),
+        ("MarkedSet", "scheme.py:specialize"),
+    }
+    assert memo == []
+    assert "_term" not in MarkedSet.__dict__
