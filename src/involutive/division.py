@@ -223,15 +223,86 @@ def is_complete(
     return witness is None, witness
 
 
+def _in_a_cone(ends: dict[tuple[int, ...], int], k: tuple[int, ...], top: int) -> bool:
+    """Whether the Pommaret cone of a term stored in ``ends`` with min at slot
+    r <= top holds the term with lex key k: one probe of the prefix k[:r] per
+    slot, from ``top`` down to 0, for a stored exponent of at most k[r]."""
+    for r in range(top, -1, -1):
+        e = ends.get(k[:r])
+        if e is not None and e <= k[r]:
+            return True
+    return False
+
+
+def _pommaret_involutive(M: TermSet) -> bool:
+    """Whether the Pommaret cones of M are disjoint and hold every prolongation
+    x_j * tau with j > min(tau), decided on lex-key prefixes.
+
+    With m = min(tau) (n for the term 1), x_m sits at slot s = n - m of the
+    lex key k of tau, and the cone tau * k[x_1..x_m] holds exactly the keys
+    that start with the prefix k[:s] and carry at least k[s] at slot s.  So
+    ``ends`` maps each prefix to its k[s].  Two cones meet iff both members
+    share a prefix, or one member lies in the other's cone, found by probing
+    its own shorter prefixes.  A prolongation keeps the min of tau, so a
+    cone that holds it has its min at a slot r <= s.
+    """
+    n = M.n
+    ends: dict[tuple[int, ...], int] = {}
+    keys = []
+    for tau in M:
+        k, s = tau.lex_key, n - (tau.min_index or n)
+        if k[:s] in ends:
+            return False
+        ends[k[:s]] = k[s]
+        keys.append((k, s))
+    for k, s in keys:
+        if _in_a_cone(ends, k, s - 1):
+            return False
+        for i in range(s):  # x_j at slot i, with j = n - i > min(tau)
+            if not _in_a_cone(ends, k[:i] + (k[i] + 1,) + k[i + 1 :], s):
+                return False
+    return True
+
+
 def is_stably_complete(
     M: TermSet, assignment: Optional[DivisionAssignment] = None
 ) -> tuple[bool, Optional[tuple[Term, int]]]:
     """Complete, and Janet multiplicative variables agree with the Pommaret ones.
 
-    Both concern M alone: a Janet ``assignment`` of M is reused, another flavour
-    gives way to M's Janet assignment."""
-    assignment = _own_assignment(M, assignment)
-    if assignment.flavor != JANET:
+    Both concern M alone.  A positive verdict is proven on Pommaret cones
+    (``_pommaret_involutive``), with no Janet table.  Otherwise the verdict
+    and its witness come from M's Janet assignment: the first uncovered
+    prolongation, else the first term in canonical order whose Janet and
+    Pommaret variables differ, with the least variable where they do.  A
+    Janet ``assignment`` of M is reused there; another flavour gives way to
+    M's Janet assignment, and an assignment of another set raises ValueError.
+
+    The two proofs agree.  Theorem: (a) the Pommaret cones of M are disjoint
+    and (b) every x_j * tau with j > min(tau) lies in one of them iff M is
+    Janet complete with Janet variables equal to Pommaret variables.
+
+    Proof.  If (a) holds, x_j is Janet multiplicative for tau whenever
+    j <= m = min(tau): a sigma in M that agrees with tau above x_j and has a
+    larger x_j exponent agrees with tau above x_m and has at least its x_m
+    exponent, so it lies in the Pommaret cone of tau, against (a).  So the
+    Pommaret variables of each term are among its Janet ones.  Pommaret
+    division is continuous, so (b), local involutivity, makes the Pommaret
+    cones cover the ideal (M) (Gerdt and Blinkov, "Involutive bases of
+    polynomial ideals", 1998; Seiler, "A combinatorial approach to
+    involution and delta-regularity I", AAECC 2009).  Each Janet cone
+    contains the Pommaret cone of its term, and Janet cones are disjoint.
+    A term of (M) in the Janet cone of tau lies in some Pommaret cone, of
+    sigma say, hence in the Janet cone of sigma, so sigma = tau: every
+    Janet cone equals its Pommaret cone, and the variables agree.  The Janet
+    cones then cover (M), so M is Janet complete.  Conversely, if M is Janet
+    complete with the same variables, its Pommaret cones are its Janet
+    cones: disjoint, and covering every prolongation, which lies in (M).
+    """
+    if assignment is not None:
+        _own_assignment(M, assignment)
+    if _pommaret_involutive(M):
+        return True, None
+    if assignment is None or assignment.flavor != JANET:
         assignment = DivisionAssignment.janet(M)
     ok, witness = is_complete(M, assignment)
     if not ok:

@@ -85,10 +85,12 @@ class MarkedSet:
     polynomial per element of M, in basis order.  It checks nothing:
     :func:`make_marked_set` validates the tails first, and the generic sets
     of :mod:`scheme` draw theirs from the escalier.  Stable completeness of M
-    is computed lazily and cached (the assignment caches the completeness
-    verdict).  Star decompositions come from the Janet assignment of M itself
-    and are memoized, since reduction revisits the same terms.  What is
-    returned is built from lex keys by ``Term._of_key``.
+    is decided lazily and cached on the set: a positive verdict is proven on
+    Pommaret cones, with no completeness scan, and only a negative one
+    scans the Janet assignment, which then caches its completeness witness.
+    Star decompositions come from the Janet assignment of M itself and are
+    memoized, since reduction revisits the same terms.  What is returned is
+    built from lex keys by ``Term._of_key``.
     """
 
     def __init__(self, basis: TermSet, tails: Mapping[Term, Mapping[Term, object]]):
@@ -248,6 +250,12 @@ def reduce(
     basis a step pays the terms the next one scans, and over a merely complete
     one each kept state pays its size (:func:`_state_size`), which is at least
     its terms, since the coefficients can grow at every step.
+
+    Preconditions are checked in order: the variable count of each term,
+    homogeneity, then the stable completeness of the basis, read first
+    (a stably complete basis is complete); only a basis that is not stably
+    complete is scanned for completeness, and NotComplete carries the
+    scan's witness.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")
@@ -262,10 +270,11 @@ def reduce(
         work[t.lex_key] = c
     if len(degrees) > 1:
         raise NonHomogeneousInput(f"mixed degrees {sorted(degrees)}")
-    ok, witness = is_complete(G.basis, G.assignment)
-    if not ok:
-        raise NotComplete("reduction needs a complete basis", witness=witness)
     track_states = not G.stable_completeness[0]
+    if track_states:
+        ok, witness = is_complete(G.basis, G.assignment)
+        if not ok:
+            raise NotComplete("reduction needs a complete basis", witness=witness)
     seen = {frozenset(work.items())} if track_states else None
     spent = _state_size(work) if track_states else len(work)
     keyed, decompose = G._keyed, G.decompose

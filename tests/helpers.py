@@ -124,6 +124,22 @@ def brute_is_complete(members, mult):
     return None
 
 
+def brute_is_stably_complete(members):
+    """(verdict, witness) of stable completeness from the definitions: the
+    Janet completeness witness first, else the first member in canonical
+    order whose Janet and Pommaret variables differ, with the least variable
+    where they do."""
+    mult = {tau: brute_mult_vars(members, tau) for tau in members}
+    witness = brute_is_complete(members, mult)
+    if witness is not None:
+        return False, witness
+    for tau in canonical_order(members):
+        mismatch = mult[tau] ^ brute_pommaret_vars(tau)
+        if mismatch:
+            return False, (tau, min(mismatch))
+    return True, None
+
+
 def brute_star_decompose(members, mult, gamma):
     """(head, cofactor) with the lex-greatest covering head, or the name of
     the error: NotInIdeal when nothing divides gamma, else NotComplete."""

@@ -826,6 +826,21 @@ def test_mult_vars_in_many_variables_answers_within_seconds(tmp_path, capsys):
     assert [e["mult"] for e in report["pommaret"]] == [[1, 2], [1]]
 
 
+def test_stable_completeness_of_the_maximal_ideal_answers_within_seconds(tmp_path, capsys):
+    # the proof on Pommaret cones probes a dict of prefixes, at most
+    # n - i + 1 times per prolongation x_j * x_i, with no Janet table, cover
+    # index or completeness scan: (x_1..x_150) is answered well within the bound
+    n = 150
+    terms = [[int(i == j) for i in range(n)] for j in range(n)]
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"vars": n, "terms": terms}))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "stably-complete-check", "--input", str(source))
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert report == {"stably_complete": True, "witness": None}
+
+
 MARKED = {"vars": 2, "polynomials": [{"head": [1, 0], "tail": []}]}
 IDEAL = {"vars": 2, "generators": [[2, 0], [1, 1], [0, 3]]}
 

@@ -32,7 +32,7 @@ from involutive import (
     star_set,
     terms_of_degree,
 )
-from involutive import errors, make_marked_set
+from involutive import errors, ideals, make_marked_set
 from involutive.ideals import _fit_power, pommaret_termination_degree, sigma_totals
 from involutive.serialize import parse_ideal
 from involutive.terms import _escalier_keys
@@ -40,6 +40,7 @@ from helpers import (
     exp_tuples,
     brute_escalier,
     brute_fit_power,
+    brute_is_stably_complete,
     brute_quasi_stable_fits,
     brute_sigma,
     brute_stability_witnesses,
@@ -422,6 +423,25 @@ def test_pommaret_basis_examples():
     assert pommaret_basis(QUASI) == TermSet([t(0, 0, 2), t(0, 1, 1), t(0, 1, 0)])
     with pytest.raises(NotQuasiStable):
         pommaret_basis(NOT_QUASI)
+
+
+def test_pommaret_basis_refuses_a_star_set_that_is_not_stably_complete(monkeypatch):
+    # the self-check is an explicit raise, so it holds under python -O too: a
+    # star search that loses x2*x3, the one star term of (x3^2, x2) that is
+    # not a generator, is caught with the Janet witness of what is left
+    search = ideals._star_terms
+
+    def lossy(J, D):
+        found, beyond = search(J, D)
+        del found[t(0, 1, 1).lex_key]
+        return found, beyond
+
+    monkeypatch.setattr(ideals, "_star_terms", lossy)
+    witness = (t(0, 1, 0), 3)
+    assert brute_is_stably_complete([(0, 1, 0), (0, 0, 2)]) == (False, ((0, 1, 0), 3))
+    with pytest.raises(AssertionError) as info:
+        pommaret_basis(QUASI)
+    assert str(info.value) == f"star set is not stably complete, witness {witness}"
 
 
 def test_pommaret_basis_is_the_star_set_of_its_ideal():

@@ -222,3 +222,44 @@ def test_a_marked_set_has_one_constructor():
     }
     assert memo == []
     assert "_term" not in MarkedSet.__dict__
+
+
+def test_stable_completeness_is_proven_in_division():
+    # the proof on Pommaret cones is defined once, in division, and called
+    # from is_stably_complete alone; outside division no function that asks
+    # for stable completeness builds a DivisionAssignment to decide it
+    defined, callers, builders = set(), set(), []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                if child.name == "_pommaret_involutive":
+                    defined.add(module)
+                visit(child, module, scope + (child.name,))
+                continue
+            called = getattr(child, "func", None)
+            called = getattr(called, "id", None) or getattr(called, "attr", None)
+            if called == "_pommaret_involutive":
+                callers.add(f"{module}:{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for name, tree in library_trees():
+        visit(tree, name, ())
+        if name == "division.py":
+            continue
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            names = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(function)
+            }
+            if names & {"is_stably_complete", "stable_completeness"} and names & {
+                "DivisionAssignment",
+                "janet",
+                "pommaret",
+            }:
+                builders.append(f"{name}:{function.name}")
+    assert defined == {"division.py"}
+    assert callers == {"division.py:is_stably_complete"}
+    assert builders == []
