@@ -60,6 +60,11 @@ def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
 # lex keys of the terms that have them.
 _CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[tuple[int, ...]]]]]
 
+# The prolongations x_j * tau that a completion has found covered, keyed by
+# (lex key of tau, j), each with the lex key of its covering head and that
+# head's multiplicative variables when it covered the pair.
+_Proven = dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], frozenset[int]]]
+
 
 @dataclass(frozen=True)
 class StarFactorization:
@@ -76,7 +81,8 @@ class DivisionAssignment:
     The assignment answers every cover question about its own basis, on lex
     keys (``Term.lex_key``): which terms' involutive cones hold a term
     (``_cover``, and :meth:`cover` on terms), whether the cones cover the
-    ideal (``_uncovered``) and whether two of them nest (``_nested``).
+    ideal (``_uncovered``, from the one completeness scan ``_first_uncovered``)
+    and whether two of them nest (``_nested``).
     Probes are lazy (``_heads``): completeness stops at the first covering
     head of each prolongation, and a Janet lookup takes its only head.
     """
@@ -159,11 +165,32 @@ class DivisionAssignment:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
+        return self._first_uncovered()
+
+    def _first_uncovered(self, proven: Optional[_Proven] = None) -> Optional[tuple[Term, int]]:
+        """The first (tau, j) in canonical order with x_j * tau in no
+        involutive cone, None when there is none: the one completeness scan.
+
+        ``proven`` carries the pairs found covered across the rebuilds of a
+        completion, each as (key of tau, j) -> (key of its covering head, the
+        head's variables).  A carried pair whose head still has the same
+        variables is skipped, since that head's cone is unchanged; every
+        other pair is probed, and recorded when a head covers it.
+        """
         n = self.basis.n
+        if proven is not None:
+            vars_of = {t.lex_key: vars_ for t, vars_ in self.mult.items()}
         for tau, j in self._nonmultiplicative():
             k, i = tau.lex_key, n - j  # x_j sits at slot n - j
-            if not any(self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :])):
+            if proven is not None:
+                seen = proven.get((k, j))
+                if seen is not None and vars_of[seen[0]] == seen[1]:
+                    continue
+            head = next(self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :]), None)
+            if head is None:
                 return tau, j
+            if proven is not None:
+                proven[k, j] = head, vars_of[head]
         return None
 
     @cached_property
@@ -318,17 +345,33 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     """Enlarge M until it is complete, adding non-multiplicative products.
 
     Terms are processed in canonical (degree, lex) order and the first
-    uncovered product x_j * tau is adjoined, then the scan restarts with the
-    recomputed multiplicative structure.  Completion of a finite set always
-    terminates; ``degree_cap`` is a safety valve and exceeding it raises
+    uncovered product x_j * tau is inserted at its place in that order; the
+    multiplicative structure is then recomputed and the scan walks the pairs
+    from the first again.  Completion of a finite set always terminates;
+    ``degree_cap`` is a safety valve and exceeding it raises
     DegreeCapExceeded carrying the partial set.  The cap does not bound the
     number of additions, so each rebuild is charged |current| * n, the table
     and the prolongation scan it repeats, and past the work budget
     WorkBudgetExceeded is raised with the units charged so far.
+
+    The scan carries each pair it has proven covered, with its covering
+    head and that head's variables, across the additions, and probes again
+    only the pairs it has not proven or whose head's variables changed
+    (``DivisionAssignment._first_uncovered``).  That gives the witness a
+    fresh scan would give.  Adding a term can only raise the largest
+    exponent in a Janet class, so multiplicative sets only shrink, and a
+    head whose variables are unchanged has an unchanged cone: every skipped
+    pair is still covered.  Every pair before the returned witness is
+    therefore covered in the current set, and the witness is the first
+    uncovered pair.  So the additions, their order, the partial set of
+    DegreeCapExceeded and the work charged per rebuild are those of a scan
+    that restarts from nothing after each addition.  An addition lies in no
+    cone, while each member lies in its own, so it is never a member.
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
     current = M
+    proven: _Proven = {}
     work = 0
     while True:
         work += len(current) * current.n
@@ -338,7 +381,7 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
             work,
             len(current) - len(M),
         )
-        witness = DivisionAssignment.janet(current)._uncovered
+        witness = DivisionAssignment.janet(current)._first_uncovered(proven)
         if witness is None:
             return current
         tau, j = witness
@@ -348,4 +391,4 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
                 f"completion needs degree {addition.degree} > cap {degree_cap}",
                 partial=current,
             )
-        current = TermSet(current.terms + (addition,), current.n)
+        current = current._inserted(addition)

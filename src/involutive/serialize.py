@@ -56,14 +56,69 @@ def _any_int_size():
         sys.set_int_max_str_digits(limit)
 
 
+# Past this many bits an int prints faster through _decimal_text than through
+# str, which is quadratic in the digit count before Python 3.12.
+_QUADRATIC_STR_BITS = 1 << 16
+
+
+def _decimal_text(n: int) -> str:
+    """``str(n)`` in subquadratic time: n is split into halves of its bits,
+    each half converted to a ``Decimal`` by recursion and the two joined by
+    one exact multiplication by a memoised power of 2.  This follows CPython
+    3.12's ``_pylong.int_to_decimal_string`` (Tim Peters); the decimal
+    module multiplies large numbers in subquadratic time."""
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
+
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:  # 2**w
+        result = powers.get(w)
+        if result is None:
+            if w <= 128:
+                result = Decimal(2) ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                # w2 first: when w is odd, the larger half w2 + 1 then doubles it
+                w2 = w >> 1
+                result = power(w2) * power(w - w2)
+            powers[w] = result
+        return result
+
+    def convert(m: int, w: int) -> Decimal:  # m < 2**w
+        if w <= 128:
+            return Decimal(m)
+        w2 = w >> 1
+        hi = m >> w2
+        return convert(m - (hi << w2), w2) + convert(hi, w - w2) * power(w2)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        m = abs(n)
+        text = str(convert(m, m.bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, through :func:`_decimal_text` where str is quadratic."""
+    if sys.version_info < (3, 12) and n.bit_length() > _QUADRATIC_STR_BITS:
+        return _decimal_text(n)
+    return str(n)
+
+
 def _number_text(value) -> str:
     """The ``json.dumps`` hook for what JSON cannot hold: a ``Fraction`` or a
     ``ParamPolynomial`` coefficient prints as its ``str``, and any other
-    object raises TypeError."""
+    object raises TypeError.  A huge numerator or denominator prints in
+    subquadratic time."""
     from fractions import Fraction
 
     if isinstance(value, Fraction):
-        return str(value)
+        numerator = _int_text(value.numerator)
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{_int_text(value.denominator)}"
     # Only the scheme reports hold other coefficients: a command that never
     # loads scheme does not load it here.
     from .scheme import ParamPolynomial

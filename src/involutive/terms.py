@@ -7,8 +7,9 @@ Variable indices in the public API are 1-based.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import comb
-from operator import add, index, le, sub
+from operator import add, attrgetter, index, le, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import MismatchedVariableCount, NotDivisible
@@ -138,6 +139,9 @@ def _monomials(d: int, n: int) -> int:
     return comb(d + n - 1, d) if d + n else 1
 
 
+_sort_key = attrgetter("sort_key")
+
+
 class TermSet:
     """A finite set of distinct terms in canonical (degree, then lex) order,
     with the dict that deduplicated them kept for the ``in`` test.  Membership
@@ -160,7 +164,7 @@ class TermSet:
         if n is None:
             raise ValueError("cannot infer variable count from an empty set")
         self.n = n
-        self.terms = tuple(sorted(seen, key=lambda t: t.sort_key))
+        self.terms = tuple(sorted(seen, key=_sort_key))
         self._members = seen
 
     def __iter__(self) -> Iterator[Term]:
@@ -171,6 +175,15 @@ class TermSet:
 
     def __contains__(self, t) -> bool:
         return t in self._members
+
+    def _inserted(self, t: Term) -> "TermSet":
+        """The set with t, a term in its variables that is not a member,
+        inserted at its place in canonical order; the set itself is unchanged."""
+        terms = list(self.terms)
+        insort(terms, t, key=_sort_key)
+        grown = TermSet.__new__(TermSet)
+        grown.n, grown.terms, grown._members = self.n, tuple(terms), {**self._members, t: None}
+        return grown
 
     def generates(self, t: Term) -> bool:
         """Membership of t in the monomial ideal generated by the set."""

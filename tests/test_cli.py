@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -6,12 +7,14 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involutive import ParamPolynomial, Term
 from involutive.cli import main
 from involutive.errors import _WORK_BUDGET
 from involutive.scheme import ParamVar
-from involutive.serialize import dumps, parse_coeff
+from involutive.serialize import _any_int_size, _decimal_text, _number_text, dumps, parse_coeff
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -674,6 +677,35 @@ def test_dumps_prints_the_coefficients_left_in_a_report():
     assert text == '{\n  "c": [\n    "-1/2",\n    "-3 + C[1][0,2]"\n  ]\n}\n'
     with pytest.raises(TypeError):
         dumps({"t": Term([1])})
+
+
+@st.composite
+def huge_ints(draw):
+    """Ints of up to about 10^5 digits, in bands of bit lengths on both sides
+    of the size where printing leaves str: random bits, and the powers of 2
+    and 10 and the runs of nines next to them, where a carry crosses every
+    digit."""
+    band = draw(st.sampled_from([3 << 16, 1 << 16, 1 << 15, 1 << 12, 1 << 7, 0]))
+    bits = band + draw(st.integers(0, band))
+    kind = draw(st.sampled_from(["random", "power of 2", "power of 10", "nines"]))
+    if kind == "random":
+        n = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+    elif kind == "power of 2":
+        n = 1 << bits
+    else:
+        n = 10 ** (bits // 4) - (kind == "nines")
+    return -n if draw(st.booleans()) else n
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(huge_ints(), st.integers(1, 10**40))
+def test_huge_coefficients_print_as_str_prints_them(n, d):
+    # the divide-and-conquer conversion that prints huge coefficients where
+    # str is quadratic gives str's digits, and a fraction its str
+    with _any_int_size():
+        assert _decimal_text(n) == str(n)
+        for value in (Fraction(n), Fraction(n, d), Fraction(d, abs(n) or 1)):
+            assert _number_text(value) == str(value)
 
 
 HUGE_HEAD = {"vars": 2, "generators": [[0, 10**12]]}

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from involutive import (
@@ -492,6 +492,43 @@ def test_janet_complete_matches_the_dense_oracle(drawn, slack):
     assert is_complete(completed, assignment) == (True, None)
     mult = {m: brute_mult_vars(expected, m) for m in expected}
     check_against_brute_force(sorted(expected), probes, assignment, mult)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(term_sets(max_vars=4, max_exp=3, max_size=7))
+# the third scan proves x3 * (x1*x2) in the cone of x1*x3, whose variables
+# are x1, x2; adding x2^2*x3 takes x2 from x1*x3, so the next scan must probe
+# that pair again, and it is that scan's witness
+@example(([(0, 0, 2), (0, 2, 0), (1, 0, 0)], [(0, 0, 0)]))
+def test_carried_scan_finds_the_witness_of_a_fresh_scan(drawn):
+    # janet_complete carries the pairs it has proven covered across its
+    # additions and probes again only those whose head's variables changed.
+    # Replayed step by step, each witness of the carried scan is the first
+    # uncovered pair of the current set, multiplicative sets only shrink, and
+    # each addition lands where a set built anew would sort it.  Final sets
+    # alone do not tell a scan that never probes again from this one; the
+    # witnesses do.
+    members, _ = drawn
+    current = TermSet([Term(m) for m in members])
+    n, proven, before = current.n, {}, {}
+    while True:
+        assignment = DivisionAssignment.janet(current)
+        assert all(assignment.mult[t] <= vars_ for t, vars_ in before.items())
+        if any(assignment.mult[t] != vars_ for t, vars_ in before.items()):
+            event("an addition shrank the variables of a member")
+        carried = set(proven)
+        witness = assignment._first_uncovered(proven)
+        assert witness == DivisionAssignment.janet(current)._uncovered
+        if witness is None:
+            return
+        tau, j = witness
+        if (tau.lex_key, j) in carried:
+            event("the witness had been proven covered before")
+        addition = tau * variable(n, j)
+        grown = current._inserted(addition)
+        assert grown == TermSet(current.terms + (addition,), n)
+        assert addition in grown and addition not in current
+        before, current = assignment.mult, grown
 
 
 @st.composite

@@ -125,6 +125,23 @@ def test_star_set_flag_needs_the_termination_bound():
     assert [x.exponents for x in terms] == [(0, 1), (5, 0)]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: star_set also demands a bound of at least the Pommaret "
+    "termination degree less 1 (here 9); the fix, exhaustive = not beyond, moves the "
+    "R/qs*/star_set digests and lands with that item's re-pin, and must flip this test",
+)
+def test_star_set_reports_an_exhaustive_truncation_as_exhaustive():
+    # at bound 3 the search finds all 9 terms of the Pommaret basis and no
+    # star term of degree 4, so by the division closure there is none above
+    J = ideal((0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 1, 0, 1), (1, 1, 0, 0))
+    terms, exhaustive = star_set(J, 3)
+    assert terms == pommaret_basis(J) and len(terms) == 9
+    assert pommaret_termination_degree(J) == 10
+    assert exhaustive
+
+
 def test_star_set_matches_the_dense_scan():
     # the pruned search against a dense scan of every degree, on seeded
     # quasi-stable and non-quasi-stable ideals, for every bound 1..d+n

@@ -263,3 +263,41 @@ def test_stable_completeness_is_proven_in_division():
     assert defined == {"division.py"}
     assert callers == {"division.py:is_stably_complete"}
     assert builders == []
+
+
+def test_completeness_has_one_scan_body():
+    # the walk of the non-multiplicative pairs that probes each prolongation
+    # for a covering head is defined once, in division: the cached witness of
+    # an assignment and the completion, which carries what it has proven
+    # across its additions, both run it, and no other function in division
+    # probes the heads over that walk
+    tree = dict(library_trees())["division.py"]
+    scans, callers = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                if isinstance(child, ast.FunctionDef):
+                    named = {
+                        getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(child)
+                    }
+                    if {"_heads", "_nonmultiplicative"} <= named:
+                        scans.add(child.name)
+                visit(child, scope + (child.name,))
+                continue
+            called = getattr(child, "func", None)
+            if getattr(called, "attr", None) == "_first_uncovered":
+                callers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    assert scans == {"_first_uncovered"}
+    assert callers == {"DivisionAssignment._uncovered", "janet_complete"}
+    outside = [
+        f"{name}:{node.lineno}"
+        for name, other in library_trees()
+        if name != "division.py"
+        for node in ast.walk(other)
+        if getattr(node, "attr", None) == "_first_uncovered"
+    ]
+    assert outside == []
