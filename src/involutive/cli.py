@@ -189,9 +189,12 @@ def _cmd_oracle_check(data, opts):
     max_degree = opts.degree_bound
     if max_degree is None:
         max_degree = G.basis.max_degree() + 1
-    ok = marked.oracle_check(G, max_degree)
-    report = {"ok": ok, "max_degree": max_degree}
-    return report, EXIT_OK if ok else EXIT_NEGATIVE
+    failure = marked._oracle_failure(G, max_degree)
+    report = {"ok": failure is None, "max_degree": max_degree}
+    if failure is None:
+        return report, EXIT_OK
+    report["witness"] = serialize.oracle_witness_json(failure)
+    return report, EXIT_NEGATIVE
 
 
 def _cmd_scheme_equations(data, opts):

@@ -18,7 +18,7 @@ from .errors import (
     NotInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, _monomials, variable
+from .terms import Term, TermSet, _bump, _monomials, variable
 
 JANET = "janet"
 POMMARET = "pommaret"
@@ -60,9 +60,9 @@ def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
 # lex keys of the terms that have them.
 _CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[tuple[int, ...]]]]]
 
-# The prolongations x_j * tau that a completion has found covered, keyed by
-# (lex key of tau, j), each with the lex key of its covering head and that
-# head's multiplicative variables when it covered the pair.
+# The prolongations x_j * tau that a completeness scan has found covered,
+# keyed by (lex key of tau, j), each with the lex key of its covering head
+# and that head's multiplicative variables when it covered the pair.
 _Proven = dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], frozenset[int]]]
 
 
@@ -165,32 +165,29 @@ class DivisionAssignment:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
-        return self._first_uncovered()
+        return self._first_uncovered({})
 
-    def _first_uncovered(self, proven: Optional[_Proven] = None) -> Optional[tuple[Term, int]]:
+    def _first_uncovered(self, proven: _Proven) -> Optional[tuple[Term, int]]:
         """The first (tau, j) in canonical order with x_j * tau in no
         involutive cone, None when there is none: the one completeness scan.
 
-        ``proven`` carries the pairs found covered across the rebuilds of a
-        completion, each as (key of tau, j) -> (key of its covering head, the
-        head's variables).  A carried pair whose head still has the same
-        variables is skipped, since that head's cone is unchanged; every
+        ``proven`` holds the pairs found covered, each as (key of tau, j) ->
+        (key of its covering head, the head's variables), and a completion
+        carries it across its rebuilds.  A held pair whose head still has the
+        same variables is skipped, since that head's cone is unchanged; every
         other pair is probed, and recorded when a head covers it.
         """
         n = self.basis.n
-        if proven is not None:
-            vars_of = {t.lex_key: vars_ for t, vars_ in self.mult.items()}
+        vars_of = {t.lex_key: vars_ for t, vars_ in self.mult.items()}
         for tau, j in self._nonmultiplicative():
-            k, i = tau.lex_key, n - j  # x_j sits at slot n - j
-            if proven is not None:
-                seen = proven.get((k, j))
-                if seen is not None and vars_of[seen[0]] == seen[1]:
-                    continue
-            head = next(self._heads(k[:i] + (k[i] + 1,) + k[i + 1 :]), None)
+            k = tau.lex_key
+            seen = proven.get((k, j))
+            if seen is not None and vars_of[seen[0]] == seen[1]:
+                continue
+            head = next(self._heads(_bump(k, n - j)), None)  # x_j sits at slot n - j
             if head is None:
                 return tau, j
-            if proven is not None:
-                proven[k, j] = head, vars_of[head]
+            proven[k, j] = head, vars_of[head]
         return None
 
     @cached_property
@@ -286,7 +283,7 @@ def _pommaret_involutive(M: TermSet) -> bool:
         if _in_a_cone(ends, k, s - 1):
             return False
         for i in range(s):  # x_j at slot i, with j = n - i > min(tau)
-            if not _in_a_cone(ends, k[:i] + (k[i] + 1,) + k[i + 1 :], s):
+            if not _in_a_cone(ends, _bump(k, i), s):
                 return False
     return True
 

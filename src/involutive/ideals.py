@@ -8,7 +8,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Iterator, Optional
 
 from ._options import ESCALIER, IDEAL_SLICE, SIGMA_MODES
@@ -20,8 +20,8 @@ from .division import (
     is_complete,
     is_stably_complete,
 )
-from .errors import MismatchedVariableCount, NotComplete, NotQuasiStable, _charge
-from .terms import Term, TermSet, _escalier_keys, _monomials
+from .errors import NotComplete, NotQuasiStable, _charge
+from .terms import Term, TermSet, _bump, _escalier_keys, _monomials
 
 
 class MonomialIdeal:
@@ -38,27 +38,15 @@ class MonomialIdeal:
     __slots__ = ("generators", "n", "_fit_index")
 
     def __init__(self, generators: Iterable[Term] | TermSet, n: Optional[int] = None):
-        if isinstance(generators, TermSet):
-            if n is not None and n != generators.n:
-                raise MismatchedVariableCount(
-                    f"term set has {generators.n} variables, expected {n}"
-                )
-            terms = list(generators)
-            n = generators.n
-        else:
-            terms = [t if isinstance(t, Term) else Term(t) for t in generators]
-            if n is None and terms:
-                n = terms[0].nvars
-        if n is None:
-            raise ValueError("variable count required for the zero ideal")
+        given = TermSet(generators, n)
+        n = given.n
         # A divisor of t other than t itself has a lower degree, and the set
         # drops repeats, so each degree's candidates are tested against the
         # minimal generators of lower degrees alone; those tests are charged
         # before they are done.
         minimal: list[Term] = []
         tests = 0
-        ordered = sorted(set(terms), key=lambda t: t.sort_key)
-        for d, group in groupby(ordered, lambda t: t.degree):
+        for d, group in groupby(given, attrgetter("degree")):
             group, lower = list(group), TermSet(minimal, n)
             tests += len(group) * len(lower)
             what = "minimalising the generators takes {} divisibility tests by degree {}"
@@ -105,11 +93,6 @@ def escalier_slice(J: MonomialIdeal, d: int) -> list[Term]:
     work = _monomials(d, J.n)
     _charge(work, "the degree-{} slice has {} terms to scan", d, work)
     return list(map(Term._of_key, _escalier_keys(J.generators, d)))
-
-
-def _bump(k: tuple, i: int, by: int = 1) -> tuple:
-    """The lex key k with ``by`` added at slot i: x_j^by times the term, i = n - j."""
-    return k[:i] + (k[i] + by,) + k[i + 1 :]
 
 
 def _star_terms(J: MonomialIdeal, D: int) -> tuple[dict[tuple, int], bool]:
@@ -165,7 +148,7 @@ def _star_terms(J: MonomialIdeal, D: int) -> tuple[dict[tuple, int], bool]:
 class StabilityWitness:
     generator: Term
     variable: int
-    divisor_variable: Optional[int] = None
+    divisor_variable: int
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import (
     TailInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, _escalier_keys, _lex_keys, _monomials, variable
+from .terms import Term, TermSet, _escalier_keys, _lex_keys, _monomials, _sort_key, variable
 
 REDUCED = "reduced"
 STEP_LIMIT = "step-limit"
@@ -55,9 +55,7 @@ class MarkedPolynomial:
 
     def __init__(self, head: Term, tail: Mapping[Term, object]):
         self.head = head
-        self.tail = {
-            t: tail[t] for t in sorted(tail, key=lambda t: t.sort_key) if tail[t]
-        }
+        self.tail = {t: tail[t] for t in sorted(tail, key=_sort_key) if tail[t]}
 
     def times(self, eta: Term) -> dict[Term, object]:
         """The product of this polynomial by the term eta, as a mapping."""
@@ -400,6 +398,19 @@ def is_marked_basis(G: MarkedSet) -> MarkedBasisResult:
     return MarkedBasisResult(all(check.ok for check in checks), checks)
 
 
+@dataclass(frozen=True)
+class _OracleFailure:
+    """Why :func:`oracle_check` fails at degree ``degree``: the plain multiple
+    f_head * multiplier, as ``multiple`` = (head, multiplier), lies outside
+    the span of G^(s); or, when every plain multiple lies inside, ``ranks``
+    = (rank of G^(s), of the escalier monomials N(J)_s, of their sum, |P_s|)
+    show that the two do not fill P_s as a direct sum."""
+
+    degree: int
+    multiple: Optional[tuple[Term, Term]] = None
+    ranks: Optional[tuple[int, int, int, int]] = None
+
+
 def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     """Degree-by-degree linear-algebra verification of the basis property.
 
@@ -423,6 +434,14 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     n + 1), and past the work budget WorkBudgetExceeded is raised before any
     degree is checked.
     """
+    return _oracle_failure(G, max_degree) is None
+
+
+def _oracle_failure(G: MarkedSet, max_degree: int) -> Optional[_OracleFailure]:
+    """The first failure of :func:`oracle_check`, with its witness, or None
+    when the oracle passes: the degree, then the first plain multiple in
+    basis order and lex order of the multiplier outside the span of G^(s),
+    else the ranks of the direct-sum test."""
     top = G.basis.max_degree()
     if max_degree <= top:
         raise ValueError(
@@ -444,9 +463,10 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
             f = G._keyed[head.lex_key]
             for eta in _lex_keys(n, s - head.degree):
                 if not _linalg.in_rowspace(_times(f, eta), span):
-                    return False
+                    return _OracleFailure(s, multiple=(head, Term._of_key(eta)))
         # Star multiples plus escalier monomials must give a direct sum filling P_s.
         combined = len(_linalg.rref([{k: 1} for k in outside], dict(span)))
-        if combined != len(span) + len(outside) or combined != _monomials(s, n):
-            return False
-    return True
+        star, escalier, total = len(span), len(outside), _monomials(s, n)
+        if combined != star + escalier or combined != total:
+            return _OracleFailure(s, ranks=(star, escalier, combined, total))
+    return None

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
     from .division import DivisionAssignment
     from .ideals import MonomialIdeal, StabilityWitness
-    from .marked import MarkedBasisResult, MarkedSet, ReductionTrace
+    from .marked import MarkedBasisResult, MarkedSet, ReductionTrace, _OracleFailure
     from .scheme import GenericMarkedSet, ParamPolynomial, ParamVar, SchemeEquations
 
 
@@ -280,10 +280,28 @@ def witness_json(witness) -> Optional[dict]:
 def stability_witness_json(w: Optional[StabilityWitness]) -> Optional[dict]:
     if w is None:
         return None
-    out = {"generator": term_json(w.generator), "variable": w.variable}
-    if w.divisor_variable is not None:
-        out["divisor_variable"] = w.divisor_variable
-    return out
+    return {
+        "generator": term_json(w.generator),
+        "variable": w.variable,
+        "divisor_variable": w.divisor_variable,
+    }
+
+
+def oracle_witness_json(w: _OracleFailure) -> dict:
+    """The degree where the oracle failed, with the plain multiple outside
+    the span of G^(s) as its head and multiplier, or else the ranks of the
+    direct-sum test against the size of the slice."""
+    if w.multiple is not None:
+        head, multiplier = w.multiple
+        return {"degree": w.degree, "head": term_json(head), "multiplier": term_json(multiplier)}
+    star, escalier, combined, slice_terms = w.ranks
+    return {
+        "degree": w.degree,
+        "star_rank": star,
+        "escalier_rank": escalier,
+        "sum_rank": combined,
+        "slice_terms": slice_terms,
+    }
 
 
 def trace_json(trace: ReductionTrace, include_steps: bool) -> dict:

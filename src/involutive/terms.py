@@ -87,7 +87,7 @@ class Term:
         i = len(k) - j  # x_j sits at slot n - j
         if k[i] == 0:
             raise NotDivisible(f"x_{j} does not divide {self}")
-        return Term._of_key(k[:i] + (k[i] - 1,) + k[i + 1 :])
+        return Term._of_key(_bump(k, i, -1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Term) and self.lex_key == other.lex_key
@@ -106,6 +106,11 @@ class Term:
             elif e > 1:
                 parts.append(f"x{i + 1}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def _bump(k: tuple, i: int, by: int = 1) -> tuple:
+    """The lex key k with ``by`` added at slot i: x_j^by times the term, i = n - j."""
+    return k[:i] + (k[i] + by,) + k[i + 1 :]
 
 
 def variable(n: int, j: int) -> Term:

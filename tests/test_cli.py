@@ -257,11 +257,34 @@ def test_is_marked_basis(capsys):
         assert all(c["zero"] for c in report["checks"])
 
 
-def test_oracle_check(capsys):
+def test_oracle_check(tmp_path, capsys):
     code, report = run_json(
         capsys, "oracle-check", "--input", str(CORPUS / "marked_basis_example.json")
     )
-    assert code == 0 and report["ok"] is True and report["max_degree"] == 4
+    assert code == 0 and report == {"ok": True, "max_degree": 4}
+    # (y^2, yz, z^2) with x^2 on the tail of yz is no marked basis: at degree
+    # 3 the plain multiple z * y^2 lies outside the span of G^(3), as the
+    # criterion's failing prolongation of y^2 by z says
+    source = tmp_path / "input.json"
+    source.write_text(
+        json.dumps(
+            {
+                "vars": 3,
+                "polynomials": [
+                    {"head": [0, 2, 0], "tail": []},
+                    {"head": [0, 1, 1], "tail": [{"term": [2, 0, 0], "coeff": "1"}]},
+                    {"head": [0, 0, 2], "tail": []},
+                ],
+            }
+        )
+    )
+    code, report = run_json(capsys, "oracle-check", "--input", str(source))
+    assert code == 1
+    assert report == {
+        "ok": False,
+        "max_degree": 3,
+        "witness": {"degree": 3, "head": [0, 2, 0], "multiplier": [0, 0, 1]},
+    }
 
 
 # The scheme equations of the three-points ideal, monomials in output order.
@@ -871,6 +894,43 @@ def test_stable_completeness_of_the_maximal_ideal_answers_within_seconds(tmp_pat
     assert time.perf_counter() - start < 3
     assert code == 0
     assert report == {"stably_complete": True, "witness": None}
+
+
+MAXIMAL_IDEAL = [[int(i == j) for i in range(100)] for j in range(100)]
+M300 = [[a, b, 300 - a - b] for a in range(301) for b in range(301 - a)]
+
+
+@pytest.mark.parametrize(
+    "argv, document, expected",
+    [
+        (
+            ("complete-check",),
+            {"vars": 100, "terms": MAXIMAL_IDEAL},
+            {"complete": True, "witness": None},
+        ),
+        (
+            ("hilbert", "--degree-bound", "3"),
+            {"vars": 100, "terms": MAXIMAL_IDEAL},
+            {"degree": 3, "value": 0},
+        ),
+        (
+            ("pommaret",),
+            {"vars": 3, "generators": M300},
+            {"regularity": 300, "terms": sorted(M300, key=lambda e: e[::-1]), "vars": 3},
+        ),
+    ],
+    ids=["complete-check-of-100-variables", "hilbert-of-100-variables", "pommaret-of-m300"],
+)
+def test_large_inputs_answer_within_seconds(tmp_path, capsys, argv, document, expected):
+    # the Janet scan of the maximal ideal (x_1..x_100), its Hilbert value,
+    # and the star search with its self-check on m^300 in 3 variables, whose
+    # 45,451 generators are its Pommaret basis
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(document))
+    start = time.perf_counter()
+    code, report = run_json(capsys, *argv, "--input", str(source))
+    assert time.perf_counter() - start < 3
+    assert code == 0 and report == expected
 
 
 MARKED = {"vars": 2, "polynomials": [{"head": [1, 0], "tail": []}]}

@@ -91,6 +91,17 @@ def test_term_set_must_match_the_variable_count():
     assert MonomialIdeal(gens, 2).n == 2
     with pytest.raises(MismatchedVariableCount):
         MonomialIdeal(gens, 3)
+    # the generators are read as one TermSet, whichever form they come in:
+    # repeats, a non-minimal term and degrees out of order
+    exps = [(0, 2), (1, 1), (0, 2), (2, 1), (3, 0)]
+    J = MonomialIdeal(TermSet(map(Term, exps)))
+    for given in ([Term(e) for e in exps], exps):
+        other = MonomialIdeal(given)
+        assert (other.generators, other._fit_index) == (J.generators, J._fit_index)
+    with pytest.raises(MismatchedVariableCount):
+        MonomialIdeal([t(1, 0), t(0, 1, 0)])
+    with pytest.raises(ValueError):
+        MonomialIdeal([])
 
 
 def test_star_set_principal_ideal_truncation():

@@ -36,6 +36,7 @@ from involutive import (
     variable,
 )
 from involutive import _linalg, errors, marked
+from involutive.terms import _lex_keys
 from helpers import (
     brute_build_Gs,
     dense_in_rowspace,
@@ -414,6 +415,58 @@ def test_sparse_oracle_matches_the_dense_oracle(data):
     G = draw_marked_set(data)
     top = G.basis.max_degree() + data.draw(st.integers(1, 2))
     assert oracle_check(G, top) == dense_oracle_check(G, top)
+
+
+def dense_slice(G, s, escalier):
+    """The columns of P_s, the dense rows of G^(s) and the unit rows of the
+    terms in ``escalier``."""
+    cols = list(terms_of_degree(G.n, s))
+    star = [dense_vector(poly, cols) for _, poly in brute_build_Gs(G, s)]
+    return cols, star, [dense_vector({t: 1}, cols) for t in escalier]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_oracle_failure_names_a_multiple_outside_the_span(data):
+    # the first failing degree, below which the dense oracle passes, with a
+    # plain multiple that raises the dense rank of G^(s), or the ranks of the
+    # direct-sum test as the dense elimination finds them; a basis reports none
+    G = draw_marked_set(data)
+    top = G.basis.max_degree() + data.draw(st.integers(1, 2))
+    failure = marked._oracle_failure(G, top)
+    assert (failure is None) == dense_oracle_check(G, top)
+    if failure is None:
+        return
+    s = failure.degree
+    assert dense_oracle_check(G, s - 1)
+    escalier = [t for t in terms_of_degree(G.n, s) if not G.contains(t)]
+    cols, star, units = dense_slice(G, s, escalier)
+    if failure.multiple is None:
+        ranks = (dense_rank(star), dense_rank(units), dense_rank(star + units), len(cols))
+        assert failure.ranks == ranks
+    else:
+        head, eta = failure.multiple
+        multiple = dense_vector(G.polys[head].times(eta), cols)
+        assert dense_rank(star + [multiple]) == dense_rank(star) + 1
+
+
+def test_oracle_failure_reports_the_ranks_of_a_faulty_escalier(monkeypatch):
+    # over a stably complete basis every term of J_s reduces into the
+    # escalier, so G^(s) and N(J)_s always fill P_s as a direct sum: only a
+    # faulty escalier reaches the rank witness.  One that drops its last
+    # term leaves P_s unfilled, and one that lists the whole slice meets
+    # G^(s); the ranks are those of the rows the oracle was given
+    G = example_basis()
+    escalier = marked._escalier_keys
+    for faulty in (lambda M, d: escalier(M, d)[:-1], lambda M, d: list(_lex_keys(M.n, d))):
+        monkeypatch.setattr(marked, "_escalier_keys", faulty)
+        failure = marked._oracle_failure(G, 5)
+        assert failure.multiple is None
+        s = failure.degree
+        cols, star, units = dense_slice(G, s, map(Term._of_key, faulty(G.basis, s)))
+        assert failure.ranks == (dense_rank(star), len(units), dense_rank(star + units), len(cols))
+    monkeypatch.undo()
+    assert marked._oracle_failure(G, 5) is None
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -186,6 +186,31 @@ def test_terms_alone_knows_the_exponent_orientation():
         if getattr(node, "attr", None) == "exponents"
     ]
     assert readers == []
+    # terms also owns the one-slot edit of a lex key, k[:i] + (k[i] + by,) +
+    # k[i + 1 :], in _bump, and the (degree, lex) sort key that every sort
+    # of terms reads
+    def sliced(node):
+        return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+
+    splices, sort_keys = [], []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.right, ast.Tuple)
+                and sliced(node.left.left)
+                and sliced(node.right)
+            ):
+                splices.append(name)
+            if isinstance(node, ast.Lambda) and getattr(node.body, "attr", None) == "sort_key":
+                sort_keys.append(f"{name}:{node.lineno}")
+            if getattr(getattr(node, "func", None), "id", None) == "attrgetter" and any(
+                getattr(arg, "value", None) == "sort_key" for arg in node.args
+            ):
+                sort_keys.append(f"{name}:{node.lineno}")
+    assert splices == ["terms.py"]
+    assert [at for at in sort_keys if not at.startswith("terms.py:")] == []
 
 
 def test_a_marked_set_has_one_constructor():
