@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le, sub
+from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
@@ -24,24 +24,84 @@ JANET = "janet"
 POMMARET = "pommaret"
 
 
-def _janet_table(M: TermSet) -> dict[Term, frozenset[int]]:
-    """Janet multiplicative variables of every term of ``M``, one pass per variable.
+class _Node:
+    """A node of the Janet tree: its children by the exponent at the next slot
+    of the lex key (at depth n - 1, the keys themselves), the largest of those
+    exponents, and the keys that stop here, prefix + (e,) + zeros with e the
+    exponent of the key's min variable, in canonical order."""
 
-    x_j is multiplicative for tau iff tau has the largest x_j exponent among
-    the terms of M that agree with tau in every exponent above position j.
-    The passes read the lex keys' columns, x_n first, and number classes as ints.
+    __slots__ = ("kids", "top", "ends")
+
+    def __init__(self) -> None:
+        self.kids: dict = {}
+        self.top = -1
+        self.ends: tuple[tuple[int, ...], ...] = ()
+
+
+def _janet_tree(M: TermSet) -> _Node:
+    """The Janet tree of M (Gerdt and Blinkov, "Involutive bases of polynomial
+    ideals", 1998): the prefix trie of its lex keys, x_n first, so the terms
+    below a node at depth i agree in every exponent above x_{n-i}."""
+    root, last = _Node(), M.n - 1
+    for t in M:
+        k = t.lex_key
+        node = stop = root
+        for i, e in enumerate(k):
+            if e > node.top:
+                node.top = e
+            if e:
+                stop = node  # at the slot of min(t); the root for the term 1
+            if i == last:
+                node.kids[e] = k
+            else:
+                node = node.kids.get(e) or node.kids.setdefault(e, _Node())
+        stop.ends += (k,)
+    return root
+
+
+def _janet_vars(root: _Node, k: tuple[int, ...]) -> frozenset[int]:
+    """The Janet multiplicative variables of the member with lex key k: x_j is
+    multiplicative iff k's exponent at slot n - j is the largest below the
+    node there, among the members that agree with k above x_j."""
+    n, vars_, node = len(k), [], root
+    for i, e in enumerate(k):
+        if e == node.top:
+            vars_.append(n - i)  # slot i holds x_{n-i}
+        node = node.kids[e]
+    return frozenset(vars_)
+
+
+def _janet_head(node: _Node, k: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The lex key of the member whose Janet cone holds the term with key k,
+    None when none does, in one descent: a member with the largest child's
+    exponent e at a slot, multiplicative there, needs e <= k's, and any other
+    needs k's exactly.  Janet cones are disjoint, so that path is the only one."""
+    for e in k:
+        top = node.top
+        node = node.kids[top] if e >= top else node.kids.get(e)
+        if node is None:
+            return None
+    return node
+
+
+def _pommaret_head(node: _Node, k: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The lex key of the lex-greatest member whose Pommaret cone holds the
+    term with key k, None when none does, in one descent along k's own path.
+
+    The cone of a member h stopping at depth s holds exactly the keys that
+    start with h[:s] and carry at least h[s] at slot s, so the heads of k are
+    the ends along its path with h[i] <= k[i].  A deeper head is lex-greater,
+    and at one depth so is a larger end, which comes later in canonical order.
     """
-    terms, classes, mult = M.terms, [0] * len(M), [[] for _ in M]
-    for i, column in enumerate(zip(*(t.lex_key for t in terms))):
-        top, refined = {}, {}
-        for c, e in zip(classes, column):
-            if top.get(c, -1) < e:
-                top[c] = e
-        for vars_, c, e in zip(mult, classes, column):
-            if e == top[c]:
-                vars_.append(M.n - i)  # slot i holds x_{n-i}
-        classes = [refined.setdefault(p, len(refined)) for p in zip(classes, column)]
-    return {t: frozenset(vars_) for t, vars_ in zip(terms, mult)}
+    head = None
+    for i, e in enumerate(k):
+        for h in node.ends:
+            if h[i] <= e:
+                head = h
+        node = node.kids.get(e)
+        if node is None:
+            break
+    return head
 
 
 def pommaret_multiplicative_vars(tau: Term) -> frozenset[int]:
@@ -55,15 +115,10 @@ def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
     return sum(_monomials(d - tau.degree, len(vars_)) for tau, vars_ in cones)
 
 
-# One (positions, table) pair per set of non-multiplicative variables: the
-# table maps a lex key's entries at their slots (x_j sits at n - j) to the
-# lex keys of the terms that have them.
-_CoverIndex = list[tuple[list[int], dict[tuple[int, ...], list[tuple[int, ...]]]]]
-
 # The prolongations x_j * tau that a completeness scan has found covered,
-# keyed by (lex key of tau, j), each with the lex key of its covering head
-# and that head's multiplicative variables when it covered the pair.
-_Proven = dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], frozenset[int]]]
+# keyed by the lex key of tau and then by j, each with the lex key of its
+# covering head and that head's multiplicative variables when it covered the pair.
+_Proven = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], frozenset[int]]]]
 
 
 @dataclass(frozen=True)
@@ -82,9 +137,8 @@ class DivisionAssignment:
     keys (``Term.lex_key``): which terms' involutive cones hold a term
     (``_cover``, and :meth:`cover` on terms), whether the cones cover the
     ideal (``_uncovered``, from the one completeness scan ``_first_uncovered``)
-    and whether two of them nest (``_nested``).
-    Probes are lazy (``_heads``): completeness stops at the first covering
-    head of each prolongation, and a Janet lookup takes its only head.
+    and whether two of them nest (``_nested``).  Each is one descent of the
+    basis's Janet tree per term (``_head``), built once per assignment.
     """
 
     flavor: str
@@ -93,52 +147,33 @@ class DivisionAssignment:
 
     @classmethod
     def janet(cls, M: TermSet) -> "DivisionAssignment":
-        return cls(JANET, M, _janet_table(M))
+        tree = _janet_tree(M)
+        assignment = cls(JANET, M, {t: _janet_vars(tree, t.lex_key) for t in M})
+        assignment.__dict__["_tree"] = tree  # the variables were read off it
+        return assignment
 
     @classmethod
     def pommaret(cls, M: TermSet) -> "DivisionAssignment":
         return cls(POMMARET, M, {t: pommaret_multiplicative_vars(t) for t in M})
 
     @cached_property
-    def _cover_index(self) -> _CoverIndex:
-        """The basis, as lex keys, grouped by non-multiplicative positions.
+    def _tree(self) -> _Node:
+        """The Janet tree of the basis; off the dataclass fields, so results
+        compare and print by their fields alone."""
+        return _janet_tree(self.basis)
 
-        tau covers gamma (gamma lies in the involutive cone of tau) exactly
-        when gamma agrees with tau at every non-multiplicative position of tau
-        and tau <= gamma elsewhere, so a lookup is one probe per group.
-        """
-        n = self.basis.n
-        groups: dict[frozenset[int], list[tuple[int, ...]]] = {}
-        for tau in self.basis:
-            groups.setdefault(self.mult[tau], []).append(tau.lex_key)
-        index: _CoverIndex = []
-        for vars_, members in groups.items():
-            fixed = [n - j for j in range(1, n + 1) if j not in vars_]
-            table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for k in members:
-                table.setdefault(tuple([k[i] for i in fixed]), []).append(k)
-            index.append((fixed, table))
-        return index
-
-    def _heads(self, k: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """The lex keys of the basis terms whose involutive cones hold the term
-        with key k, found lazily, one group of the cover index at a time, so
-        a caller that needs one head probes no further."""
-        return (
-            h
-            for fixed, table in self._cover_index
-            for h in table.get(tuple([k[i] for i in fixed]), ())
-            if all(map(le, h, k))
-        )
+    def _head(self, k: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """The lex key of the lex-greatest basis term whose involutive cone
+        holds the term with key k, None when none does: one descent."""
+        if self.flavor == JANET:
+            return _janet_head(self._tree, k)
+        return _pommaret_head(self._tree, k)
 
     def _cover(self, k: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The term with lex key k as the keys (head, cofactor) of its lex-greatest
         covering head, None when no involutive cone holds it: the one cover
-        lookup, behind :meth:`cover` and ``MarkedSet.decompose``.  Janet cones
-        are disjoint, so a Janet lookup takes the first head it finds, the
-        only one; Pommaret cones can nest, so those are all compared."""
-        heads = self._heads(k)
-        head = next(heads, None) if self.flavor == JANET else max(heads, default=None)
+        lookup, behind :meth:`cover` and ``MarkedSet.decompose``."""
+        head = self._head(k)
         return None if head is None else (head, tuple(map(sub, k, head)))
 
     def cover(self, gamma: Term) -> Optional[StarFactorization]:
@@ -171,34 +206,43 @@ class DivisionAssignment:
         """The first (tau, j) in canonical order with x_j * tau in no
         involutive cone, None when there is none: the one completeness scan.
 
-        ``proven`` holds the pairs found covered, each as (key of tau, j) ->
-        (key of its covering head, the head's variables), and a completion
-        carries it across its rebuilds.  A held pair whose head still has the
-        same variables is skipped, since that head's cone is unchanged; every
+        ``proven`` holds the pairs found covered, as key of tau -> j -> (key
+        of its covering head, the head's variables), and a completion carries
+        it across its rebuilds.  A held pair whose head still has the same
+        variables is skipped, since that head's cone is unchanged; every
         other pair is probed, and recorded when a head covers it.
         """
         n = self.basis.n
         vars_of = {t.lex_key: vars_ for t, vars_ in self.mult.items()}
+        record = last = None
         for tau, j in self._nonmultiplicative():
             k = tau.lex_key
-            seen = proven.get((k, j))
+            if k is not last:  # the pairs of one term come together
+                last, record = k, proven.setdefault(k, {})
+            seen = record.get(j)
             if seen is not None and vars_of[seen[0]] == seen[1]:
                 continue
-            head = next(self._heads(_bump(k, n - j)), None)  # x_j sits at slot n - j
+            head = self._head(_bump(k, n - j))  # x_j sits at slot n - j
             if head is None:
                 return tau, j
-            proven[k, j] = head, vars_of[head]
+            record[j] = head, vars_of[head]
         return None
 
     @cached_property
     def _nested(self) -> Optional[tuple[Term, Term]]:
         """The first basis term in canonical order that lies in the cone of
-        another, with that other term; None when the cones are disjoint."""
+        another, with the lex-greatest such other term; None when the cones
+        are disjoint, as Janet cones always are.  A Pommaret cone holds
+        tau != 1 and is not its own iff it holds tau / x_min(tau), since the
+        cones along tau's path hold its predecessor but tau's own does not."""
+        if self.flavor == JANET:
+            return None
+        n = self.basis.n
         for tau in self.basis:
-            k = tau.lex_key
-            outer = next((h for h in self._heads(k) if h != k), None)
-            if outer is not None:
-                return tau, Term._of_key(outer)
+            if tau.degree:
+                outer = self._head(_bump(tau.lex_key, n - tau.min_index, -1))
+                if outer is not None:
+                    return tau, Term._of_key(outer)
         return None
 
 
@@ -247,43 +291,26 @@ def is_complete(
     return witness is None, witness
 
 
-def _in_a_cone(ends: dict[tuple[int, ...], int], k: tuple[int, ...], top: int) -> bool:
-    """Whether the Pommaret cone of a term stored in ``ends`` with min at slot
-    r <= top holds the term with lex key k: one probe of the prefix k[:r] per
-    slot, from ``top`` down to 0, for a stored exponent of at most k[r]."""
-    for r in range(top, -1, -1):
-        e = ends.get(k[:r])
-        if e is not None and e <= k[r]:
-            return True
-    return False
-
-
 def _pommaret_involutive(M: TermSet) -> bool:
     """Whether the Pommaret cones of M are disjoint and hold every prolongation
-    x_j * tau with j > min(tau), decided on lex-key prefixes.
+    x_j * tau with j > min(tau), decided by descents of M's Janet tree.
 
     With m = min(tau) (n for the term 1), x_m sits at slot s = n - m of the
     lex key k of tau, and the cone tau * k[x_1..x_m] holds exactly the keys
-    that start with the prefix k[:s] and carry at least k[s] at slot s.  So
-    ``ends`` maps each prefix to its k[s].  Two cones meet iff both members
-    share a prefix, or one member lies in the other's cone, found by probing
-    its own shorter prefixes.  A prolongation keeps the min of tau, so a
-    cone that holds it has its min at a slot r <= s.
+    that start with k[:s] and carry at least k[s] at slot s.  A cone other
+    than its own holds tau != 1 iff it holds tau / x_m (see
+    ``DivisionAssignment._nested``), so the cones are disjoint iff no
+    predecessor tau / x_m has a head.
     """
-    n = M.n
-    ends: dict[tuple[int, ...], int] = {}
-    keys = []
+    n, tree = M.n, _janet_tree(M)
     for tau in M:
-        k, s = tau.lex_key, n - (tau.min_index or n)
-        if k[:s] in ends:
-            return False
-        ends[k[:s]] = k[s]
-        keys.append((k, s))
-    for k, s in keys:
-        if _in_a_cone(ends, k, s - 1):
+        if not tau.degree:
+            continue
+        k, s = tau.lex_key, n - tau.min_index
+        if _pommaret_head(tree, _bump(k, s, -1)) is not None:
             return False
         for i in range(s):  # x_j at slot i, with j = n - i > min(tau)
-            if not _in_a_cone(ends, _bump(k, i), s):
+            if _pommaret_head(tree, _bump(k, i)) is None:
                 return False
     return True
 
@@ -294,7 +321,7 @@ def is_stably_complete(
     """Complete, and Janet multiplicative variables agree with the Pommaret ones.
 
     Both concern M alone.  A positive verdict is proven on Pommaret cones
-    (``_pommaret_involutive``), with no Janet table.  Otherwise the verdict
+    (``_pommaret_involutive``), with no Janet variables.  Otherwise the verdict
     and its witness come from M's Janet assignment: the first uncovered
     prolongation, else the first term in canonical order whose Janet and
     Pommaret variables differ, with the least variable where they do.  A
@@ -347,7 +374,7 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     from the first again.  Completion of a finite set always terminates;
     ``degree_cap`` is a safety valve and exceeding it raises
     DegreeCapExceeded carrying the partial set.  The cap does not bound the
-    number of additions, so each rebuild is charged |current| * n, the table
+    number of additions, so each rebuild is charged |current| * n, the tree
     and the prolongation scan it repeats, and past the work budget
     WorkBudgetExceeded is raised with the units charged so far.
 

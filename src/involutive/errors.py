@@ -67,7 +67,7 @@ class MissingAssignment(InvolutiveError):
 
 # The most units of work a computation does before it refuses with
 # WorkBudgetExceeded: listed terms, multiples and parameters, star-search
-# nodes, the terms and multiples the oracle enumerates, the table entries a
+# nodes, the terms and multiples the oracle enumerates, the tree nodes a
 # completion rebuilds, the divisibility tests that minimalise generators, the
 # terms a reduction scans, the terms and coefficient words the cycle
 # detector keeps, or the coefficient products of the scheme's normal forms.

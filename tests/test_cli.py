@@ -864,8 +864,9 @@ def test_unbounded_enumerations_exit_2_within_the_work_budget(
 
 
 def test_mult_vars_in_many_variables_answers_within_seconds(tmp_path, capsys):
-    # the Janet table makes one pass per variable over a column of exponents,
-    # so two terms in 20,000 variables are answered in a fraction of a second
+    # the Janet tree reads each term's variables off one path of n nodes, and
+    # the Pommaret variables need no tree, so two terms in 20,000 variables
+    # are answered in a fraction of a second
     n = 20_000
     high, low = [0] * n, [0] * n
     high[0], high[-1], low[1] = 2, 1, 3
@@ -882,9 +883,9 @@ def test_mult_vars_in_many_variables_answers_within_seconds(tmp_path, capsys):
 
 
 def test_stable_completeness_of_the_maximal_ideal_answers_within_seconds(tmp_path, capsys):
-    # the proof on Pommaret cones probes a dict of prefixes, at most
-    # n - i + 1 times per prolongation x_j * x_i, with no Janet table, cover
-    # index or completeness scan: (x_1..x_150) is answered well within the bound
+    # the proof on Pommaret cones makes one descent of the Janet tree per
+    # prolongation x_j * x_i, at most n - i + 1 nodes deep, with no Janet
+    # variables or completeness scan: (x_1..x_150) is answered well within the bound
     n = 150
     terms = [[int(i == j) for i in range(n)] for j in range(n)]
     source = tmp_path / "input.json"
@@ -897,6 +898,7 @@ def test_stable_completeness_of_the_maximal_ideal_answers_within_seconds(tmp_pat
 
 
 MAXIMAL_IDEAL = [[int(i == j) for i in range(100)] for j in range(100)]
+MAXIMAL_IDEAL_200 = [[int(i == j) for i in range(200)] for j in range(200)]
 M300 = [[a, b, 300 - a - b] for a in range(301) for b in range(301 - a)]
 
 
@@ -918,13 +920,36 @@ M300 = [[a, b, 300 - a - b] for a in range(301) for b in range(301 - a)]
             {"vars": 3, "generators": M300},
             {"regularity": 300, "terms": sorted(M300, key=lambda e: e[::-1]), "vars": 3},
         ),
+        (
+            ("complete-check",),
+            {"vars": 200, "terms": MAXIMAL_IDEAL_200},
+            {"complete": True, "witness": None},
+        ),
+        (
+            ("hilbert", "--degree-bound", "3"),
+            {"vars": 200, "terms": MAXIMAL_IDEAL_200},
+            {"degree": 3, "value": 0},
+        ),
+        (
+            ("stably-complete-check",),
+            {"vars": 200, "terms": MAXIMAL_IDEAL_200},
+            {"stably_complete": True, "witness": None},
+        ),
     ],
-    ids=["complete-check-of-100-variables", "hilbert-of-100-variables", "pommaret-of-m300"],
+    ids=[
+        "complete-check-of-100-variables",
+        "hilbert-of-100-variables",
+        "pommaret-of-m300",
+        "complete-check-of-200-variables",
+        "hilbert-of-200-variables",
+        "stably-complete-check-of-200-variables",
+    ],
 )
 def test_large_inputs_answer_within_seconds(tmp_path, capsys, argv, document, expected):
-    # the Janet scan of the maximal ideal (x_1..x_100), its Hilbert value,
-    # and the star search with its self-check on m^300 in 3 variables, whose
-    # 45,451 generators are its Pommaret basis
+    # the Janet scan of the maximal ideals (x_1..x_100) and (x_1..x_200), one
+    # descent of the Janet tree per prolongation, their Hilbert values and
+    # the proof on Pommaret cones, and the star search with its self-check on
+    # m^300 in 3 variables, whose 45,451 generators are its Pommaret basis
     source = tmp_path / "input.json"
     source.write_text(json.dumps(document))
     start = time.perf_counter()

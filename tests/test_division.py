@@ -26,7 +26,14 @@ from involutive import (
     variable,
 )
 from involutive import errors
-from involutive.division import _cone_terms, _pommaret_involutive
+from involutive.division import (
+    _cone_terms,
+    _janet_head,
+    _janet_tree,
+    _janet_vars,
+    _pommaret_head,
+    _pommaret_involutive,
+)
 from helpers import (
     brute_is_complete,
     brute_is_stably_complete,
@@ -344,7 +351,7 @@ def test_smaller_cofactor_lemma_on_stably_complete_sets():
                     assert eta_prime.lex_key > fact.cofactor.lex_key
 
 
-# ------------------------------------------- the cover index against brute force
+# --------------------------------------------- the Janet tree against brute force
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -388,7 +395,7 @@ def check_against_brute_force(members, probes, assignment, mult):
 
 @PROPERTY
 @given(term_sets(), st.data())
-def test_cover_index_matches_brute_force(drawn, data):
+def test_assignment_lookups_match_brute_force(drawn, data):
     members, probes = drawn
     M = TermSet([Term(m) for m in members])
     ordered = canonical_order(members)
@@ -409,12 +416,36 @@ def test_cover_index_matches_brute_force(drawn, data):
                 star_decompose(sub, Term(probes[0]), assignment)
 
 
+def brute_cover(members, mult, gamma):
+    """The (head, cofactor) of gamma's lex-greatest covering head, or None."""
+    found = brute_star_decompose(members, mult, gamma)
+    return None if isinstance(found, str) else found
+
+
+def brute_nested(members, mult):
+    """Each member in canonical order with the members whose cones hold it."""
+    return {
+        tau: [o for o in members if o != tau and tuple_covers(o, mult[o], tau)]
+        for tau in canonical_order(members)
+    }
+
+
+def check_nested(nested, outers):
+    inner = next((tau for tau, found in outers.items() if found), None)
+    if inner is None:
+        assert nested is None
+    else:
+        assert nested[0].exponents == inner
+        assert nested[1].exponents == max(outers[inner], key=lambda e: e[::-1])
+
+
 @PROPERTY
 @given(term_sets())
-def test_lazy_cover_probes_match_brute_force(drawn):
-    # _heads yields exactly the covering heads; a Janet probe yields at most
-    # one, which _cover's first head relies on; _nested is the first member
-    # in canonical order inside another member's cone, with such a member
+def test_tree_descents_match_brute_force(drawn):
+    # one descent of the Janet tree finds the lex-greatest covering head; a
+    # Janet cover has at most one head, which the descent's one path relies
+    # on; _nested is the first member in canonical order inside another
+    # member's cone, with the lex-greatest such member
     members, probes = drawn
     M = TermSet([Term(m) for m in members])
     for assignment, rule, disjoint in (
@@ -423,20 +454,44 @@ def test_lazy_cover_probes_match_brute_force(drawn):
     ):
         mult = {m: rule(m) for m in members}
         for gamma in probes + members:
-            heads = sorted(h[::-1] for h in assignment._heads(gamma[::-1]))
-            assert heads == sorted(m for m in members if tuple_covers(m, mult[m], gamma))
+            fact = assignment._cover(gamma[::-1])
+            expected = brute_cover(members, mult, gamma)
+            assert fact == (None if expected is None else (expected[0][::-1], expected[1][::-1]))
+            heads = [m for m in members if tuple_covers(m, mult[m], gamma)]
             assert not disjoint or len(heads) <= 1
-        outers = {
-            tau: [o for o in members if o != tau and tuple_covers(o, mult[o], tau)]
-            for tau in canonical_order(members)
-        }
-        inner = next((tau for tau, found in outers.items() if found), None)
-        nested = assignment._nested
-        if inner is None:
-            assert nested is None
-        else:
-            assert nested[0].exponents == inner
-            assert nested[1].exponents in outers[inner]
+        check_nested(assignment._nested, brute_nested(members, mult))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(term_sets(max_vars=5, max_exp=2, max_size=12))
+def test_janet_tree_answers_where_prefixes_collide(drawn):
+    # exponents of at most 2 make members share prefixes at every depth: the
+    # variables read off the largest children, both descents over the
+    # members, their prolongations and predecessors, the nested Pommaret
+    # cones and the proof on Pommaret cones all agree with the definitions
+    members, probes = drawn
+    M = TermSet([Term(m) for m in members])
+    n, tree = M.n, _janet_tree(M)
+    janet = {m: brute_mult_vars(members, m) for m in members}
+    pommaret = {m: brute_pommaret_vars(m) for m in members}
+    assert {m: set(_janet_vars(tree, m[::-1])) for m in members} == janet
+    moved = [
+        m[: j - 1] + (m[j - 1] + step,) + m[j:]
+        for m in members
+        for j in range(1, n + 1)
+        for step in (1, -1)
+        if m[j - 1] + step >= 0
+    ]
+    for gamma in probes + members + moved:
+        for descent, mult in ((_janet_head, janet), (_pommaret_head, pommaret)):
+            expected = brute_cover(members, mult, gamma)
+            head = descent(tree, gamma[::-1])
+            assert head == (None if expected is None else expected[0][::-1])
+    outers = brute_nested(members, pommaret)
+    check_nested(DivisionAssignment.pommaret(M)._nested, outers)
+    disjoint = not any(outers.values())
+    event(f"Pommaret cones {'disjoint' if disjoint else 'nested'}")
+    assert _pommaret_involutive(M) == (disjoint and brute_is_complete(members, pommaret) is None)
 
 
 @PROPERTY

@@ -112,13 +112,18 @@ def test_the_work_budget_has_one_meter():
 
 def test_each_divisibility_question_has_one_body():
     # term divisibility and the membership scan over the members' lex keys
-    # live in terms, the cover lookup in division and the fit-power index in
-    # ideals: other modules ask them and name none of them
+    # live in terms, the Janet tree with its descents in division and the
+    # fit-power index in ideals: other modules ask them and name none of them
     owners = {
         "divides": "terms.py",
         "_generates_key": "terms.py",
-        "_heads": "division.py",
-        "_cover_index": "division.py",
+        "_Node": "division.py",
+        "_janet_tree": "division.py",
+        "_janet_vars": "division.py",
+        "_janet_head": "division.py",
+        "_pommaret_head": "division.py",
+        "_tree": "division.py",
+        "_head": "division.py",
         "_fit_index": "ideals.py",
     }
     strays = [
@@ -292,10 +297,10 @@ def test_stable_completeness_is_proven_in_division():
 
 def test_completeness_has_one_scan_body():
     # the walk of the non-multiplicative pairs that probes each prolongation
-    # for a covering head is defined once, in division: the cached witness of
-    # an assignment and the completion, which carries what it has proven
-    # across its additions, both run it, and no other function in division
-    # probes the heads over that walk
+    # for a covering head, by one descent of the Janet tree, is defined once,
+    # in division: the cached witness of an assignment and the completion,
+    # which carries what it has proven across its additions, both run it,
+    # and no other function in division probes the heads over that walk
     tree = dict(library_trees())["division.py"]
     scans, callers = set(), set()
 
@@ -306,7 +311,8 @@ def test_completeness_has_one_scan_body():
                     named = {
                         getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(child)
                     }
-                    if {"_heads", "_nonmultiplicative"} <= named:
+                    descents = {"_head", "_janet_head", "_pommaret_head"}
+                    if "_nonmultiplicative" in named and named & descents:
                         scans.add(child.name)
                 visit(child, scope + (child.name,))
                 continue
@@ -326,3 +332,28 @@ def test_completeness_has_one_scan_body():
         if getattr(node, "attr", None) == "_first_uncovered"
     ]
     assert outside == []
+
+
+def test_the_janet_tree_has_one_builder():
+    # one function makes the nodes of the Janet tree, and it is called by the
+    # Janet assignment, which reads its variables off the tree, by the lazy
+    # tree of any other assignment and by the proof on Pommaret cones alone
+    tree = dict(library_trees())["division.py"]
+    makers, callers = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            called = getattr(child, "func", None)
+            called = getattr(called, "id", None) or getattr(called, "attr", None)
+            if called == "_Node":
+                makers.add(".".join(scope))
+            if called == "_janet_tree":
+                callers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    assert makers == {"_janet_tree"}
+    assert callers == {"DivisionAssignment.janet", "DivisionAssignment._tree", "_pommaret_involutive"}
