@@ -291,68 +291,20 @@ def is_complete(
     return witness is None, witness
 
 
-def _pommaret_involutive(M: TermSet) -> bool:
-    """Whether the Pommaret cones of M are disjoint and hold every prolongation
-    x_j * tau with j > min(tau), decided by descents of M's Janet tree.
-
-    With m = min(tau) (n for the term 1), x_m sits at slot s = n - m of the
-    lex key k of tau, and the cone tau * k[x_1..x_m] holds exactly the keys
-    that start with k[:s] and carry at least k[s] at slot s.  A cone other
-    than its own holds tau != 1 iff it holds tau / x_m (see
-    ``DivisionAssignment._nested``), so the cones are disjoint iff no
-    predecessor tau / x_m has a head.
-    """
-    n, tree = M.n, _janet_tree(M)
-    for tau in M:
-        if not tau.degree:
-            continue
-        k, s = tau.lex_key, n - tau.min_index
-        if _pommaret_head(tree, _bump(k, s, -1)) is not None:
-            return False
-        for i in range(s):  # x_j at slot i, with j = n - i > min(tau)
-            if _pommaret_head(tree, _bump(k, i)) is None:
-                return False
-    return True
-
-
 def is_stably_complete(
     M: TermSet, assignment: Optional[DivisionAssignment] = None
 ) -> tuple[bool, Optional[tuple[Term, int]]]:
     """Complete, and Janet multiplicative variables agree with the Pommaret ones.
 
-    Both concern M alone.  A positive verdict is proven on Pommaret cones
-    (``_pommaret_involutive``), with no Janet variables.  Otherwise the verdict
-    and its witness come from M's Janet assignment: the first uncovered
+    Both concern M alone, and both are read off M's Janet assignment: the
+    given ``assignment`` when it is Janet's, else a fresh one (another
+    flavour gives way to it, and an assignment of another set raises
+    ValueError).  The witness of a negative verdict is the first uncovered
     prolongation, else the first term in canonical order whose Janet and
-    Pommaret variables differ, with the least variable where they do.  A
-    Janet ``assignment`` of M is reused there; another flavour gives way to
-    M's Janet assignment, and an assignment of another set raises ValueError.
-
-    The two proofs agree.  Theorem: (a) the Pommaret cones of M are disjoint
-    and (b) every x_j * tau with j > min(tau) lies in one of them iff M is
-    Janet complete with Janet variables equal to Pommaret variables.
-
-    Proof.  If (a) holds, x_j is Janet multiplicative for tau whenever
-    j <= m = min(tau): a sigma in M that agrees with tau above x_j and has a
-    larger x_j exponent agrees with tau above x_m and has at least its x_m
-    exponent, so it lies in the Pommaret cone of tau, against (a).  So the
-    Pommaret variables of each term are among its Janet ones.  Pommaret
-    division is continuous, so (b), local involutivity, makes the Pommaret
-    cones cover the ideal (M) (Gerdt and Blinkov, "Involutive bases of
-    polynomial ideals", 1998; Seiler, "A combinatorial approach to
-    involution and delta-regularity I", AAECC 2009).  Each Janet cone
-    contains the Pommaret cone of its term, and Janet cones are disjoint.
-    A term of (M) in the Janet cone of tau lies in some Pommaret cone, of
-    sigma say, hence in the Janet cone of sigma, so sigma = tau: every
-    Janet cone equals its Pommaret cone, and the variables agree.  The Janet
-    cones then cover (M), so M is Janet complete.  Conversely, if M is Janet
-    complete with the same variables, its Pommaret cones are its Janet
-    cones: disjoint, and covering every prolongation, which lies in (M).
+    Pommaret variables differ, with the least variable where they do.
     """
     if assignment is not None:
         _own_assignment(M, assignment)
-    if _pommaret_involutive(M):
-        return True, None
     if assignment is None or assignment.flavor != JANET:
         assignment = DivisionAssignment.janet(M)
     ok, witness = is_complete(M, assignment)

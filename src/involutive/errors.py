@@ -71,7 +71,8 @@ class MissingAssignment(InvolutiveError):
 # completion rebuilds, the divisibility tests that minimalise generators, the
 # terms a reduction scans, the terms and coefficient words the cycle
 # detector keeps, or the coefficient products of the scheme's normal forms.
-# At a few microseconds each, a computation within it stays within seconds.  Only :func:`_charge` reads it.
+# At a few microseconds each, a computation within it stays within seconds.
+# Only :func:`_charge` reads it.
 _WORK_BUDGET = 200_000
 
 

@@ -83,12 +83,11 @@ class MarkedSet:
     polynomial per element of M, in basis order.  It checks nothing:
     :func:`make_marked_set` validates the tails first, and the generic sets
     of :mod:`scheme` draw theirs from the escalier.  Stable completeness of M
-    is decided lazily and cached on the set: a positive verdict is proven on
-    Pommaret cones, with no completeness scan, and only a negative one
-    scans the Janet assignment, which then caches its completeness witness.
-    Star decompositions come from the Janet assignment of M itself and are
-    memoized, since reduction revisits the same terms.  What is returned is
-    built from lex keys by ``Term._of_key``.
+    is decided lazily on the Janet assignment of M and cached on the set;
+    the assignment caches the witness of its one completeness scan, which
+    :func:`reduce` reads too.  Star decompositions come from the same
+    assignment and are memoized, since reduction revisits the same terms.
+    What is returned is built from lex keys by ``Term._of_key``.
     """
 
     def __init__(self, basis: TermSet, tails: Mapping[Term, Mapping[Term, object]]):
@@ -251,9 +250,9 @@ def reduce(
 
     Preconditions are checked in order: the variable count of each term,
     homogeneity, then the stable completeness of the basis, read first
-    (a stably complete basis is complete); only a basis that is not stably
-    complete is scanned for completeness, and NotComplete carries the
-    scan's witness.
+    (a stably complete basis is complete); a basis that is not stably
+    complete must still be complete, and NotComplete carries the witness of
+    the completeness scan that decided its stable completeness.
     """
     if step_cap < 1:
         raise ValueError("step cap must be at least 1")

@@ -15,6 +15,7 @@ from involutive.cli import main
 from involutive.errors import _WORK_BUDGET
 from involutive.scheme import ParamVar
 from involutive.serialize import _any_int_size, _decimal_text, _number_text, dumps, parse_coeff
+from helpers import brute_is_stably_complete
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -883,9 +884,9 @@ def test_mult_vars_in_many_variables_answers_within_seconds(tmp_path, capsys):
 
 
 def test_stable_completeness_of_the_maximal_ideal_answers_within_seconds(tmp_path, capsys):
-    # the proof on Pommaret cones makes one descent of the Janet tree per
-    # prolongation x_j * x_i, at most n - i + 1 nodes deep, with no Janet
-    # variables or completeness scan: (x_1..x_150) is answered well within the bound
+    # the Janet assignment reads each term's variables off one path of the
+    # Janet tree, and its completeness scan makes one descent per
+    # prolongation x_j * x_i, j > i: (x_1..x_150) is answered well within the bound
     n = 150
     terms = [[int(i == j) for i in range(n)] for j in range(n)]
     source = tmp_path / "input.json"
@@ -948,14 +949,37 @@ M300 = [[a, b, 300 - a - b] for a in range(301) for b in range(301 - a)]
 def test_large_inputs_answer_within_seconds(tmp_path, capsys, argv, document, expected):
     # the Janet scan of the maximal ideals (x_1..x_100) and (x_1..x_200), one
     # descent of the Janet tree per prolongation, their Hilbert values and
-    # the proof on Pommaret cones, and the star search with its self-check on
-    # m^300 in 3 variables, whose 45,451 generators are its Pommaret basis
+    # stable completeness, decided on that scan, and the star search with its
+    # self-check on m^300 in 3 variables, whose 45,451 generators are its
+    # Pommaret basis
     source = tmp_path / "input.json"
     source.write_text(json.dumps(document))
     start = time.perf_counter()
     code, report = run_json(capsys, *argv, "--input", str(source))
     assert time.perf_counter() - start < 3
     assert code == 0 and report == expected
+
+
+def test_a_negative_stable_completeness_verdict_answers_within_seconds(tmp_path, capsys):
+    # (x_1..x_n) with x_1*x_2 is complete but not stably complete: x_1*x_2
+    # agrees with x_2 above x_1 and has the larger x_1 exponent, so x_1 is
+    # not Janet multiplicative for x_2.  The witness is the definitions' at
+    # n = 6, and at n = 200 the verdict, read off the whole Janet assignment
+    # of 201 terms, stays within the bound
+    def document(n):
+        terms = [[int(i == j) for i in range(n)] for j in range(n)] + [[1, 1] + [0] * (n - 2)]
+        return {"vars": n, "terms": terms}
+
+    small = [tuple(e) for e in document(6)["terms"]]
+    assert brute_is_stably_complete(small) == (False, ((0, 1, 0, 0, 0, 0), 1))
+    for n in (6, 200):
+        source = tmp_path / f"input-{n}.json"
+        source.write_text(json.dumps(document(n)))
+        start = time.perf_counter()
+        code, report = run_json(capsys, "stably-complete-check", "--input", str(source))
+        assert time.perf_counter() - start < 3
+        witness = {"term": [0, 1] + [0] * (n - 2), "variable": 1}
+        assert code == 1 and report == {"stably_complete": False, "witness": witness}
 
 
 MARKED = {"vars": 2, "polynomials": [{"head": [1, 0], "tail": []}]}

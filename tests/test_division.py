@@ -32,7 +32,6 @@ from involutive.division import (
     _janet_tree,
     _janet_vars,
     _pommaret_head,
-    _pommaret_involutive,
 )
 from helpers import (
     brute_is_complete,
@@ -467,8 +466,9 @@ def test_tree_descents_match_brute_force(drawn):
 def test_janet_tree_answers_where_prefixes_collide(drawn):
     # exponents of at most 2 make members share prefixes at every depth: the
     # variables read off the largest children, both descents over the
-    # members, their prolongations and predecessors, the nested Pommaret
-    # cones and the proof on Pommaret cones all agree with the definitions
+    # members, their prolongations and predecessors and the nested Pommaret
+    # cones all agree with the definitions, and stable completeness is the
+    # Pommaret characterisation: disjoint cones that hold every prolongation
     members, probes = drawn
     M = TermSet([Term(m) for m in members])
     n, tree = M.n, _janet_tree(M)
@@ -491,7 +491,7 @@ def test_janet_tree_answers_where_prefixes_collide(drawn):
     check_nested(DivisionAssignment.pommaret(M)._nested, outers)
     disjoint = not any(outers.values())
     event(f"Pommaret cones {'disjoint' if disjoint else 'nested'}")
-    assert _pommaret_involutive(M) == (disjoint and brute_is_complete(members, pommaret) is None)
+    assert is_stably_complete(M)[0] == (disjoint and brute_is_complete(members, pommaret) is None)
 
 
 @PROPERTY
@@ -632,16 +632,16 @@ def stability_candidates(draw):
 @PROPERTY
 @given(stability_candidates())
 def test_stable_completeness_matches_the_definition(drawn):
-    # the proof on Pommaret cones gives the definition's verdict by itself,
-    # since a negative one falls through to the Janet path and would hide a
-    # proof too strict; a negative verdict carries the Janet path's witness:
+    # the Pommaret cones are disjoint and complete exactly when the set is
+    # stably complete; a negative verdict carries the Janet path's witness:
     # the first uncovered prolongation, else the first mismatch of Janet and
     # Pommaret variables
     kind, members = drawn
     M = TermSet([Term(m) for m in members])
     ok, witness = brute_is_stably_complete(members)
     event(f"{kind}: {'stably complete' if ok else 'not stably complete'}")
-    assert _pommaret_involutive(M) == ok
+    pommaret = DivisionAssignment.pommaret(M)
+    assert (pommaret._nested is None and pommaret._uncovered is None) == ok
     expected = (True, None) if ok else (False, (Term(witness[0]), witness[1]))
     assert is_stably_complete(M) == expected
     janet = DivisionAssignment.janet(M)

@@ -254,27 +254,11 @@ def test_a_marked_set_has_one_constructor():
     assert "_term" not in MarkedSet.__dict__
 
 
-def test_stable_completeness_is_proven_in_division():
-    # the proof on Pommaret cones is defined once, in division, and called
-    # from is_stably_complete alone; outside division no function that asks
-    # for stable completeness builds a DivisionAssignment to decide it
-    defined, callers, builders = set(), set(), []
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                if child.name == "_pommaret_involutive":
-                    defined.add(module)
-                visit(child, module, scope + (child.name,))
-                continue
-            called = getattr(child, "func", None)
-            called = getattr(called, "id", None) or getattr(called, "attr", None)
-            if called == "_pommaret_involutive":
-                callers.add(f"{module}:{'.'.join(scope)}")
-            visit(child, module, scope)
-
+def test_stable_completeness_is_decided_in_division():
+    # outside division no function that asks for stable completeness builds
+    # a DivisionAssignment to decide it
+    builders = []
     for name, tree in library_trees():
-        visit(tree, name, ())
         if name == "division.py":
             continue
         for function in ast.walk(tree):
@@ -290,8 +274,6 @@ def test_stable_completeness_is_proven_in_division():
                 "pommaret",
             }:
                 builders.append(f"{name}:{function.name}")
-    assert defined == {"division.py"}
-    assert callers == {"division.py:is_stably_complete"}
     assert builders == []
 
 
@@ -336,8 +318,8 @@ def test_completeness_has_one_scan_body():
 
 def test_the_janet_tree_has_one_builder():
     # one function makes the nodes of the Janet tree, and it is called by the
-    # Janet assignment, which reads its variables off the tree, by the lazy
-    # tree of any other assignment and by the proof on Pommaret cones alone
+    # Janet assignment, which reads its variables off the tree, and by the
+    # lazy tree of any other assignment alone
     tree = dict(library_trees())["division.py"]
     makers, callers = set(), set()
 
@@ -356,4 +338,29 @@ def test_the_janet_tree_has_one_builder():
 
     visit(tree, ())
     assert makers == {"_janet_tree"}
-    assert callers == {"DivisionAssignment.janet", "DivisionAssignment._tree", "_pommaret_involutive"}
+    assert callers == {"DivisionAssignment.janet", "DivisionAssignment._tree"}
+
+
+def test_the_descents_have_one_caller():
+    # the Janet and Pommaret descents are called from the assignment's one
+    # lookup alone, so every cover question, completeness and nesting
+    # included, goes through it and no function walks the tree beside it
+    callers = {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            called = getattr(child, "func", None)
+            called = getattr(called, "id", None) or getattr(called, "attr", None)
+            if called in ("_janet_head", "_pommaret_head"):
+                callers.setdefault(called, set()).add(f"{module}:{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for name, tree in library_trees():
+        visit(tree, name, ())
+    assert callers == {
+        "_janet_head": {"division.py:DivisionAssignment._head"},
+        "_pommaret_head": {"division.py:DivisionAssignment._head"},
+    }
