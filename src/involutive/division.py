@@ -6,6 +6,7 @@ can surface actionable diagnostics.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
@@ -42,21 +43,56 @@ def _janet_tree(M: TermSet) -> _Node:
     """The Janet tree of M (Gerdt and Blinkov, "Involutive bases of polynomial
     ideals", 1998): the prefix trie of its lex keys, x_n first, so the terms
     below a node at depth i agree in every exponent above x_{n-i}."""
-    root, last = _Node(), M.n - 1
+    root = _Node()
     for t in M:
-        k = t.lex_key
-        node = stop = root
-        for i, e in enumerate(k):
-            if e > node.top:
-                node.top = e
-            if e:
-                stop = node  # at the slot of min(t); the root for the term 1
-            if i == last:
-                node.kids[e] = k
-            else:
-                node = node.kids.get(e) or node.kids.setdefault(e, _Node())
-        stop.ends += (k,)
+        _janet_insert(root, t.lex_key)
     return root
+
+
+def _janet_insert(root: _Node, k: tuple[int, ...]) -> Optional[tuple[object, int]]:
+    """Insert the lex key k of a term not in the tree into the Janet tree at
+    root, keeping each node's ends in canonical order, and return the members
+    whose Janet variables it changes: (child, j) when the members below child
+    lose x_j, else None.
+
+    k raises the largest exponent of a node only where its own exceeds it,
+    and then the members below the old largest child lose the node's
+    variable; no other member's variables change.  The nodes below that one
+    on k's path are new, so this happens at most once.  At depth n - 1 the
+    child is a member's key itself."""
+    last, node, stop, lost = len(k) - 1, root, root, None
+    for i, e in enumerate(k):
+        if e > node.top:
+            if node.top >= 0:
+                lost = node.kids[node.top], len(k) - i  # slot i holds x_{n-i}
+            node.top = e
+        if e:
+            stop = node  # at the slot of min(t); the root for the term 1
+        if i == last:
+            node.kids[e] = k
+        else:
+            node = node.kids.get(e) or node.kids.setdefault(e, _Node())
+    # the keys that stop at one node differ in one slot, so lex order is
+    # canonical; a tree built in canonical order only appends
+    ends = stop.ends
+    if ends and k < ends[-1]:
+        at = bisect(ends, k)
+        stop.ends = (*ends[:at], k, *ends[at:])
+    else:
+        stop.ends = ends + (k,)
+    return lost
+
+
+def _keys_below(child: object) -> Iterator[tuple[int, ...]]:
+    """The lex keys of the members below a child of the Janet tree, which at
+    depth n - 1 is a member's key itself."""
+    stack = [child]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            yield node
+        else:
+            stack.extend(node.kids.values())
 
 
 def _janet_vars(root: _Node, k: tuple[int, ...]) -> frozenset[int]:
@@ -208,7 +244,7 @@ class DivisionAssignment:
 
         ``proven`` holds the pairs found covered, as key of tau -> j -> (key
         of its covering head, the head's variables), and a completion carries
-        it across its rebuilds.  A held pair whose head still has the same
+        it across its additions.  A held pair whose head still has the same
         variables is skipped, since that head's cone is unchanged; every
         other pair is probed, and recorded when a head covers it.
         """
@@ -321,13 +357,15 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     """Enlarge M until it is complete, adding non-multiplicative products.
 
     Terms are processed in canonical (degree, lex) order and the first
-    uncovered product x_j * tau is inserted at its place in that order; the
-    multiplicative structure is then recomputed and the scan walks the pairs
-    from the first again.  Completion of a finite set always terminates;
-    ``degree_cap`` is a safety valve and exceeding it raises
-    DegreeCapExceeded carrying the partial set.  The cap does not bound the
-    number of additions, so each rebuild is charged |current| * n, the tree
-    and the prolongation scan it repeats, and past the work budget
+    uncovered product x_j * tau is inserted at its place in that order, and
+    its key into the one Janet tree of the call (``_janet_insert``).  Only
+    the members below the child that the addition displaces as the largest
+    at one node lose a variable, and the addition's own variables are one
+    descent; the scan then walks the pairs from the first again.  Completion
+    of a finite set always terminates; ``degree_cap`` is a safety valve and
+    exceeding it raises DegreeCapExceeded carrying the partial set.  The cap
+    does not bound the number of additions, so each round is charged
+    |current| * n, the prolongation scan it repeats, and past the work budget
     WorkBudgetExceeded is raised with the units charged so far.
 
     The scan carries each pair it has proven covered, with its covering
@@ -340,12 +378,14 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     pair is still covered.  Every pair before the returned witness is
     therefore covered in the current set, and the witness is the first
     uncovered pair.  So the additions, their order, the partial set of
-    DegreeCapExceeded and the work charged per rebuild are those of a scan
+    DegreeCapExceeded and the work charged per round are those of a scan
     that restarts from nothing after each addition.  An addition lies in no
     cone, while each member lies in its own, so it is never a member.
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
+    first = DivisionAssignment.janet(M)
+    tree, mult = first._tree, dict(first.mult)
     current = M
     proven: _Proven = {}
     work = 0
@@ -357,7 +397,10 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
             work,
             len(current) - len(M),
         )
-        witness = DivisionAssignment.janet(current)._first_uncovered(proven)
+        # the assignment shares the growing tree and variables, so it stays here
+        assignment = DivisionAssignment(JANET, current, mult)
+        assignment.__dict__["_tree"] = tree
+        witness = assignment._first_uncovered(proven)
         if witness is None:
             return current
         tau, j = witness
@@ -368,3 +411,10 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
                 partial=current,
             )
         current = current._inserted(addition)
+        k = addition.lex_key
+        lost = _janet_insert(tree, k)
+        if lost is not None:
+            below, x = lost
+            for key in _keys_below(below):
+                mult[Term._of_key(key)] -= {x}
+        mult[addition] = _janet_vars(tree, k)

@@ -67,10 +67,11 @@ class MissingAssignment(InvolutiveError):
 
 # The most units of work a computation does before it refuses with
 # WorkBudgetExceeded: listed terms, multiples and parameters, star-search
-# nodes, the terms and multiples the oracle enumerates, the tree nodes a
-# completion rebuilds, the divisibility tests that minimalise generators, the
-# terms a reduction scans, the terms and coefficient words the cycle
-# detector keeps, or the coefficient products of the scheme's normal forms.
+# nodes, the terms and multiples the oracle enumerates, the terms and
+# variables a completion scans again after each addition, the divisibility
+# tests that minimalise generators, the terms a reduction scans, the terms
+# and coefficient words the cycle detector keeps, or the coefficient products
+# of the scheme's normal forms.
 # At a few microseconds each, a computation within it stays within seconds.
 # Only :func:`_charge` reads it.
 _WORK_BUDGET = 200_000

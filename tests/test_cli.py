@@ -832,7 +832,7 @@ X2_SIX_HUNDREDTH = {"vars": 3, "generators": [[0, 0, 2], [0, 1, 1], [0, 600, 0]]
         ("star-set", X1, 60, _WORK_BUDGET + 1),
         # the terms of degree <= 40 in 6 variables, and the multiples of x6^2
         ("oracle-check", X6_SQUARED, 40, comb(46, 6) + comb(44, 6)),
-        # 4 * (4 + 5 + ... + 316): the rebuilds over 4 to 316 terms, after 312
+        # 4 * (4 + 5 + ... + 316): the scans over 4 to 316 terms, after 312
         # additions that the degree cap does not bound
         ("complete", TWELFTH_POWERS, 48, 2 * 316 * 317 - 24),
         # the sizes of the 4377 states kept, first past the budget

@@ -27,10 +27,13 @@ from involutive import (
 )
 from involutive import errors
 from involutive.division import (
+    JANET,
     _cone_terms,
     _janet_head,
+    _janet_insert,
     _janet_tree,
     _janet_vars,
+    _keys_below,
     _pommaret_head,
 )
 from helpers import (
@@ -261,7 +264,8 @@ def test_janet_complete_degree_cap():
 
 
 def test_janet_complete_charges_each_rebuild(monkeypatch):
-    # (x1, x2^2) needs one addition: rebuilds over 2, then 3 terms in 2 variables
+    # (x1, x2^2) needs one addition: the scans over 2, then 3 terms in 2
+    # variables, each charged the terms times the variables
     M = ts((1, 0), (0, 2))
     monkeypatch.setattr(errors, "_WORK_BUDGET", 10)
     assert len(janet_complete(M, 10)) == 3
@@ -549,6 +553,59 @@ def test_janet_complete_matches_the_dense_oracle(drawn, slack):
     check_against_brute_force(sorted(expected), probes, assignment, mult)
 
 
+def grow(tree, mult, addition):
+    """Insert the term ``addition`` into the Janet tree as janet_complete
+    does, and update the Term-keyed variables ``mult`` in place: the members
+    below the displaced largest child lose one variable, and the addition
+    gets the variables of its own descent."""
+    k = addition.lex_key
+    lost = _janet_insert(tree, k)
+    if lost is not None:
+        below, x = lost
+        event("an insertion took a variable from members")
+        for key in _keys_below(below):
+            mult[Term._of_key(key)] -= {x}
+    mult[addition] = _janet_vars(tree, k)
+
+
+def check_same_tree(grown, fresh):
+    """The two Janet trees agree node by node: the largest exponent, the
+    children by exponent and the ends, which are in canonical order."""
+    if type(fresh) is tuple:
+        assert grown == fresh
+        return
+    assert (grown.top, grown.ends) == (fresh.top, fresh.ends)
+    assert list(grown.ends) == sorted(grown.ends, key=lambda h: (sum(h), h))
+    assert grown.kids.keys() == fresh.kids.keys()
+    for e, kid in fresh.kids.items():
+        check_same_tree(grown.kids[e], kid)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(term_sets(max_vars=5, max_exp=3, max_size=8), st.data())
+def test_janet_insertion_in_any_order_matches_a_fresh_tree(drawn, data):
+    # inserting the keys one at a time, in any order, keeps every member's
+    # variables those of the definition, and the tree is the one built afresh
+    # from the members so far in canonical order: the same nodes, the same
+    # ends in canonical order, and the same answers of both descents
+    members, probes = drawn
+    order = data.draw(st.permutations(members))
+    n = len(members[0])
+    tree, mult = _janet_tree(TermSet([], n)), {}
+    for count, m in enumerate(order, 1):
+        grow(tree, mult, Term(m))
+        so_far = order[:count]
+        assert {t.exponents: set(v) for t, v in mult.items()} == {
+            o: brute_mult_vars(so_far, o) for o in so_far
+        }
+        fresh = _janet_tree(TermSet([Term(o) for o in so_far], n))
+        check_same_tree(tree, fresh)
+        prolongations = [o[:j] + (o[j] + 1,) + o[j + 1 :] for o in so_far for j in range(n)]
+        for gamma in probes + so_far + prolongations:
+            for descent in (_janet_head, _pommaret_head):
+                assert descent(tree, gamma[::-1]) == descent(fresh, gamma[::-1])
+
+
 @settings(PROPERTY, max_examples=500)
 @given(term_sets(max_vars=4, max_exp=3, max_size=7))
 # the third scan proves x3 * (x1*x2) in the cone of x1*x3, whose variables
@@ -556,24 +613,30 @@ def test_janet_complete_matches_the_dense_oracle(drawn, slack):
 # that pair again, and it is that scan's witness
 @example(([(0, 0, 2), (0, 2, 0), (1, 0, 0)], [(0, 0, 0)]))
 def test_carried_scan_finds_the_witness_of_a_fresh_scan(drawn):
-    # janet_complete carries the pairs it has proven covered across its
-    # additions and probes again only those whose head's variables changed.
-    # Replayed step by step, each witness of the carried scan is the first
-    # uncovered pair of the current set, multiplicative sets only shrink, and
-    # each addition lands where a set built anew would sort it.  Final sets
-    # alone do not tell a scan that never probes again from this one; the
-    # witnesses do.
+    # janet_complete grows one Janet tree and its variables by inserting each
+    # addition, carries the pairs it has proven covered across the additions
+    # and probes again only those whose head's variables changed.  Replayed
+    # step by step, each round's variables are those of a fresh assignment
+    # and only shrink, each witness of the carried scan is the first
+    # uncovered pair of the current set, and each addition lands where a set
+    # built anew would sort it.  Final sets alone do not tell a scan that
+    # never probes again from this one; the witnesses do.
     members, _ = drawn
     current = TermSet([Term(m) for m in members])
     n, proven, before = current.n, {}, {}
+    first = DivisionAssignment.janet(current)
+    tree, mult = first._tree, dict(first.mult)
     while True:
-        assignment = DivisionAssignment.janet(current)
-        assert all(assignment.mult[t] <= vars_ for t, vars_ in before.items())
-        if any(assignment.mult[t] != vars_ for t, vars_ in before.items()):
+        fresh = DivisionAssignment.janet(current)
+        assert mult == fresh.mult
+        assert all(mult[t] <= vars_ for t, vars_ in before.items())
+        if any(mult[t] != vars_ for t, vars_ in before.items()):
             event("an addition shrank the variables of a member")
-        carried = set(proven)
+        assignment = DivisionAssignment(JANET, current, mult)
+        assignment.__dict__["_tree"] = tree
+        carried = {(k, j) for k, record in proven.items() for j in record}
         witness = assignment._first_uncovered(proven)
-        assert witness == DivisionAssignment.janet(current)._uncovered
+        assert witness == fresh._uncovered
         if witness is None:
             return
         tau, j = witness
@@ -583,7 +646,8 @@ def test_carried_scan_finds_the_witness_of_a_fresh_scan(drawn):
         grown = current._inserted(addition)
         assert grown == TermSet(current.terms + (addition,), n)
         assert addition in grown and addition not in current
-        before, current = assignment.mult, grown
+        before, current = dict(mult), grown
+        grow(tree, mult, addition)
 
 
 @st.composite

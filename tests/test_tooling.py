@@ -119,6 +119,8 @@ def test_each_divisibility_question_has_one_body():
         "_generates_key": "terms.py",
         "_Node": "division.py",
         "_janet_tree": "division.py",
+        "_janet_insert": "division.py",
+        "_keys_below": "division.py",
         "_janet_vars": "division.py",
         "_janet_head": "division.py",
         "_pommaret_head": "division.py",
@@ -317,11 +319,14 @@ def test_completeness_has_one_scan_body():
 
 
 def test_the_janet_tree_has_one_builder():
-    # one function makes the nodes of the Janet tree, and it is called by the
-    # Janet assignment, which reads its variables off the tree, and by the
-    # lazy tree of any other assignment alone
+    # one function, the insertion of one key, makes the nodes of the Janet
+    # tree below its root; _janet_tree makes the one root, which an empty
+    # basis needs too, and inserts each member.  The tree is built by the
+    # Janet assignment, which reads its variables off it, and by the lazy
+    # tree of any other assignment; the completion grows the tree of its
+    # first assignment by inserting each addition
     tree = dict(library_trees())["division.py"]
-    makers, callers = set(), set()
+    makers, callers = {}, {"_janet_tree": set(), "_janet_insert": set()}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -331,14 +336,41 @@ def test_the_janet_tree_has_one_builder():
             called = getattr(child, "func", None)
             called = getattr(called, "id", None) or getattr(called, "attr", None)
             if called == "_Node":
-                makers.add(".".join(scope))
-            if called == "_janet_tree":
-                callers.add(".".join(scope))
+                at = ".".join(scope)
+                makers[at] = makers.get(at, 0) + 1
+            if called in callers:
+                callers[called].add(".".join(scope))
             visit(child, scope)
 
     visit(tree, ())
-    assert makers == {"_janet_tree"}
-    assert callers == {"DivisionAssignment.janet", "DivisionAssignment._tree"}
+    assert makers == {"_janet_tree": 1, "_janet_insert": 1}
+    assert callers == {
+        "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._tree"},
+        "_janet_insert": {"_janet_tree", "janet_complete"},
+    }
+
+
+def test_the_completion_builds_one_tree():
+    # janet_complete takes one Janet assignment of its input before its loop
+    # and grows that tree; inside the loop it builds no assignment or tree
+    tree = dict(library_trees())["division.py"]
+    complete = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "janet_complete"
+    )
+
+    def builds(node):
+        called = getattr(node, "func", None)
+        return (getattr(called, "id", None) or getattr(called, "attr", None)) in (
+            "janet",
+            "_janet_tree",
+        )
+
+    loops = [node for node in ast.walk(complete) if isinstance(node, (ast.For, ast.While))]
+    assert loops
+    assert [node.lineno for loop in loops for node in ast.walk(loop) if builds(node)] == []
+    assert len([node for node in ast.walk(complete) if builds(node)]) == 1
 
 
 def test_the_descents_have_one_caller():
