@@ -6,11 +6,11 @@ can surface actionable diagnostics.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import sub
-from typing import Collection, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     DegreeCapExceeded,
@@ -19,7 +19,7 @@ from .errors import (
     NotInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, _bump, _monomials, variable
+from .terms import Term, TermSet, _bump, _monomials, _sort_key
 
 JANET = "janet"
 POMMARET = "pommaret"
@@ -157,6 +157,49 @@ def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
 _Proven = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], frozenset[int]]]]
 
 
+def _nonmultiplicative(
+    terms: Iterable[Term], vars_of: Mapping, n: int
+) -> Iterator[tuple[Term, int]]:
+    """The pairs (tau, j) with x_j not multiplicative for tau, given the
+    variables of each term by its lex key, the terms in order and then j
+    ascending: completeness and the criterion range over them."""
+    js = range(1, n + 1)
+    for tau in terms:
+        vars_ = vars_of[tau.lex_key]
+        for j in js:
+            if j not in vars_:
+                yield tau, j
+
+
+def _first_uncovered(
+    terms: Iterable[Term], n: int, vars_of: Mapping, head: Callable, proven: _Proven
+) -> Optional[tuple[Term, int]]:
+    """The first (tau, j) over the terms in canonical order with x_j * tau in
+    no involutive cone, None when there is none: the one completeness scan,
+    given the variables of each term by lex key and the cover lookup ``head``
+    (the lex key of a term's covering head, None when no cone holds it).
+
+    ``proven`` holds the pairs found covered, as key of tau -> j -> (key of
+    its covering head, the head's variables), and a completion carries it
+    across its additions.  A held pair whose head still has the same
+    variables is skipped, since that head's cone is unchanged; every other
+    pair is probed, and recorded when a head covers it.
+    """
+    record = last = None
+    for tau, j in _nonmultiplicative(terms, vars_of, n):
+        k = tau.lex_key
+        if k is not last:  # the pairs of one term come together
+            last, record = k, proven.setdefault(k, {})
+        seen = record.get(j)
+        if seen is not None and vars_of[seen[0]] == seen[1]:
+            continue
+        h = head(_bump(k, n - j))  # x_j sits at slot n - j
+        if h is None:
+            return tau, j
+        record[j] = h, vars_of[h]
+    return None
+
+
 @dataclass(frozen=True)
 class StarFactorization:
     """gamma = head * cofactor with the cofactor made of multiplicative variables."""
@@ -221,48 +264,17 @@ class DivisionAssignment:
         fact = self._cover(gamma.lex_key)
         return None if fact is None else StarFactorization(*map(Term._of_key, fact))
 
-    def _nonmultiplicative(self) -> Iterator[tuple[Term, int]]:
-        """The pairs (tau, j) with x_j not multiplicative for tau, the basis in
-        order and then j ascending: completeness and the criterion range over them."""
-        js = range(1, self.basis.n + 1)
-        for tau in self.basis:
-            vars_ = self.mult[tau]
-            for j in js:
-                if j not in vars_:
-                    yield tau, j
+    @cached_property
+    def _vars_of(self) -> dict[tuple[int, ...], frozenset[int]]:
+        """``mult`` keyed by lex key, as the scan and the pair walk read it."""
+        return {t.lex_key: vars_ for t, vars_ in self.mult.items()}
 
     @cached_property
     def _uncovered(self) -> Optional[tuple[Term, int]]:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
-        return self._first_uncovered({})
-
-    def _first_uncovered(self, proven: _Proven) -> Optional[tuple[Term, int]]:
-        """The first (tau, j) in canonical order with x_j * tau in no
-        involutive cone, None when there is none: the one completeness scan.
-
-        ``proven`` holds the pairs found covered, as key of tau -> j -> (key
-        of its covering head, the head's variables), and a completion carries
-        it across its additions.  A held pair whose head still has the same
-        variables is skipped, since that head's cone is unchanged; every
-        other pair is probed, and recorded when a head covers it.
-        """
-        n = self.basis.n
-        vars_of = {t.lex_key: vars_ for t, vars_ in self.mult.items()}
-        record = last = None
-        for tau, j in self._nonmultiplicative():
-            k = tau.lex_key
-            if k is not last:  # the pairs of one term come together
-                last, record = k, proven.setdefault(k, {})
-            seen = record.get(j)
-            if seen is not None and vars_of[seen[0]] == seen[1]:
-                continue
-            head = self._head(_bump(k, n - j))  # x_j sits at slot n - j
-            if head is None:
-                return tau, j
-            record[j] = head, vars_of[head]
-        return None
+        return _first_uncovered(self.basis, self.basis.n, self._vars_of, self._head, {})
 
     @cached_property
     def _nested(self) -> Optional[tuple[Term, Term]]:
@@ -361,8 +373,10 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     its key into the one Janet tree of the call (``_janet_insert``).  Only
     the members below the child that the addition displaces as the largest
     at one node lose a variable, and the addition's own variables are one
-    descent; the scan then walks the pairs from the first again.  Completion
-    of a finite set always terminates; ``degree_cap`` is a safety valve and
+    descent; the scan then walks the pairs from the first again.  The call
+    keeps the members in a sorted list and their variables by lex key, and
+    builds a TermSet only of what it returns or raises.  Completion of a
+    finite set always terminates; ``degree_cap`` is a safety valve and
     exceeding it raises DegreeCapExceeded carrying the partial set.  The cap
     does not bound the number of additions, so each round is charged
     |current| * n, the prolongation scan it repeats, and past the work budget
@@ -371,50 +385,47 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     The scan carries each pair it has proven covered, with its covering
     head and that head's variables, across the additions, and probes again
     only the pairs it has not proven or whose head's variables changed
-    (``DivisionAssignment._first_uncovered``).  That gives the witness a
-    fresh scan would give.  Adding a term can only raise the largest
-    exponent in a Janet class, so multiplicative sets only shrink, and a
-    head whose variables are unchanged has an unchanged cone: every skipped
-    pair is still covered.  Every pair before the returned witness is
-    therefore covered in the current set, and the witness is the first
-    uncovered pair.  So the additions, their order, the partial set of
-    DegreeCapExceeded and the work charged per round are those of a scan
-    that restarts from nothing after each addition.  An addition lies in no
-    cone, while each member lies in its own, so it is never a member.
+    (``_first_uncovered``).  That gives the witness a fresh scan would give.
+    Adding a term can only raise the largest exponent in a Janet class, so
+    multiplicative sets only shrink, and a head whose variables are
+    unchanged has an unchanged cone: every skipped pair is still covered.
+    Every pair before the returned witness is therefore covered in the
+    current set, and the witness is the first uncovered pair.  So the
+    additions, their order, the partial set of DegreeCapExceeded and the
+    work charged per round are those of a scan that restarts from nothing
+    after each addition.  An addition lies in no cone, while each member
+    lies in its own, so it is never a member.
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
-    first = DivisionAssignment.janet(M)
-    tree, mult = first._tree, dict(first.mult)
-    current = M
+    n, terms, tree = M.n, list(M), _janet_tree(M)
+    vars_of = {t.lex_key: _janet_vars(tree, t.lex_key) for t in terms}
+    head = partial(_janet_head, tree)
     proven: _Proven = {}
     work = 0
     while True:
-        work += len(current) * current.n
+        work += len(terms) * n
         _charge(
             work,
             "the completion rebuilt its table over {} terms and variables after {} additions",
             work,
-            len(current) - len(M),
+            len(terms) - len(M),
         )
-        # the assignment shares the growing tree and variables, so it stays here
-        assignment = DivisionAssignment(JANET, current, mult)
-        assignment.__dict__["_tree"] = tree
-        witness = assignment._first_uncovered(proven)
+        witness = _first_uncovered(terms, n, vars_of, head, proven)
         if witness is None:
-            return current
+            return TermSet(terms, n)
         tau, j = witness
-        addition = tau * variable(current.n, j)
+        k = _bump(tau.lex_key, n - j)
+        addition = Term._of_key(k)
         if addition.degree > degree_cap:
             raise DegreeCapExceeded(
                 f"completion needs degree {addition.degree} > cap {degree_cap}",
-                partial=current,
+                partial=TermSet(terms, n),
             )
-        current = current._inserted(addition)
-        k = addition.lex_key
+        insort(terms, addition, key=_sort_key)
         lost = _janet_insert(tree, k)
         if lost is not None:
             below, x = lost
             for key in _keys_below(below):
-                mult[Term._of_key(key)] -= {x}
-        mult[addition] = _janet_vars(tree, k)
+                vars_of[key] -= {x}
+        vars_of[k] = _janet_vars(tree, k)

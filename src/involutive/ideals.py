@@ -227,29 +227,24 @@ def classify(J: MonomialIdeal) -> StabilityReport:
     return StabilityReport(strongly, stable, quasi, sw, stw, qw)
 
 
-def _uniform_quasi_stable_exponent(J: MonomialIdeal) -> int:
-    """Smallest t >= 1 with x_j^t * g/min(g) in J for every generator g, x_j > min(g).
+def pommaret_termination_degree(J: MonomialIdeal) -> int:
+    """Degree d with the star set contained in degrees < d (quasi-stable J only).
 
-    This is the largest fit power over the moves with i = min(g), which
-    avoids an unbounded exponent search.  Raises NotQuasiStable with the
-    first (g, j) in canonical order that has no fit power.
+    d = a + t * n, with a the largest generator degree and t the smallest
+    t >= 1 with x_j^t * g/min(g) in J for every generator g, x_j > min(g):
+    the largest fit power over the moves with i = min(g), which avoids an
+    unbounded exponent search.  Raises NotQuasiStable with the first (g, j)
+    in canonical order that has no fit power.
     """
-    top = 1
-    for g, _, j, t in _moves(J, strongly=False):
-        if t is None:
+    t = 1
+    for g, _, j, power in _moves(J, strongly=False):
+        if power is None:
             raise NotQuasiStable(
                 f"no power of x_{j} pushes {g}/min back into the ideal",
                 witness=(g, j),
             )
-        top = max(top, t)
-    return top
-
-
-def pommaret_termination_degree(J: MonomialIdeal) -> int:
-    """Degree d with the star set contained in degrees < d (quasi-stable J only)."""
-    a = J.generators.max_degree()
-    t = _uniform_quasi_stable_exponent(J)
-    return a + t * J.n
+        t = max(t, power)
+    return J.generators.max_degree() + t * J.n
 
 
 def star_set(J: MonomialIdeal, degree_bound: int) -> tuple[TermSet, bool]:

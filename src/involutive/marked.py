@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from . import _linalg
 from ._options import DEFAULT_STEP_CAP
-from .division import DivisionAssignment, _cone_terms, is_complete, is_stably_complete
+from .division import DivisionAssignment, _cone_terms, _nonmultiplicative
+from .division import is_complete, is_stably_complete
 from .errors import (
     DegreeMismatch,
     HeadNotInM,
@@ -372,7 +373,7 @@ class MarkedBasisResult:
 def _prolongations(G: MarkedSet) -> Iterator[tuple[Term, int, dict[tuple, object]]]:
     """Each non-multiplicative prolongation as (head, j, f_head * x_j) on lex
     keys, in canonical order; over a stably complete basis, x_j above min(head)."""
-    for head, j in G.assignment._nonmultiplicative():
+    for head, j in _nonmultiplicative(G.basis, G.assignment._vars_of, G.n):
         yield head, j, _times(G._keyed[head.lex_key], variable(G.n, j).lex_key)
 
 

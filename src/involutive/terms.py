@@ -7,7 +7,6 @@ Variable indices in the public API are 1-based.
 
 from __future__ import annotations
 
-from bisect import insort
 from math import comb
 from operator import add, attrgetter, index, le, sub
 from typing import Iterable, Iterator, Optional
@@ -180,15 +179,6 @@ class TermSet:
 
     def __contains__(self, t) -> bool:
         return t in self._members
-
-    def _inserted(self, t: Term) -> "TermSet":
-        """The set with t, a term in its variables that is not a member,
-        inserted at its place in canonical order; the set itself is unchanged."""
-        terms = list(self.terms)
-        insort(terms, t, key=_sort_key)
-        grown = TermSet.__new__(TermSet)
-        grown.n, grown.terms, grown._members = self.n, tuple(terms), {**self._members, t: None}
-        return grown
 
     def generates(self, t: Term) -> bool:
         """Membership of t in the monomial ideal generated by the set."""

@@ -1,4 +1,6 @@
 import random
+from bisect import insort
+from functools import partial
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -27,13 +29,14 @@ from involutive import (
 )
 from involutive import errors
 from involutive.division import (
-    JANET,
     _cone_terms,
+    _first_uncovered,
     _janet_head,
     _janet_insert,
     _janet_tree,
     _janet_vars,
     _keys_below,
+    _nonmultiplicative,
     _pommaret_head,
 )
 from helpers import (
@@ -513,7 +516,7 @@ def test_nonmultiplicative_walk_and_cone_count_match_brute_force(drawn, d):
         (DivisionAssignment.pommaret(M), brute_pommaret_vars),
     ):
         mult = {m: rule(m) for m in members}
-        walk = [(tau.exponents, j) for tau, j in assignment._nonmultiplicative()]
+        walk = [(tau.exponents, j) for tau, j in _nonmultiplicative(M, assignment._vars_of, n)]
         assert walk == [
             (tau, j) for tau in canonical_order(members) for j in range(1, n + 1) if j not in mult[tau]
         ]
@@ -553,19 +556,21 @@ def test_janet_complete_matches_the_dense_oracle(drawn, slack):
     check_against_brute_force(sorted(expected), probes, assignment, mult)
 
 
-def grow(tree, mult, addition):
-    """Insert the term ``addition`` into the Janet tree as janet_complete
-    does, and update the Term-keyed variables ``mult`` in place: the members
-    below the displaced largest child lose one variable, and the addition
-    gets the variables of its own descent."""
+def grow(terms, tree, vars_of, addition):
+    """Insert the term ``addition`` as janet_complete does: into the sorted
+    list ``terms`` at its place in canonical order, and its key into the
+    Janet tree; update the variables ``vars_of``, keyed by lex key, in place:
+    the members below the displaced largest child lose one variable, and the
+    addition gets the variables of its own descent."""
+    insort(terms, addition, key=lambda t: t.sort_key)
     k = addition.lex_key
     lost = _janet_insert(tree, k)
     if lost is not None:
         below, x = lost
         event("an insertion took a variable from members")
         for key in _keys_below(below):
-            mult[Term._of_key(key)] -= {x}
-    mult[addition] = _janet_vars(tree, k)
+            vars_of[key] -= {x}
+    vars_of[k] = _janet_vars(tree, k)
 
 
 def check_same_tree(grown, fresh):
@@ -591,11 +596,11 @@ def test_janet_insertion_in_any_order_matches_a_fresh_tree(drawn, data):
     members, probes = drawn
     order = data.draw(st.permutations(members))
     n = len(members[0])
-    tree, mult = _janet_tree(TermSet([], n)), {}
+    terms, tree, vars_of = [], _janet_tree(TermSet([], n)), {}
     for count, m in enumerate(order, 1):
-        grow(tree, mult, Term(m))
+        grow(terms, tree, vars_of, Term(m))
         so_far = order[:count]
-        assert {t.exponents: set(v) for t, v in mult.items()} == {
+        assert {k[::-1]: set(v) for k, v in vars_of.items()} == {
             o: brute_mult_vars(so_far, o) for o in so_far
         }
         fresh = _janet_tree(TermSet([Term(o) for o in so_far], n))
@@ -622,20 +627,19 @@ def test_carried_scan_finds_the_witness_of_a_fresh_scan(drawn):
     # built anew would sort it.  Final sets alone do not tell a scan that
     # never probes again from this one; the witnesses do.
     members, _ = drawn
-    current = TermSet([Term(m) for m in members])
-    n, proven, before = current.n, {}, {}
-    first = DivisionAssignment.janet(current)
-    tree, mult = first._tree, dict(first.mult)
+    M = TermSet([Term(m) for m in members])
+    n, proven, before = M.n, {}, {}
+    terms, tree = list(M), _janet_tree(M)
+    vars_of = {t.lex_key: _janet_vars(tree, t.lex_key) for t in terms}
     while True:
+        current = TermSet(terms, n)
         fresh = DivisionAssignment.janet(current)
-        assert mult == fresh.mult
-        assert all(mult[t] <= vars_ for t, vars_ in before.items())
-        if any(mult[t] != vars_ for t, vars_ in before.items()):
+        assert vars_of == {t.lex_key: vars_ for t, vars_ in fresh.mult.items()}
+        assert all(vars_of[k] <= vars_ for k, vars_ in before.items())
+        if any(vars_of[k] != vars_ for k, vars_ in before.items()):
             event("an addition shrank the variables of a member")
-        assignment = DivisionAssignment(JANET, current, mult)
-        assignment.__dict__["_tree"] = tree
         carried = {(k, j) for k, record in proven.items() for j in record}
-        witness = assignment._first_uncovered(proven)
+        witness = _first_uncovered(terms, n, vars_of, partial(_janet_head, tree), proven)
         assert witness == fresh._uncovered
         if witness is None:
             return
@@ -643,11 +647,12 @@ def test_carried_scan_finds_the_witness_of_a_fresh_scan(drawn):
         if (tau.lex_key, j) in carried:
             event("the witness had been proven covered before")
         addition = tau * variable(n, j)
-        grown = current._inserted(addition)
+        before = dict(vars_of)
+        grow(terms, tree, vars_of, addition)
+        grown = TermSet(terms, n)
+        assert grown.terms == tuple(terms)
         assert grown == TermSet(current.terms + (addition,), n)
         assert addition in grown and addition not in current
-        before, current = dict(mult), grown
-        grow(tree, mult, addition)
 
 
 @st.composite

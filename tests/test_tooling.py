@@ -77,9 +77,35 @@ def test_traced_package_names_are_restored(monkeypatch):
     assert involutive.janet_complete is division.janet_complete
 
 
+def library_paths():
+    return sorted((ROOT / "src" / "involutive").rglob("*.py"))
+
+
 def library_trees():
-    for path in sorted((ROOT / "src" / "involutive").rglob("*.py")):
+    for path in library_paths():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def scoped_names(references=False):
+    """(name, module, scope) for each call in the library, by the called
+    name, or with ``references`` for each name it reads, a ``Name`` or an
+    ``Attribute``; the scope is the dotted path of the enclosing classes and
+    functions, "" at module level."""
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from visit(child, module, scope + (child.name,))
+                continue
+            if references or isinstance(child, ast.Call):
+                named = child if references else child.func
+                name = getattr(named, "id", None) or getattr(named, "attr", None)
+                if name:
+                    yield name, module, ".".join(scope)
+            yield from visit(child, module, scope)
+
+    for module, tree in library_trees():
+        yield from visit(tree, module, ())
 
 
 def test_library_checks_survive_optimisation():
@@ -225,27 +251,17 @@ def test_a_marked_set_has_one_constructor():
     # the tails; make_marked_set validates the tails before calling it, and
     # scheme's generic set and its specialisations call it directly.  Lex
     # keys become terms through Term._of_key, with no memo on the set
-    calls = set()
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, module, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                called = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if called in ("MarkedPolynomial", "MarkedSet"):
-                    calls.add((called, f"{module}:{'.'.join(scope)}"))
-            visit(child, module, scope)
-
-    memo = []
-    for name, tree in library_trees():
-        visit(tree, name, ())
-        memo += [
-            f"{name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if getattr(node, "attr", None) in ("_term", "_terms")
-        ]
+    calls = {
+        (called, f"{module}:{scope}")
+        for called, module, scope in scoped_names()
+        if called in ("MarkedPolynomial", "MarkedSet")
+    }
+    memo = [
+        f"{name}:{node.lineno}"
+        for name, tree in library_trees()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", None) in ("_term", "_terms")
+    ]
     assert calls == {
         ("MarkedPolynomial", "marked.py:MarkedSet.__init__"),
         ("MarkedSet", "marked.py:make_marked_set"),
@@ -281,39 +297,33 @@ def test_stable_completeness_is_decided_in_division():
 
 def test_completeness_has_one_scan_body():
     # the walk of the non-multiplicative pairs that probes each prolongation
-    # for a covering head, by one descent of the Janet tree, is defined once,
-    # in division: the cached witness of an assignment and the completion,
-    # which carries what it has proven across its additions, both run it,
-    # and no other function in division probes the heads over that walk
+    # for a covering head is defined once, in division, as a module-level
+    # function given the cover lookup (``head``): the cached witness of an
+    # assignment and the completion, which carries what it has proven across
+    # its additions, both call it, and no other function in division probes
+    # the heads over that walk
     tree = dict(library_trees())["division.py"]
-    scans, callers = set(), set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                if isinstance(child, ast.FunctionDef):
-                    named = {
-                        getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(child)
-                    }
-                    descents = {"_head", "_janet_head", "_pommaret_head"}
-                    if "_nonmultiplicative" in named and named & descents:
-                        scans.add(child.name)
-                visit(child, scope + (child.name,))
-                continue
-            called = getattr(child, "func", None)
-            if getattr(called, "attr", None) == "_first_uncovered":
-                callers.add(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, ())
+    descents = {"head", "_head", "_janet_head", "_pommaret_head"}
+    scans = set()
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            named = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(function)
+            }
+            if "_nonmultiplicative" in named and named & descents:
+                scans.add(function.name)
     assert scans == {"_first_uncovered"}
+    callers = {
+        scope
+        for called, module, scope in scoped_names()
+        if called == "_first_uncovered" and module == "division.py"
+    }
     assert callers == {"DivisionAssignment._uncovered", "janet_complete"}
     outside = [
-        f"{name}:{node.lineno}"
-        for name, other in library_trees()
-        if name != "division.py"
-        for node in ast.walk(other)
-        if getattr(node, "attr", None) == "_first_uncovered"
+        f"{module}:{scope}"
+        for name, module, scope in scoped_names(references=True)
+        if name == "_first_uncovered" and module != "division.py"
     ]
     assert outside == []
 
@@ -322,37 +332,29 @@ def test_the_janet_tree_has_one_builder():
     # one function, the insertion of one key, makes the nodes of the Janet
     # tree below its root; _janet_tree makes the one root, which an empty
     # basis needs too, and inserts each member.  The tree is built by the
-    # Janet assignment, which reads its variables off it, and by the lazy
-    # tree of any other assignment; the completion grows the tree of its
-    # first assignment by inserting each addition
-    tree = dict(library_trees())["division.py"]
+    # Janet assignment, which reads its variables off it, by the lazy tree of
+    # any other assignment, and by the completion, which grows the tree of
+    # its input by inserting each addition
     makers, callers = {}, {"_janet_tree": set(), "_janet_insert": set()}
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, scope + (child.name,))
-                continue
-            called = getattr(child, "func", None)
-            called = getattr(called, "id", None) or getattr(called, "attr", None)
-            if called == "_Node":
-                at = ".".join(scope)
-                makers[at] = makers.get(at, 0) + 1
-            if called in callers:
-                callers[called].add(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, ())
+    for called, module, scope in scoped_names():
+        if module != "division.py":
+            continue
+        if called == "_Node":
+            makers[scope] = makers.get(scope, 0) + 1
+        if called in callers:
+            callers[called].add(scope)
     assert makers == {"_janet_tree": 1, "_janet_insert": 1}
     assert callers == {
-        "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._tree"},
+        "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._tree", "janet_complete"},
         "_janet_insert": {"_janet_tree", "janet_complete"},
     }
 
 
 def test_the_completion_builds_one_tree():
-    # janet_complete takes one Janet assignment of its input before its loop
-    # and grows that tree; inside the loop it builds no assignment or tree
+    # janet_complete builds one Janet tree of its input before its loop and
+    # grows that tree; inside the loop it builds no tree, and it builds no
+    # DivisionAssignment at all, nor writes one's __dict__: it keeps the
+    # members, their variables by lex key and its proof record itself
     tree = dict(library_trees())["division.py"]
     complete = next(
         node
@@ -371,28 +373,36 @@ def test_the_completion_builds_one_tree():
     assert loops
     assert [node.lineno for loop in loops for node in ast.walk(loop) if builds(node)] == []
     assert len([node for node in ast.walk(complete) if builds(node)]) == 1
+    assert [
+        node.lineno
+        for node in ast.walk(complete)
+        if getattr(node, "id", None) == "DivisionAssignment"
+        or getattr(node, "attr", None) == "__dict__"
+    ] == []
 
 
 def test_the_descents_have_one_caller():
-    # the Janet and Pommaret descents are called from the assignment's one
-    # lookup alone, so every cover question, completeness and nesting
-    # included, goes through it and no function walks the tree beside it
+    # the Janet and Pommaret descents are named by the assignment's one
+    # lookup, and the Janet descent also by janet_complete, as the lookup of
+    # the completion on its own growing tree, which it hands the scan; so
+    # every cover question, completeness and nesting included, goes through
+    # one of them and no function walks the tree beside them.  References,
+    # not only calls, count: a descent passed on as a value is a caller too
     callers = {}
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, module, scope + (child.name,))
-                continue
-            called = getattr(child, "func", None)
-            called = getattr(called, "id", None) or getattr(called, "attr", None)
-            if called in ("_janet_head", "_pommaret_head"):
-                callers.setdefault(called, set()).add(f"{module}:{'.'.join(scope)}")
-            visit(child, module, scope)
-
-    for name, tree in library_trees():
-        visit(tree, name, ())
+    for name, module, scope in scoped_names(references=True):
+        if name in ("_janet_head", "_pommaret_head"):
+            callers.setdefault(name, set()).add(f"{module}:{scope}")
     assert callers == {
-        "_janet_head": {"division.py:DivisionAssignment._head"},
+        "_janet_head": {"division.py:DivisionAssignment._head", "division.py:janet_complete"},
         "_pommaret_head": {"division.py:DivisionAssignment._head"},
     }
+
+
+def test_library_lines_fit_in_100_columns():
+    long = [
+        f"{path.name}:{number}"
+        for path in library_paths()
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
