@@ -6,7 +6,7 @@ can surface actionable diagnostics.
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import sub
@@ -28,15 +28,16 @@ POMMARET = "pommaret"
 class _Node:
     """A node of the Janet tree: its children by the exponent at the next slot
     of the lex key (at depth n - 1, the keys themselves), the largest of those
-    exponents, and the keys that stop here, prefix + (e,) + zeros with e the
-    exponent of the key's min variable, in canonical order."""
+    exponents (-1 at the root of the empty tree) and the keys that stop here,
+    prefix + (e,) + zeros with e the exponent of the key's min variable, in
+    canonical order."""
 
     __slots__ = ("kids", "top", "ends")
 
     def __init__(self) -> None:
         self.kids: dict = {}
         self.top = -1
-        self.ends: tuple[tuple[int, ...], ...] = ()
+        self.ends: list[tuple[int, ...]] = []
 
 
 def _janet_tree(M: TermSet) -> _Node:
@@ -51,9 +52,10 @@ def _janet_tree(M: TermSet) -> _Node:
 
 def _janet_insert(root: _Node, k: tuple[int, ...]) -> Optional[tuple[object, int]]:
     """Insert the lex key k of a term not in the tree into the Janet tree at
-    root, keeping each node's ends in canonical order, and return the members
-    whose Janet variables it changes: (child, j) when the members below child
-    lose x_j, else None.
+    root, and into the ends of the node where it stops, in canonical order
+    whatever the order of insertion, and return the members whose Janet
+    variables it changes: (child, j) when the members below child lose x_j,
+    else None.
 
     k raises the largest exponent of a node only where its own exceeds it,
     and then the members below the old largest child lose the node's
@@ -72,14 +74,8 @@ def _janet_insert(root: _Node, k: tuple[int, ...]) -> Optional[tuple[object, int
             node.kids[e] = k
         else:
             node = node.kids.get(e) or node.kids.setdefault(e, _Node())
-    # the keys that stop at one node differ in one slot, so lex order is
-    # canonical; a tree built in canonical order only appends
-    ends = stop.ends
-    if ends and k < ends[-1]:
-        at = bisect(ends, k)
-        stop.ends = (*ends[:at], k, *ends[at:])
-    else:
-        stop.ends = ends + (k,)
+    # the keys that stop at one node differ in one slot: lex order is canonical
+    insort(stop.ends, k)
     return lost
 
 
@@ -111,10 +107,11 @@ def _janet_head(node: _Node, k: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """The lex key of the member whose Janet cone holds the term with key k,
     None when none does, in one descent: a member with the largest child's
     exponent e at a slot, multiplicative there, needs e <= k's, and any other
-    needs k's exactly.  Janet cones are disjoint, so that path is the only one."""
+    needs k's exactly.  Janet cones are disjoint, so that path is the only one.
+    The root of the empty tree has no child at all, not even at its top."""
     for e in k:
         top = node.top
-        node = node.kids[top] if e >= top else node.kids.get(e)
+        node = node.kids.get(top if e >= top else e)
         if node is None:
             return None
     return node
@@ -216,8 +213,11 @@ class DivisionAssignment:
     keys (``Term.lex_key``): which terms' involutive cones hold a term
     (``_cover``, and :meth:`cover` on terms), whether the cones cover the
     ideal (``_uncovered``, from the one completeness scan ``_first_uncovered``)
-    and whether two of them nest (``_nested``).  Each is one descent of the
-    basis's Janet tree per term (``_head``), built once per assignment.
+    and whether two of them nest (``_nested``).  Each asks the one cover
+    lookup ``_head``, the flavour's descent bound to the basis's Janet tree:
+    the tree the Janet variables were read off, else one built on the first
+    cover question.  The lookup is kept off the dataclass fields, so results
+    compare and print by their fields alone.
     """
 
     flavor: str
@@ -228,7 +228,8 @@ class DivisionAssignment:
     def janet(cls, M: TermSet) -> "DivisionAssignment":
         tree = _janet_tree(M)
         assignment = cls(JANET, M, {t: _janet_vars(tree, t.lex_key) for t in M})
-        assignment.__dict__["_tree"] = tree  # the variables were read off it
+        # the lookup descends the tree the variables were read off
+        assignment.__dict__["_head"] = partial(_janet_head, tree)
         return assignment
 
     @classmethod
@@ -236,17 +237,12 @@ class DivisionAssignment:
         return cls(POMMARET, M, {t: pommaret_multiplicative_vars(t) for t in M})
 
     @cached_property
-    def _tree(self) -> _Node:
-        """The Janet tree of the basis; off the dataclass fields, so results
-        compare and print by their fields alone."""
-        return _janet_tree(self.basis)
-
-    def _head(self, k: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """The lex key of the lex-greatest basis term whose involutive cone
-        holds the term with key k, None when none does: one descent."""
-        if self.flavor == JANET:
-            return _janet_head(self._tree, k)
-        return _pommaret_head(self._tree, k)
+    def _head(self) -> Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]:
+        """The cover lookup: the lex key of the lex-greatest basis term whose
+        involutive cone holds the term with key k, None when none does, in
+        one descent of the basis's Janet tree."""
+        descent = _janet_head if self.flavor == JANET else _pommaret_head
+        return partial(descent, _janet_tree(self.basis))
 
     def _cover(self, k: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The term with lex key k as the keys (head, cofactor) of its lex-greatest
@@ -351,9 +347,8 @@ def is_stably_complete(
     prolongation, else the first term in canonical order whose Janet and
     Pommaret variables differ, with the least variable where they do.
     """
-    if assignment is not None:
-        _own_assignment(M, assignment)
-    if assignment is None or assignment.flavor != JANET:
+    assignment = _own_assignment(M, assignment)
+    if assignment.flavor != JANET:
         assignment = DivisionAssignment.janet(M)
     ok, witness = is_complete(M, assignment)
     if not ok:

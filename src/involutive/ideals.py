@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, Optional
 
 from ._options import ESCALIER, IDEAL_SLICE, SIGMA_MODES
 from .division import (
-    JANET,
     DivisionAssignment,
     _cone_terms,
     _own_assignment,
@@ -298,7 +297,7 @@ def hilbert_function(
     ok, witness = is_complete(M, assignment)
     if not ok:
         raise NotComplete("Hilbert formula needs a complete set", witness=witness)
-    if assignment.flavor != JANET and assignment._nested:
+    if assignment._nested:
         tau, outer = assignment._nested
         raise ValueError(f"{tau} lies in the cone of {outer}: cones must be disjoint")
     if k < 0:

@@ -13,6 +13,7 @@ from involutive import (
     MonomialIdeal,
     NotComplete,
     NotInIdeal,
+    REDUCED,
     Term,
     TermSet,
     WorkBudgetExceeded,
@@ -23,6 +24,7 @@ from involutive import (
     make_marked_set,
     pommaret_basis,
     pommaret_multiplicative_vars,
+    reduce,
     star_decompose,
     terms_of_degree,
     variable,
@@ -784,6 +786,19 @@ def test_mismatched_variable_counts_are_rejected():
         star_decompose(M0, t(1, 1))
     with pytest.raises(MismatchedVariableCount):
         DivisionAssignment.janet(M0).cover(t(1, 1))
+
+
+def test_cover_lookups_on_an_empty_basis_find_no_head():
+    # the root of the empty Janet tree has no child, not even at its largest
+    # exponent: the Janet lookup finds no head, as the Pommaret one does, so
+    # a term lies outside the ideal and reduces to itself in no step
+    empty, x1 = TermSet([], 2), t(1, 0)
+    assert DivisionAssignment.janet(empty).cover(x1) is None
+    assert DivisionAssignment.pommaret(empty).cover(x1) is None
+    with pytest.raises(NotInIdeal):
+        star_decompose(empty, x1)
+    trace = reduce(make_marked_set(empty), {x1: 1})
+    assert (trace.steps, trace.result, trace.status) == ([], {x1: 1}, REDUCED)
 
 
 @pytest.mark.parametrize(

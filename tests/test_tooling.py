@@ -5,8 +5,10 @@ library's own checks must not vanish under ``python -O`` either, and its work
 budget has one meter."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+from functools import cached_property
 from pathlib import Path
 
 import involutive
@@ -86,26 +88,33 @@ def library_trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def scoped_names(references=False):
-    """(name, module, scope) for each call in the library, by the called
-    name, or with ``references`` for each name it reads, a ``Name`` or an
-    ``Attribute``; the scope is the dotted path of the enclosing classes and
-    functions, "" at module level."""
+def scoped_nodes():
+    """(node, module, scope) for each node in the library but the classes and
+    functions themselves; the scope is the dotted path of the enclosing
+    classes and functions, "" at module level."""
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 yield from visit(child, module, scope + (child.name,))
                 continue
-            if references or isinstance(child, ast.Call):
-                named = child if references else child.func
-                name = getattr(named, "id", None) or getattr(named, "attr", None)
-                if name:
-                    yield name, module, ".".join(scope)
+            yield child, module, ".".join(scope)
             yield from visit(child, module, scope)
 
     for module, tree in library_trees():
         yield from visit(tree, module, ())
+
+
+def scoped_names(references=False):
+    """(name, module, scope) for each call in the library, by the called
+    name, or with ``references`` for each name it reads, a ``Name`` or an
+    ``Attribute``, with the scope of :func:`scoped_nodes`."""
+    for node, module, scope in scoped_nodes():
+        if references or isinstance(node, ast.Call):
+            named = node if references else node.func
+            name = getattr(named, "id", None) or getattr(named, "attr", None)
+            if name:
+                yield name, module, scope
 
 
 def test_library_checks_survive_optimisation():
@@ -150,7 +159,6 @@ def test_each_divisibility_question_has_one_body():
         "_janet_vars": "division.py",
         "_janet_head": "division.py",
         "_pommaret_head": "division.py",
-        "_tree": "division.py",
         "_head": "division.py",
         "_fit_index": "ideals.py",
     }
@@ -332,8 +340,8 @@ def test_the_janet_tree_has_one_builder():
     # one function, the insertion of one key, makes the nodes of the Janet
     # tree below its root; _janet_tree makes the one root, which an empty
     # basis needs too, and inserts each member.  The tree is built by the
-    # Janet assignment, which reads its variables off it, by the lazy tree of
-    # any other assignment, and by the completion, which grows the tree of
+    # Janet assignment, which reads its variables off it, by the cover lookup
+    # of any other assignment, and by the completion, which grows the tree of
     # its input by inserting each addition
     makers, callers = {}, {"_janet_tree": set(), "_janet_insert": set()}
     for called, module, scope in scoped_names():
@@ -345,7 +353,7 @@ def test_the_janet_tree_has_one_builder():
             callers[called].add(scope)
     assert makers == {"_janet_tree": 1, "_janet_insert": 1}
     assert callers == {
-        "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._tree", "janet_complete"},
+        "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._head", "janet_complete"},
         "_janet_insert": {"_janet_tree", "janet_complete"},
     }
 
@@ -383,18 +391,86 @@ def test_the_completion_builds_one_tree():
 
 def test_the_descents_have_one_caller():
     # the Janet and Pommaret descents are named by the assignment's one
-    # lookup, and the Janet descent also by janet_complete, as the lookup of
-    # the completion on its own growing tree, which it hands the scan; so
-    # every cover question, completeness and nesting included, goes through
-    # one of them and no function walks the tree beside them.  References,
-    # not only calls, count: a descent passed on as a value is a caller too
+    # lookup, and the Janet descent also by the Janet assignment, which binds
+    # it to the tree it read the variables off, and by janet_complete, as the
+    # lookup of the completion on its own growing tree, which it hands the
+    # scan; so every cover question, completeness and nesting included, goes
+    # through one of them and no function walks the tree beside them.
+    # References, not only calls, count: a descent passed on as a value is a
+    # caller too
     callers = {}
     for name, module, scope in scoped_names(references=True):
         if name in ("_janet_head", "_pommaret_head"):
             callers.setdefault(name, set()).add(f"{module}:{scope}")
     assert callers == {
-        "_janet_head": {"division.py:DivisionAssignment._head", "division.py:janet_complete"},
+        "_janet_head": {
+            "division.py:DivisionAssignment.janet",
+            "division.py:DivisionAssignment._head",
+            "division.py:janet_complete",
+        },
         "_pommaret_head": {"division.py:DivisionAssignment._head"},
+    }
+
+
+def test_the_flavour_is_decided_in_division():
+    # which cones an assignment has is its flavour, and division alone reads
+    # it or names one (imports count): each assignment binds its descent once,
+    # in its cached cover lookup, and beside that only the nesting test and
+    # stable completeness read the flavour, so no cover question compares it
+    flavour_names = ("JANET", "POMMARET")
+    outside = [
+        f"{module}:{scope}"
+        for node, module, scope in scoped_nodes()
+        if module != "division.py"
+        and (
+            getattr(node, "attr", None) == "flavor"
+            or getattr(node, "id", None) in flavour_names
+            or getattr(node, "name", None) in flavour_names
+        )
+    ]
+    assert outside == []
+    readers = {
+        scope
+        for node, module, scope in scoped_nodes()
+        if module == "division.py" and getattr(node, "attr", None) == "flavor"
+    }
+    assert readers == {
+        "DivisionAssignment._head",
+        "DivisionAssignment._nested",
+        "is_stably_complete",
+    }
+    assert isinstance(vars(division.DivisionAssignment)["_head"], cached_property)
+
+
+def test_the_exported_results_have_pinned_fields():
+    # the benchmark digests every dataclass field of a result, so state kept
+    # beside the fields, such as an assignment's cover lookup, must not
+    # become one: each exported dataclass has exactly these fields
+    fields = {
+        name: tuple(field.name for field in dataclasses.fields(getattr(involutive, name)))
+        for name in involutive.__all__
+        if dataclasses.is_dataclass(getattr(involutive, name))
+    }
+    assert fields == {
+        "DivisionAssignment": ("flavor", "basis", "mult"),
+        "StarFactorization": ("head", "cofactor"),
+        "StabilityReport": (
+            "strongly_stable",
+            "stable",
+            "quasi_stable",
+            "strongly_stable_witness",
+            "stable_witness",
+            "quasi_stable_witness",
+        ),
+        "StabilityWitness": ("generator", "variable", "divisor_variable"),
+        "SigmaProfile": ("degree", "mode", "counts"),
+        "ReductionStep": ("term", "head", "cofactor", "coefficient"),
+        "ReductionTrace": ("steps", "result", "status"),
+        "CriterionCheck": ("head", "variable", "trace"),
+        "MarkedBasisResult": ("is_basis", "checks"),
+        "GenericMarkedSet": ("ideal", "basis", "params", "tails"),
+        "ParamVar": ("index", "term"),
+        "SchemeEquations": ("generic", "equations"),
     }
 
 
