@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, partial
+from heapq import heappop, heappush
 from operator import sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
 
@@ -19,7 +20,7 @@ from .errors import (
     NotInIdeal,
     _charge,
 )
-from .terms import Term, TermSet, _bump, _monomials, _sort_key
+from .terms import Term, TermSet, _bump, _monomials
 
 JANET = "janet"
 POMMARET = "pommaret"
@@ -148,12 +149,6 @@ def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
     return sum(_monomials(d - tau.degree, len(vars_)) for tau, vars_ in cones)
 
 
-# The prolongations x_j * tau that a completeness scan has found covered,
-# keyed by the lex key of tau and then by j, each with the lex key of its
-# covering head and that head's multiplicative variables when it covered the pair.
-_Proven = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], frozenset[int]]]]
-
-
 def _nonmultiplicative(
     terms: Iterable[Term], vars_of: Mapping, n: int
 ) -> Iterator[tuple[Term, int]]:
@@ -169,31 +164,17 @@ def _nonmultiplicative(
 
 
 def _first_uncovered(
-    terms: Iterable[Term], n: int, vars_of: Mapping, head: Callable, proven: _Proven
+    terms: Iterable[Term], n: int, vars_of: Mapping, head: Callable
 ) -> Optional[tuple[Term, int]]:
     """The first (tau, j) over the terms in canonical order with x_j * tau in
-    no involutive cone, None when there is none: the one completeness scan,
-    given the variables of each term by lex key and the cover lookup ``head``
-    (the lex key of a term's covering head, None when no cone holds it).
-
-    ``proven`` holds the pairs found covered, as key of tau -> j -> (key of
-    its covering head, the head's variables), and a completion carries it
-    across its additions.  A held pair whose head still has the same
-    variables is skipped, since that head's cone is unchanged; every other
-    pair is probed, and recorded when a head covers it.
-    """
-    record = last = None
+    no involutive cone, None when there is none: the one fresh completeness
+    scan, given the variables of each term by lex key and the cover lookup
+    ``head`` (the lex key of a term's covering head, None when no cone holds
+    it).  The completion keeps its own worklist of the pairs to probe again
+    instead (:func:`janet_complete`)."""
     for tau, j in _nonmultiplicative(terms, vars_of, n):
-        k = tau.lex_key
-        if k is not last:  # the pairs of one term come together
-            last, record = k, proven.setdefault(k, {})
-        seen = record.get(j)
-        if seen is not None and vars_of[seen[0]] == seen[1]:
-            continue
-        h = head(_bump(k, n - j))  # x_j sits at slot n - j
-        if h is None:
+        if head(_bump(tau.lex_key, n - j)) is None:  # x_j sits at slot n - j
             return tau, j
-        record[j] = h, vars_of[h]
     return None
 
 
@@ -270,7 +251,7 @@ class DivisionAssignment:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
-        return _first_uncovered(self.basis, self.basis.n, self._vars_of, self._head, {})
+        return _first_uncovered(self.basis, self.basis.n, self._vars_of, self._head)
 
     @cached_property
     def _nested(self) -> Optional[tuple[Term, Term]]:
@@ -360,43 +341,90 @@ def is_stably_complete(
     return True, None
 
 
+class _Worklist:
+    """The pairs that Janet completion probes again, over the Janet tree it
+    grows (Gerdt and Blinkov, "Involutive bases of polynomial ideals", 1998):
+    ``queue``, a heap of the non-multiplicative pairs (tau, j) not known to be
+    covered, as (deg tau, lex key of tau, j), so in canonical order of tau,
+    then j; and ``covers``, from the lex key of each head to the pairs it was
+    found to cover.  Every non-multiplicative pair of the members is in one of
+    the two, and every pair in ``covers`` lies in its head's cone.
+
+    Adding a term can only raise the largest exponent in a Janet class, so
+    multiplicative sets only shrink: only the members below the child that
+    the addition displaces as the largest at one node lose a variable, and
+    only the cones of those members change.  So :meth:`add` queues the
+    addition's own pairs, the pair of each such member with the variable it
+    lost, and the pairs those members covered, and every pair in ``covers``
+    stays covered."""
+
+    __slots__ = ("tree", "n", "queue", "covers")
+
+    def __init__(self, tree: _Node, terms: list[Term], n: int) -> None:
+        vars_of = {t.lex_key: _janet_vars(tree, t.lex_key) for t in terms}
+        # in canonical order already, so the list is a heap
+        self.queue = [(t.degree, t.lex_key, j) for t, j in _nonmultiplicative(terms, vars_of, n)]
+        self.covers: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
+        self.tree, self.n = tree, n
+
+    def first_uncovered(self) -> Optional[tuple[int, tuple[int, ...], int]]:
+        """The first queued pair (deg tau, lex key of tau, j) with x_j * tau in
+        no cone, which stays queued, None when there is none: the pairs before
+        it leave the queue for their heads' entries in ``covers``.  It is the
+        first uncovered pair of the members, as a fresh scan gives it."""
+        queue, covers, tree, n = self.queue, self.covers, self.tree, self.n
+        while queue:
+            pair = queue[0]
+            h = _janet_head(tree, _bump(pair[1], n - pair[2]))  # x_j sits at slot n - j
+            if h is None:
+                return pair
+            heappop(queue)
+            covers.setdefault(h, []).append(pair)
+        return None
+
+    def add(self, k: tuple[int, ...]) -> None:
+        """Insert the lex key k of a term in no cone into the tree, and queue
+        its own pairs and every pair whose cover it may have changed."""
+        queue, tree = self.queue, self.tree
+        lost = _janet_insert(tree, k)
+        if lost is not None:
+            below, x = lost
+            for key in _keys_below(below):
+                heappush(queue, (sum(key), key, x))
+                for pair in self.covers.pop(key, ()):
+                    heappush(queue, pair)
+        d, vars_ = sum(k), _janet_vars(tree, k)
+        for j in range(1, self.n + 1):
+            if j not in vars_:
+                heappush(queue, (d, k, j))
+
+
 def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     """Enlarge M until it is complete, adding non-multiplicative products.
 
     Terms are processed in canonical (degree, lex) order and the first
-    uncovered product x_j * tau is inserted at its place in that order, and
-    its key into the one Janet tree of the call (``_janet_insert``).  Only
-    the members below the child that the addition displaces as the largest
-    at one node lose a variable, and the addition's own variables are one
-    descent; the scan then walks the pairs from the first again.  The call
-    keeps the members in a sorted list and their variables by lex key, and
-    builds a TermSet only of what it returns or raises.  Completion of a
-    finite set always terminates; ``degree_cap`` is a safety valve and
-    exceeding it raises DegreeCapExceeded carrying the partial set.  The cap
-    does not bound the number of additions, so each round is charged
-    |current| * n, the prolongation scan it repeats, and past the work budget
+    uncovered product x_j * tau is added, and its key inserted into the one
+    Janet tree of the call.  Completion of a finite set always terminates;
+    ``degree_cap`` is a safety valve and exceeding it raises
+    DegreeCapExceeded carrying the partial set.  The cap does not bound the
+    number of additions, so each round is charged |current| * n, the
+    prolongation scan of a fresh completeness test, and past the work budget
     WorkBudgetExceeded is raised with the units charged so far.
 
-    The scan carries each pair it has proven covered, with its covering
-    head and that head's variables, across the additions, and probes again
-    only the pairs it has not proven or whose head's variables changed
-    (``_first_uncovered``).  That gives the witness a fresh scan would give.
-    Adding a term can only raise the largest exponent in a Janet class, so
-    multiplicative sets only shrink, and a head whose variables are
-    unchanged has an unchanged cone: every skipped pair is still covered.
-    Every pair before the returned witness is therefore covered in the
-    current set, and the witness is the first uncovered pair.  So the
-    additions, their order, the partial set of DegreeCapExceeded and the
+    The rounds share one :class:`_Worklist`, seeded once with the input's
+    non-multiplicative pairs: a round pops the pairs its heads cover until
+    the first one that no cone holds, and probes again only the pairs queued
+    since.  Each witness is the first uncovered pair of the current set, so
+    the additions, their order, the partial set of DegreeCapExceeded and the
     work charged per round are those of a scan that restarts from nothing
     after each addition.  An addition lies in no cone, while each member
-    lies in its own, so it is never a member.
+    lies in its own, so it is never a member.  The call keeps its members in
+    a list and builds a TermSet only of what it returns or raises.
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
     n, terms, tree = M.n, list(M), _janet_tree(M)
-    vars_of = {t.lex_key: _janet_vars(tree, t.lex_key) for t in terms}
-    head = partial(_janet_head, tree)
-    proven: _Proven = {}
+    worklist = _Worklist(tree, terms, n)
     work = 0
     while True:
         work += len(terms) * n
@@ -406,21 +434,15 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
             work,
             len(terms) - len(M),
         )
-        witness = _first_uncovered(terms, n, vars_of, head, proven)
+        witness = worklist.first_uncovered()
         if witness is None:
             return TermSet(terms, n)
-        tau, j = witness
-        k = _bump(tau.lex_key, n - j)
-        addition = Term._of_key(k)
-        if addition.degree > degree_cap:
+        d, k, j = witness
+        if d + 1 > degree_cap:
             raise DegreeCapExceeded(
-                f"completion needs degree {addition.degree} > cap {degree_cap}",
+                f"completion needs degree {d + 1} > cap {degree_cap}",
                 partial=TermSet(terms, n),
             )
-        insort(terms, addition, key=_sort_key)
-        lost = _janet_insert(tree, k)
-        if lost is not None:
-            below, x = lost
-            for key in _keys_below(below):
-                vars_of[key] -= {x}
-        vars_of[k] = _janet_vars(tree, k)
+        k = _bump(k, n - j)
+        terms.append(Term._of_key(k))
+        worklist.add(k)

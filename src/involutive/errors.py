@@ -68,7 +68,9 @@ class MissingAssignment(InvolutiveError):
 # The most units of work a computation does before it refuses with
 # WorkBudgetExceeded: listed terms, multiples and parameters, star-search
 # nodes, the terms and multiples the oracle enumerates, the terms and
-# variables a completion scans again after each addition, the divisibility
+# variables of a fresh completeness scan for each round of a completion (a
+# bound: its worklist probes only the pairs an addition may uncover, so the
+# charge and its estimates stay those of a rescan), the divisibility
 # tests that minimalise generators, the terms a reduction scans, the terms
 # and coefficient words the cycle detector keeps, or the coefficient products
 # of the scheme's normal forms.

@@ -216,18 +216,49 @@ def _subtract_scaled(work: dict, f: list, eta: tuple, c) -> None:
             work.pop(k, None)
 
 
+def _words(c) -> int:
+    """The 64-bit words of a rational coefficient; a coefficient of any other
+    type counts 1."""
+    try:
+        bits = c.numerator.bit_length() + c.denominator.bit_length()
+    except AttributeError:
+        bits = 1
+    return -(-bits // 64)
+
+
 def _state_size(work: Mapping) -> int:
     """What the cycle detector pays to keep a state: its terms plus the
-    64-bit words of its rational coefficients (a coefficient of any other
-    type counts 1)."""
-    size = len(work)
-    for c in work.values():
-        try:
-            bits = c.numerator.bit_length() + c.denominator.bit_length()
-        except AttributeError:
-            bits = 1
-        size += -(-bits // 64)
-    return size
+    64-bit words of its coefficients (:func:`_words`)."""
+    return len(work) + sum(map(_words, work.values()))
+
+
+def _state_code(k: tuple, c) -> int:
+    """The share of the term with key k and coefficient c in the code of a
+    state, the sum of its terms' shares: equal states have equal codes."""
+    return hash((k, c))
+
+
+def _subtract_tracked(work: dict, f: list, eta: tuple, c) -> tuple[int, int]:
+    """:func:`_subtract_scaled`, returning what it adds to the code
+    (:func:`_state_code`) and to the size (:func:`_state_size`) of the state
+    ``work``, read off the terms it touches alone."""
+    code = size = 0
+    for k, a in _times(f, eta).items():
+        cur = work.get(k)
+        val = c * a
+        if cur is None:
+            new = -val
+        else:
+            new = cur - val
+            code -= _state_code(k, cur)
+            size -= 1 + _words(cur)
+        if new:
+            work[k] = new
+            code += _state_code(k, new)
+            size += 1 + _words(new)
+        else:
+            work.pop(k, None)
+    return code, size
 
 
 def reduce(
@@ -243,7 +274,11 @@ def reduce(
     cofactor, which makes the process terminate whenever the basis is stably
     complete.  Over a merely complete basis the relation can loop, so repeated
     polynomial states are detected and reported as CYCLE_DETECTED, with
-    ``step_cap`` as a final backstop.  Each step is charged to the work
+    ``step_cap`` as a final backstop.  The detector keeps a copy of each state
+    under its code, a sum over its terms (:func:`_state_code`), and compares
+    states exactly only when their codes match; a step updates the code and
+    the size of the state from the terms it touches alone
+    (:func:`_subtract_tracked`).  Each step is charged to the work
     budget, and past it WorkBudgetExceeded is raised: over a stably complete
     basis a step pays the terms the next one scans, and over a merely complete
     one each kept state pays its size (:func:`_state_size`), which is at least
@@ -273,8 +308,13 @@ def reduce(
         ok, witness = is_complete(G.basis, G.assignment)
         if not ok:
             raise NotComplete("reduction needs a complete basis", witness=witness)
-    seen = {frozenset(work.items())} if track_states else None
-    spent = _state_size(work) if track_states else len(work)
+    if track_states:
+        # the kept states, as copies by code; equal codes are compared exactly
+        code = sum(_state_code(k, c) for k, c in work.items())
+        seen = {code: [dict(work)]}
+        size = spent = _state_size(work)
+    else:
+        spent = len(work)
     keyed, decompose = G._keyed, G.decompose
     steps: list[tuple] = []
     status = REDUCED
@@ -294,18 +334,22 @@ def reduce(
             break
         eta, k = best
         c = work[k]
-        _subtract_scaled(work, keyed[head], eta, c)
         steps.append((k, head, eta, c))
         if track_states:
-            state = frozenset(work.items())
-            if state in seen:
+            dcode, dsize = _subtract_tracked(work, keyed[head], eta, c)
+            code += dcode
+            size += dsize
+            kept = seen.setdefault(code, [])
+            if work in kept:
                 status = CYCLE_DETECTED
                 break
-            seen.add(state)
-            spent += _state_size(work)
+            kept.append(dict(work))
+            spent += size
+            # each step that closes no cycle keeps one state, after the input's
             what = "the cycle detector keeps {} states of {} terms and coefficient words"
-            _charge(spent, what, len(seen), spent)
+            _charge(spent, what, len(steps) + 1, spent)
         else:
+            _subtract_scaled(work, keyed[head], eta, c)
             spent += len(work)
             _charge(spent, "the reduction scans {} terms by step {}", spent, len(steps))
     term = Term._of_key

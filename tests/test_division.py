@@ -1,6 +1,5 @@
 import random
 from bisect import insort
-from functools import partial
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -31,8 +30,8 @@ from involutive import (
 )
 from involutive import errors
 from involutive.division import (
+    _Worklist,
     _cone_terms,
-    _first_uncovered,
     _janet_head,
     _janet_insert,
     _janet_tree,
@@ -41,6 +40,7 @@ from involutive.division import (
     _nonmultiplicative,
     _pommaret_head,
 )
+from involutive.terms import _bump
 from helpers import (
     brute_is_complete,
     brute_is_stably_complete,
@@ -559,11 +559,11 @@ def test_janet_complete_matches_the_dense_oracle(drawn, slack):
 
 
 def grow(terms, tree, vars_of, addition):
-    """Insert the term ``addition`` as janet_complete does: into the sorted
-    list ``terms`` at its place in canonical order, and its key into the
-    Janet tree; update the variables ``vars_of``, keyed by lex key, in place:
-    the members below the displaced largest child lose one variable, and the
-    addition gets the variables of its own descent."""
+    """Insert the term ``addition`` into the sorted list ``terms`` at its
+    place in canonical order, and its key into the Janet tree as the
+    completion's worklist does; update the variables ``vars_of``, keyed by
+    lex key, in place: the members below the displaced largest child lose
+    one variable, and the addition gets the variables of its own descent."""
     insort(terms, addition, key=lambda t: t.sort_key)
     k = addition.lex_key
     lost = _janet_insert(tree, k)
@@ -615,46 +615,52 @@ def test_janet_insertion_in_any_order_matches_a_fresh_tree(drawn, data):
 
 @settings(PROPERTY, max_examples=500)
 @given(term_sets(max_vars=4, max_exp=3, max_size=7))
-# the third scan proves x3 * (x1*x2) in the cone of x1*x3, whose variables
-# are x1, x2; adding x2^2*x3 takes x2 from x1*x3, so the next scan must probe
-# that pair again, and it is that scan's witness
+# the third round finds x3 * (x1*x2) in the cone of x1*x3, whose variables
+# are x1, x2; adding x2^2*x3 takes x2 from x1*x3, so that pair is queued
+# again, and it is the next round's witness
 @example(([(0, 0, 2), (0, 2, 0), (1, 0, 0)], [(0, 0, 0)]))
-def test_carried_scan_finds_the_witness_of_a_fresh_scan(drawn):
-    # janet_complete grows one Janet tree and its variables by inserting each
-    # addition, carries the pairs it has proven covered across the additions
-    # and probes again only those whose head's variables changed.  Replayed
-    # step by step, each round's variables are those of a fresh assignment
-    # and only shrink, each witness of the carried scan is the first
-    # uncovered pair of the current set, and each addition lands where a set
-    # built anew would sort it.  Final sets alone do not tell a scan that
-    # never probes again from this one; the witnesses do.
+def test_the_worklist_finds_the_witness_of_a_fresh_scan(drawn):
+    # janet_complete's worklist, driven round by round as the completion
+    # drives it.  Before each round every non-multiplicative pair of the
+    # members is queued or recorded under a head whose cone holds it, once;
+    # each witness is the first uncovered pair of a fresh assignment and of
+    # the brute-force scan, and stays queued.  Final sets alone do not tell a
+    # worklist that misses a pair to queue again from this one; the
+    # witnesses do
     members, _ = drawn
     M = TermSet([Term(m) for m in members])
-    n, proven, before = M.n, {}, {}
-    terms, tree = list(M), _janet_tree(M)
-    vars_of = {t.lex_key: _janet_vars(tree, t.lex_key) for t in terms}
+    n, terms, tree = M.n, list(M), _janet_tree(M)
+    worklist, before = _Worklist(tree, terms, n), {}
     while True:
         current = TermSet(terms, n)
         fresh = DivisionAssignment.janet(current)
-        assert vars_of == {t.lex_key: vars_ for t, vars_ in fresh.mult.items()}
-        assert all(vars_of[k] <= vars_ for k, vars_ in before.items())
-        if any(vars_of[k] != vars_ for k, vars_ in before.items()):
-            event("an addition shrank the variables of a member")
-        carried = {(k, j) for k, record in proven.items() for j in record}
-        witness = _first_uncovered(terms, n, vars_of, partial(_janet_head, tree), proven)
-        assert witness == fresh._uncovered
+        mult = {t.exponents: set(vars_) for t, vars_ in fresh.mult.items()}
+        queued = [(k, j) for _, k, j in worklist.queue]
+        recorded = [(k, j) for pairs in worklist.covers.values() for _, k, j in pairs]
+        assert sorted(queued + recorded) == sorted(
+            (tau.lex_key, j) for tau, j in _nonmultiplicative(current, fresh._vars_of, n)
+        )
+        for h, pairs in worklist.covers.items():
+            for _, k, j in pairs:
+                assert tuple_covers(h[::-1], mult[h[::-1]], _bump(k, n - j)[::-1])
+        if any(mult[m] != vars_ for m, vars_ in before.items()):
+            event("an addition demoted a member")
+        witness = worklist.first_uncovered()
+        brute = brute_is_complete(list(mult), mult)
         if witness is None:
+            assert fresh._uncovered is None and brute is None
             return
-        tau, j = witness
-        if (tau.lex_key, j) in carried:
-            event("the witness had been proven covered before")
-        addition = tau * variable(n, j)
-        before = dict(vars_of)
-        grow(terms, tree, vars_of, addition)
-        grown = TermSet(terms, n)
-        assert grown.terms == tuple(terms)
-        assert grown == TermSet(current.terms + (addition,), n)
-        assert addition in grown and addition not in current
+        d, k, j = witness
+        assert (Term._of_key(k), j) == fresh._uncovered
+        assert (k[::-1], j) == brute and d == sum(k)
+        assert worklist.queue[0] == witness
+        heads = {h for h, pairs in worklist.covers.items() if pairs}
+        before, k = mult, _bump(k, n - j)
+        assert Term._of_key(k) not in current
+        terms.append(Term._of_key(k))
+        worklist.add(k)
+        if heads - worklist.covers.keys():
+            event("an addition queued again the pairs a demoted member covered")
 
 
 @st.composite

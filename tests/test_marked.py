@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from math import comb, gcd
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from involutive import (
@@ -591,6 +592,21 @@ def test_keyed_reduce_matches_the_term_keyed_reference(data):
             h = G.polys[check.head].times(variable(G.n, check.variable))
             cap = comb(check.head.degree + G.n, G.n - 1)
             assert_same_trace(check.trace, reference_reduce(G, h, cap))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_the_cycle_detector_compares_states_exactly_when_codes_collide(data):
+    # with every state's code 0, each kept state shares one bucket and only
+    # the exact comparison tells two states apart: the traces stay those of
+    # the reference, which keeps its states in a set
+    G, h = draw_reduction(data)
+    cap = data.draw(st.integers(1, 30))
+    with patch.object(marked, "_state_code", lambda k, c: 0):
+        got = reduce(G, h, step_cap=cap)
+    assert_same_trace(got, reference_reduce(G, h, cap))
+    if not G.stable_completeness[0]:
+        event(f"a tracked reduction ends {got.status}")
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

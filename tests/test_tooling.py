@@ -307,9 +307,8 @@ def test_completeness_has_one_scan_body():
     # the walk of the non-multiplicative pairs that probes each prolongation
     # for a covering head is defined once, in division, as a module-level
     # function given the cover lookup (``head``): the cached witness of an
-    # assignment and the completion, which carries what it has proven across
-    # its additions, both call it, and no other function in division probes
-    # the heads over that walk
+    # assignment calls it, and no other function in division probes the
+    # heads over that walk.  The completion probes its own worklist instead
     tree = dict(library_trees())["division.py"]
     descents = {"head", "_head", "_janet_head", "_pommaret_head"}
     scans = set()
@@ -327,7 +326,7 @@ def test_completeness_has_one_scan_body():
         for called, module, scope in scoped_names()
         if called == "_first_uncovered" and module == "division.py"
     }
-    assert callers == {"DivisionAssignment._uncovered", "janet_complete"}
+    assert callers == {"DivisionAssignment._uncovered"}
     outside = [
         f"{module}:{scope}"
         for name, module, scope in scoped_names(references=True)
@@ -336,13 +335,46 @@ def test_completeness_has_one_scan_body():
     assert outside == []
 
 
+def test_the_completion_rounds_walk_no_pairs():
+    # janet_complete seeds one worklist with the input's non-multiplicative
+    # pairs, before its loop; no round walks the pairs or scans afresh: its
+    # while loop and the worklist's methods past the seeding name neither the
+    # walk, nor the fresh scan, nor a new worklist
+    tree = dict(library_trees())["division.py"]
+    defined = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+
+    def names(node):
+        return {
+            getattr(inner, "id", None) or getattr(inner, "attr", None)
+            for inner in ast.walk(node)
+        }
+
+    walks = {"_nonmultiplicative", "_first_uncovered", "_Worklist"}
+    loops = [node for node in ast.walk(defined["janet_complete"]) if isinstance(node, ast.While)]
+    assert loops
+    assert [sorted(names(loop) & walks) for loop in loops] == [[]] * len(loops)
+    methods = [
+        node
+        for node in defined["_Worklist"].body
+        if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+    ]
+    assert methods
+    assert [sorted(names(method) & walks) for method in methods] == [[]] * len(methods)
+    makers = [scope for called, _, scope in scoped_names() if called == "_Worklist"]
+    assert makers == ["janet_complete"]
+
+
 def test_the_janet_tree_has_one_builder():
     # one function, the insertion of one key, makes the nodes of the Janet
     # tree below its root; _janet_tree makes the one root, which an empty
     # basis needs too, and inserts each member.  The tree is built by the
     # Janet assignment, which reads its variables off it, by the cover lookup
-    # of any other assignment, and by the completion, which grows the tree of
-    # its input by inserting each addition
+    # of any other assignment, and by the completion, whose worklist grows the
+    # tree of its input by inserting each addition
     makers, callers = {}, {"_janet_tree": set(), "_janet_insert": set()}
     for called, module, scope in scoped_names():
         if module != "division.py":
@@ -354,7 +386,7 @@ def test_the_janet_tree_has_one_builder():
     assert makers == {"_janet_tree": 1, "_janet_insert": 1}
     assert callers == {
         "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._head", "janet_complete"},
-        "_janet_insert": {"_janet_tree", "janet_complete"},
+        "_janet_insert": {"_janet_tree", "_Worklist.add"},
     }
 
 
@@ -362,7 +394,7 @@ def test_the_completion_builds_one_tree():
     # janet_complete builds one Janet tree of its input before its loop and
     # grows that tree; inside the loop it builds no tree, and it builds no
     # DivisionAssignment at all, nor writes one's __dict__: it keeps the
-    # members, their variables by lex key and its proof record itself
+    # members and a worklist of the pairs to probe again itself
     tree = dict(library_trees())["division.py"]
     complete = next(
         node
@@ -392,9 +424,9 @@ def test_the_completion_builds_one_tree():
 def test_the_descents_have_one_caller():
     # the Janet and Pommaret descents are named by the assignment's one
     # lookup, and the Janet descent also by the Janet assignment, which binds
-    # it to the tree it read the variables off, and by janet_complete, as the
-    # lookup of the completion on its own growing tree, which it hands the
-    # scan; so every cover question, completeness and nesting included, goes
+    # it to the tree it read the variables off, and by the completion's
+    # worklist, which probes its queued pairs on the tree it grows; so every
+    # cover question, completeness and nesting included, goes
     # through one of them and no function walks the tree beside them.
     # References, not only calls, count: a descent passed on as a value is a
     # caller too
@@ -406,7 +438,7 @@ def test_the_descents_have_one_caller():
         "_janet_head": {
             "division.py:DivisionAssignment.janet",
             "division.py:DivisionAssignment._head",
-            "division.py:janet_complete",
+            "division.py:_Worklist.first_uncovered",
         },
         "_pommaret_head": {"division.py:DivisionAssignment._head"},
     }
