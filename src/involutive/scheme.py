@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, takewhile
+from itertools import count, groupby, takewhile
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
@@ -30,10 +30,6 @@ class ParamVar:
     index: int
     term: Term
 
-    @classmethod
-    def of_key(cls, key: tuple) -> "ParamVar":
-        return cls(key[0], Term._of_key(key[1]))
-
     @property
     def name(self) -> str:
         exps = ",".join(str(e) for e in self.term.exponents)
@@ -43,6 +39,10 @@ class ParamVar:
     def sort_key(self) -> tuple:
         return (self.index, self.term.lex_key)
 
+    def __hash__(self) -> int:
+        # The dataclass hash of (index, term) would call Term.__hash__ as well.
+        return hash((self.index, self.term.lex_key))
+
     def __repr__(self) -> str:
         return self.name
 
@@ -50,15 +50,21 @@ class ParamVar:
 class ParamPolynomial:
     """Sparse integer polynomial in the scheme parameters.
 
-    A monomial is the sorted tuple of its parameters' ``ParamVar.sort_key``
-    (with multiplicity), so hashing and sorting stay on plain tuples; zero
-    coefficients are never stored.
+    ``params`` is a table of distinct parameters in ``ParamVar.sort_key``
+    order, shared by every polynomial of one generic marked set.  A monomial
+    is the sorted tuple of its parameters' positions in that table (with
+    multiplicity), so hashing and sorting stay on tuples of small ints; zero
+    coefficients are never stored.  Polynomials over two tables combine over
+    their sorted union, and a parameter is decoded only to print or hash.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "params")
 
-    def __init__(self, coeffs: Optional[Mapping[tuple[tuple, ...], int]] = None):
+    def __init__(self, coeffs: Optional[Mapping[tuple, int]] = None, params: tuple = ()):
         self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
+        self.params = params
+        if not params and self.coeffs.keys() - {()}:
+            raise ValueError("a monomial needs the parameter table that it indexes")
 
     @classmethod
     def constant(cls, c: int) -> "ParamPolynomial":
@@ -66,7 +72,7 @@ class ParamPolynomial:
 
     @classmethod
     def variable(cls, pv: ParamVar) -> "ParamPolynomial":
-        return cls({(pv.sort_key,): 1})
+        return cls({(0,): 1}, (pv,))
 
     @staticmethod
     def _coerce(other) -> "ParamPolynomial":
@@ -76,14 +82,27 @@ class ParamPolynomial:
             return ParamPolynomial.constant(other)
         return NotImplemented
 
+    def _aligned(self, other: "ParamPolynomial") -> tuple[dict, dict, tuple]:
+        """The coefficient maps of self and other over one table, and the table:
+        either one's own when both share it or the other is a constant (an
+        empty table), their sorted union otherwise."""
+        a, b = self.params, other.params
+        if a is b or not b:
+            return self.coeffs, other.coeffs, a
+        if not a:
+            return self.coeffs, other.coeffs, b
+        table = _union(a, b)
+        return _moved(self.coeffs, a, table), _moved(other.coeffs, b, table), table
+
     def _combine(self, other, sign: int):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
+        mine, theirs, table = self._aligned(other)
+        out = dict(mine)
+        for m, c in theirs.items():
             out[m] = out.get(m, 0) + sign * c
-        return ParamPolynomial(out)
+        return ParamPolynomial(out, table)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -100,18 +119,19 @@ class ParamPolynomial:
         return other - self
 
     def __neg__(self) -> "ParamPolynomial":
-        return ParamPolynomial({m: -c for m, c in self.coeffs.items()})
+        return ParamPolynomial({m: -c for m, c in self.coeffs.items()}, self.params)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        mine, theirs, table = self._aligned(other)
         out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
+        for m1, c1 in mine.items():
+            for m2, c2 in theirs.items():
                 m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, 0) + c1 * c2
-        return ParamPolynomial(out)
+        return ParamPolynomial(out, table)
 
     __rmul__ = __mul__
 
@@ -122,13 +142,19 @@ class ParamPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        mine, theirs, _ = self._aligned(other)
+        return mine == theirs
 
     def __hash__(self) -> int:
-        # A constant (zero included) equals its int, so it hashes like it.
+        # A constant (zero included) equals its int, so it hashes like it;
+        # any other polynomial hashes its monomials decoded, as equal
+        # polynomials over two tables must hash alike.
         if self.coeffs.keys() <= {()}:
             return hash(self.coeffs.get((), 0))
-        return hash(frozenset(self.coeffs.items()))
+        params = self.params
+        return hash(
+            frozenset((tuple(params[i].sort_key for i in m), c) for m, c in self.coeffs.items())
+        )
 
     def evaluate(self, values: Mapping[ParamVar, Fraction]) -> Fraction:
         return _evaluate([self], values)[0]
@@ -136,8 +162,9 @@ class ParamPolynomial:
     def monomials(self) -> Iterator[tuple[list[tuple[ParamVar, int]], int]]:
         """Each monomial as its (parameter, power) factors and its coefficient,
         in output order: by degree, then by the parameters' indices and terms."""
+        params = self.params
         for m in sorted(self.coeffs, key=lambda m: (len(m), m)):
-            yield [(ParamVar.of_key(k), len(list(run))) for k, run in groupby(m)], self.coeffs[m]
+            yield [(params[i], len(list(run))) for i, run in groupby(m)], self.coeffs[m]
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -160,29 +187,62 @@ class ParamPolynomial:
         return f"ParamPolynomial({self})"
 
 
+def _union(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two parameter tables: ``a`` itself when it already
+    holds every parameter of ``b``."""
+    merged = {*a, *b}
+    if len(merged) == len(a):
+        return a
+    return tuple(sorted(merged, key=lambda pv: (pv.index, pv.term.lex_key)))
+
+
+def _moved(coeffs: dict, table: tuple, onto: tuple) -> dict:
+    """A coefficient map over ``table`` as positions in ``onto``, a sorted
+    table that holds every parameter of ``table``.  Both are sorted, so each
+    monomial stays sorted."""
+    if table is onto or not table:
+        return coeffs
+    at = {pv: i for i, pv in enumerate(onto)}
+    new = [at[pv] for pv in table]
+    return {tuple([new[i] for i in m]): c for m, c in coeffs.items()}
+
+
 def _evaluate(polys: Iterable[ParamPolynomial], values: Mapping) -> list[Fraction]:
     """Each polynomial at the point, in integers: over the common denominator L
-    of the values, sum(c * prod(L * a_i) * L^(K - deg m)) / L^K at top degree K."""
+    of the values, sum(c * prod(L * a_i) * L^(K - deg m)) / L^K at top degree K.
+    The point is read as {position: L * value}, once for each run of
+    polynomials over one parameter table."""
     L = lcm(*(v.denominator for v in values.values()))
-    point = {pv.sort_key: v.numerator * (L // v.denominator) for pv, v in values.items()}
+    table: Optional[tuple] = None
+    point: dict[int, int] = {}
     out = []
     for p in polys:
+        if p.params is not table:
+            table = p.params
+            point = {}
+            for i, pv in enumerate(table):
+                v = values.get(pv)
+                if v is not None:
+                    point[i] = v.numerator * (L // v.denominator)
         top = max(map(len, p.coeffs), default=0)
         total = 0
         try:
             for m, c in p.coeffs.items():
-                for key in m:
-                    c *= point[key]
+                for i in m:
+                    c *= point[i]
                 total += c * L ** (top - len(m))
         except KeyError as exc:
-            raise MissingAssignment(f"no value for {ParamVar.of_key(exc.args[0]).name}") from None
+            raise MissingAssignment(f"no value for {table[exc.args[0]].name}") from None
         out.append(Fraction(total, L**top))
     return out
 
 
 @dataclass
 class GenericMarkedSet:
-    """Marked set on the Pommaret basis with one parameter per tail slot."""
+    """Marked set on the Pommaret basis with one parameter per tail slot.
+
+    ``params`` lists the parameters in ``ParamVar.sort_key`` order, and every
+    tail coefficient is a ``ParamPolynomial`` over that one table."""
 
     ideal: MonomialIdeal
     basis: TermSet
@@ -224,20 +284,23 @@ def generic_marked_set(J: MonomialIdeal) -> GenericMarkedSet:
     raised with the estimate before anything is enumerated."""
     basis = pommaret_basis(J)
     _generic_work(basis)
-    params: list[ParamVar] = []
-    tails: dict[Term, dict[Term, ParamPolynomial]] = {}
-    escalier_cache: dict[int, list[Term]] = {}
-    for i, head in enumerate(basis, start=1):
-        d = head.degree
-        if d not in escalier_cache:
-            escalier_cache[d] = escalier_slice(J, d)
-        tail: dict[Term, ParamPolynomial] = {}
-        for beta in escalier_cache[d]:
-            pv = ParamVar(i, beta)
-            params.append(pv)
-            tail[beta] = ParamPolynomial.variable(pv)
-        tails[head] = tail
-    return GenericMarkedSet(J, basis, tuple(params), tails)
+    escalier: dict[int, list[Term]] = {}
+    slices = []
+    for head in basis:
+        if head.degree not in escalier:
+            escalier[head.degree] = escalier_slice(J, head.degree)
+        slices.append(escalier[head.degree])
+    # Heads come by index and each escalier slice in lex order, so the
+    # parameters come in sort_key order: one table for every tail.
+    params = tuple(
+        ParamVar(i, beta) for i, betas in enumerate(slices, start=1) for beta in betas
+    )
+    position = count()
+    tails = {
+        head: {beta: ParamPolynomial({(next(position),): 1}, params) for beta in betas}
+        for head, betas in zip(basis, slices)
+    }
+    return GenericMarkedSet(J, basis, params, tails)
 
 
 def prolongation_residues(
@@ -249,13 +312,27 @@ def prolongation_residues(
 
     The prolongations come in the order of the criterion's walk in
     :mod:`marked`, and each residue maps its nonzero coefficients by term in
-    ``sort_key`` order.  The coefficient products are charged to the work
-    budget before they are made, and past it WorkBudgetExceeded is raised
-    with the units charged so far.
+    ``sort_key`` order, every coefficient over one table: the generic set's,
+    grown only by a parameter that a tail names outside it.  The coefficient
+    products are charged to the work budget before they are made, and past it
+    WorkBudgetExceeded is raised with the units charged so far.
     """
     G = gm.marked_set()
+    table = gm.params
+    for f in G._keyed.values():
+        for _, c in f[1:]:
+            params = ParamPolynomial._coerce(c).params
+            if params is not table:
+                table = _union(table, params)
+
+    def coefficient(c) -> dict:
+        p = ParamPolynomial._coerce(c)
+        return _moved(p.coeffs, p.params, table)
+
     # Each tail negated once, under its head's key, as multipliers; every term a lex key.
-    neg_tails = {k: [(b, _multiplier((-c).coeffs)) for b, c in f[1:]] for k, f in G._keyed.items()}
+    neg_tails = {
+        k: [(b, _multiplier(coefficient(-c))) for b, c in f[1:]] for k, f in G._keyed.items()
+    }
     # NF(gamma), the size (terms, factors) of each of its coefficients, and
     # what a product by a constant and by one parameter charges.
     memo: dict[tuple, tuple[dict, list[tuple[int, int]], int, int]] = {}
@@ -294,7 +371,7 @@ def prolongation_residues(
             spent += by_parameter if factors else by_constant
         _charge(spent, "the normal forms need {} units of coefficient products", spent)
         # out[t] += coeff * p over the terms t of NF(gamma).  Monomials are
-        # sorted tuples of parameter keys, so a product joins its factors when
+        # sorted tuples of table positions, so a product joins its factors when
         # one ends before the other starts (always so for a constant, or one
         # parameter times one) and sorts them otherwise; cancelled monomials
         # stay as zeros.  The constant 1 copies p to a term not yet in out.
@@ -320,9 +397,9 @@ def prolongation_residues(
     for head, j, h in _prolongations(G):
         acc: dict[tuple, dict] = {}
         for t, c in h.items():
-            add_normal_form(acc, t, _multiplier(ParamPolynomial._coerce(c).coeffs))
+            add_normal_form(acc, t, _multiplier(coefficient(c)))
         # One degree throughout, so key order is sort_key order.
-        residue = ((t, ParamPolynomial(acc[t])) for t in sorted(acc))
+        residue = ((t, ParamPolynomial(acc[t], table)) for t in sorted(acc))
         out.append((head, j, _terms_of((t, p) for t, p in residue if p)))
     return out
 
@@ -348,8 +425,17 @@ def scheme_equations(J: MonomialIdeal) -> SchemeEquations:
     every specialization of the generic set is a marked basis.
     """
     gm = generic_marked_set(J)
-    residues = prolongation_residues(gm)
-    equations = list(dict.fromkeys(p for _, _, residue in residues for p in residue.values()))
+    equations: list[ParamPolynomial] = []
+    # Every residue is over one table, so equal coefficients have equal maps:
+    # bucketed by the maps' hash and compared exactly within a bucket.  The
+    # frozenset hashed for each map is dropped at once, not kept as a key.
+    buckets: dict[int, list[dict]] = {}
+    for _, _, residue in prolongation_residues(gm):
+        for p in residue.values():
+            bucket = buckets.setdefault(hash(frozenset(p.coeffs.items())), [])
+            if p.coeffs not in bucket:
+                bucket.append(p.coeffs)
+                equations.append(p)
     return SchemeEquations(gm, equations)
 
 

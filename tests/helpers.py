@@ -227,6 +227,18 @@ def reference_prolongation_residues(gm):
     G = gm.marked_set()
     memo = {}
     units = 0
+    # Positions over the generic set's parameters and any others that a
+    # hand-built tail names, sorted by (generator, lex key) as the library's
+    # tables are; each coefficient read through its monomials.
+    named = {pv for f in G.polys.values() for c in f.tail.values() for pv in parameters_of(c)}
+    table = tuple(sorted({*gm.params, *named}, key=lambda pv: (pv.index, pv.term.lex_key)))
+    at = {pv: i for i, pv in enumerate(table)}
+
+    def positions(c):
+        return {
+            tuple(sorted(at[pv] for pv, e in factors for _ in range(e))): k
+            for factors, k in ParamPolynomial._coerce(c).monomials()
+        }
 
     def add_product(out, a, b):
         # out += a * b over coefficient maps; cancelled monomials stay as zeros
@@ -247,7 +259,7 @@ def reference_prolongation_residues(gm):
             else:
                 nf = {}
                 for beta, c in G.polys[fact.head].tail.items():
-                    add_normal_form(nf, beta * fact.cofactor, (-c).coeffs)
+                    add_normal_form(nf, beta * fact.cofactor, positions(-c))
             memo[gamma] = nf
         for t, p in nf.items():
             add_product(out.setdefault(t, {}), coeffs, p)
@@ -257,8 +269,10 @@ def reference_prolongation_residues(gm):
         for j in range((head.min_index or G.n) + 1, G.n + 1):
             acc = {}
             for t, c in G.polys[head].times(variable(G.n, j)).items():
-                add_normal_form(acc, t, ParamPolynomial._coerce(c).coeffs)
-            residue = {t: ParamPolynomial(acc[t]) for t in sorted(acc, key=lambda t: t.sort_key)}
+                add_normal_form(acc, t, positions(c))
+            residue = {
+                t: ParamPolynomial(acc[t], table) for t in sorted(acc, key=lambda t: t.sort_key)
+            }
             residues.append((head, j, {t: p for t, p in residue.items() if p}))
     return residues, units
 
@@ -390,6 +404,76 @@ def padd(a, b):
 
 def psub(a, b):
     return padd(a, {t: -c for t, c in b.items()})
+
+
+# ------------------------------------------------- keyed parameter polynomials
+#
+# The parameter polynomial as it was before positions: a plain map from
+# monomials to nonzero ints, each monomial the sorted tuple of its
+# parameters' ParamVar.sort_key with multiplicity.  Sums are padd and psub.
+
+def keyed_poly(p):
+    """A ParamPolynomial or an int as a keyed map, read off its table directly."""
+    if isinstance(p, int):
+        return {(): p} if p else {}
+    return {tuple(sorted(p.params[i].sort_key for i in m)): c for m, c in p.coeffs.items()}
+
+
+def parameters_of(p):
+    """The parameters that occur in a ParamPolynomial's monomials."""
+    return {p.params[i] for m in p.coeffs for i in m}
+
+
+def keyed_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def keyed_hash(a):
+    """A constant hashes as its int, anything else as its set of items."""
+    if a.keys() <= {()}:
+        return hash(a.get((), 0))
+    return hash(frozenset(a.items()))
+
+
+def keyed_monomials(a, by_key):
+    """(factors, coefficient) by degree, then key order; each factor a
+    (parameter, power) pair, the parameter looked up by its sort_key."""
+    out = []
+    for m in sorted(a, key=lambda m: (len(m), m)):
+        powers = {}
+        for k in m:
+            powers[k] = powers.get(k, 0) + 1
+        out.append(([(by_key[k], e) for k, e in powers.items()], a[m]))
+    return out
+
+
+def keyed_str(a, by_key):
+    if not a:
+        return "0"
+    text = ""
+    for factors, c in keyed_monomials(a, by_key):
+        body = "*".join(pv.name + (f"^{e}" if e > 1 else "") for pv, e in factors)
+        sign = "-" if c < 0 else "+"
+        magnitude = str(abs(c)) if abs(c) != 1 or not body else ""
+        word = "*".join(w for w in (magnitude, body) if w)
+        text += f" {sign} {word}"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+def keyed_evaluate(a, values, by_key):
+    """The keyed map at a point, one Fraction product at a time."""
+    total = Fraction(0)
+    for m, c in a.items():
+        product = Fraction(c)
+        for k in m:
+            product *= values[by_key[k]]
+        total += product
+    return total
 
 
 # ----------------------------------------- Groebner bases and points on Mf(J)

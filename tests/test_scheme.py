@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from involutive import (
@@ -36,7 +36,15 @@ from helpers import (
     exp_tuples,
     groebner_basis,
     initial_ideal,
+    keyed_evaluate,
+    keyed_hash,
+    keyed_monomials,
+    keyed_mul,
+    keyed_poly,
+    keyed_str,
     marked_point,
+    padd,
+    psub,
     random_assignment,
     random_quasi_stable,
     reference_prolongation_residues,
@@ -213,6 +221,10 @@ def test_param_polynomial_arithmetic():
     values = {gm.params[0]: Fraction(3), gm.params[1]: Fraction(1, 2)}
     assert p.evaluate(values) == Fraction(9) - Fraction(1, 4)
     assert str(a * a * b * -2) == "-2*C[1][2,0]^2*C[1][0,2]"
+    # monomials are positions in a table: without one, only constants
+    with pytest.raises(ValueError):
+        ParamPolynomial({(0,): 1})
+    assert ParamPolynomial({(): 2, (0,): 0}) == 2
 
 
 def test_equal_param_polynomials_hash_equal():
@@ -237,9 +249,129 @@ def test_param_polynomial_integer_coefficients():
         assert all(isinstance(c, int) for c in eq.coeffs.values())
 
 
+def test_generic_tails_share_one_sorted_table():
+    # heads by index and each escalier slice in lex order: the parameters
+    # come sorted, and every tail is one position of that one table
+    rng = random.Random(109)
+    ideals = [THREE_POINTS, MARKED_EXAMPLE, upper_power(4, 3)]
+    ideals += [random_quasi_stable(rng, max_vars=4)[0] for _ in range(12)]
+    for J in ideals:
+        gm = generic_marked_set(J)
+        assert list(gm.params) == sorted(gm.params, key=lambda pv: (pv.index, pv.term.lex_key))
+        tails = [p for tail in gm.tails.values() for p in tail.values()]
+        assert all(p.params is gm.params for p in tails)
+        assert [p.coeffs for p in tails] == [{(i,): 1} for i in range(len(gm.params))]
+
+
+def operand(data, tables):
+    """A polynomial over one of ``tables`` (an int for the empty one): up to
+    three monomials of degree at most 2 with coefficients in -3..3, zeros
+    included, or a variable() singleton."""
+    table = data.draw(st.sampled_from(tables))
+    if not table:
+        return data.draw(st.integers(-3, 3))
+    if data.draw(st.integers(0, 4)) == 0:
+        return ParamPolynomial.variable(data.draw(st.sampled_from(table)))
+    monomial = st.lists(st.integers(0, len(table) - 1), max_size=2).map(lambda m: tuple(sorted(m)))
+    return ParamPolynomial(data.draw(st.dictionaries(monomial, st.integers(-3, 3), max_size=3)), table)
+
+
+def over(a, table):
+    """The keyed map ``a`` as a ParamPolynomial over ``table``."""
+    at = {pv.sort_key: i for i, pv in enumerate(table)}
+    return ParamPolynomial({tuple(sorted(at[k] for k in m)): c for m, c in a.items()}, table)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_param_polynomials_match_the_keyed_oracle(data):
+    # positions over shared tables against the sort_key-keyed maps they
+    # stand for: the generic set's table, an equal table that is not the
+    # same object, sub-tables, variable() singletons and ints
+    gm = generic_marked_set(data.draw(st.sampled_from([THREE_POINTS, MARKED_EXAMPLE])))
+    twin = generic_marked_set(gm.ideal).params
+    assert twin == gm.params and twin is not gm.params
+    by_key = {pv.sort_key: pv for pv in gm.params}
+    order = lambda pv: (pv.index, pv.term.lex_key)  # noqa: E731
+    subsets = st.sets(st.sampled_from(gm.params), min_size=1)
+    subtables = [tuple(sorted(data.draw(subsets), key=order)) for _ in range(2)]
+    tables = [(), gm.params, twin, *subtables]
+    p, q = operand(data, tables), operand(data, tables)
+    if isinstance(p, int) and isinstance(q, int):
+        p = ParamPolynomial.constant(p)
+    kp, kq = keyed_poly(p), keyed_poly(q)
+    assert keyed_poly(p + q) == padd(kp, kq)
+    assert keyed_poly(p - q) == psub(kp, kq)
+    assert keyed_poly(p * q) == keyed_mul(kp, kq)
+    assert keyed_poly(-p) == psub({}, kp)
+    assert (p == q) == (kp == kq) and (p != q) == (kp != kq)
+    for r in (p, q, p + q, p * q):
+        if isinstance(r, int):
+            continue
+        kr = keyed_poly(r)
+        assert str(r) == keyed_str(kr, by_key)
+        assert list(r.monomials()) == keyed_monomials(kr, by_key)
+        assert hash(r) == keyed_hash(kr)
+        # the same polynomial over the generic table and over its twin
+        for table in (gm.params, twin):
+            same = over(kr, table)
+            assert same == r and r == same and hash(same) == hash(r) and str(same) == str(r)
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        values = random_assignment(rng, gm.params, zero_chance=0.2)
+        assert r.evaluate(values) == keyed_evaluate(kr, values, by_key)
+        used = {by_key[k] for m in kr for k in m}
+        if used:
+            missing = data.draw(st.sampled_from(sorted(used, key=order)))
+            with pytest.raises(MissingAssignment) as exc:
+                r.evaluate({pv: v for pv, v in values.items() if pv != missing})
+            assert str(exc.value) == f"no value for {missing.name}"
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_scheme_equations_keep_the_first_of_equal_coefficients(data):
+    # the equations are the residues' coefficients once each, in first
+    # occurrence order, as dict.fromkeys keeps them; hand-built tails, and
+    # above all tails that are all one parameter, repeat equations
+    n = data.draw(st.integers(2, 3))
+    if data.draw(st.booleans()):
+        J = upper_power(n, data.draw(st.integers(1, 4)))
+    else:
+        J = draw_quasi_stable(data, n)
+    gm = generic_marked_set(J)
+    kind = data.draw(st.sampled_from(["generic", "hand-built", "one parameter"]))
+    if kind == "hand-built":
+        gm = GenericMarkedSet(J, gm.basis, gm.params, hand_built_tails(data, gm))
+    elif kind == "one parameter" and gm.params:
+        one = ParamPolynomial.variable(data.draw(st.sampled_from(gm.params)))
+        tails = {head: {beta: one for beta in tail} for head, tail in gm.tails.items()}
+        gm = GenericMarkedSet(J, gm.basis, gm.params, tails)
+    residues, _ = reference_prolongation_residues(gm)
+    coefficients = [p for _, _, residue in residues for p in residue.values()]
+    expected = list(dict.fromkeys(coefficients))
+    if len(expected) < len(coefficients):
+        event("equal coefficients repeat")
+    with patch.object(scheme, "generic_marked_set", lambda ideal: gm):
+        got = scheme_equations(J).equations
+    assert got == expected
+    assert [str(p) for p in got] == [str(p) for p in expected]
+
+
 def upper_power(n, d):
     """(x2, ..., xn)^d in n variables: strongly stable, every tail is in x1."""
     return MonomialIdeal([Term((0,) + e) for e in exp_tuples(n - 1, d)], n)
+
+
+def draw_quasi_stable(data, n):
+    """A quasi-stable ideal in n variables: each generator a multiset of 1..4
+    variables (1..3 in 4 variables), the stable closure when a draw is not."""
+    term = st.lists(st.integers(1, n), min_size=1, max_size=4 if n < 4 else 3)
+    drawn = data.draw(st.lists(term, min_size=1, max_size=4))
+    gens = [tuple(vs.count(i) for i in range(1, n + 1)) for vs in drawn]
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    if not classify(J).quasi_stable:
+        J = MonomialIdeal([Term(g) for g in stable_closure(gens, n)], n)
+    return J
 
 
 def translated_point(gm, shifts):
@@ -304,13 +436,7 @@ def test_prolongation_residues_match_reduction(data):
     if data.draw(st.booleans()):
         J = upper_power(n, data.draw(st.integers(1, 4 if n < 4 else 3)))
     else:
-        # each generator a multiset of 1..4 variables (1..3 in 4 variables)
-        term = st.lists(st.integers(1, n), min_size=1, max_size=4 if n < 4 else 3)
-        drawn = data.draw(st.lists(term, min_size=1, max_size=4))
-        gens = [tuple(vs.count(i) for i in range(1, n + 1)) for vs in drawn]
-        J = MonomialIdeal([Term(g) for g in gens], n)
-        if not classify(J).quasi_stable:
-            J = MonomialIdeal([Term(g) for g in stable_closure(gens, n)], n)
+        J = draw_quasi_stable(data, n)
     gm = generic_marked_set(J)
     checks = is_marked_basis(gm.marked_set()).checks
     expected = [(c.head, c.variable, c.trace.result) for c in checks]
@@ -368,23 +494,33 @@ def test_missing_parameter_is_named(J):
 
 
 def test_param_var_hashing_stays_out_of_the_hot_paths(monkeypatch):
-    # polynomials key parameters by plain tuples: scheme equations never hash
-    # a ParamVar, and evaluation hashes each at most once, to read the point
-    calls = [0]
-    original = ParamVar.__hash__
+    # polynomials key parameters by their positions in one shared table:
+    # scheme equations never hash a ParamVar, evaluation hashes each at most
+    # once, to read the point, and none of the three reads a sort_key
+    hashes, keys = [0], [0]
+    original_hash, original_key = ParamVar.__hash__, ParamVar.sort_key.fget
 
-    def counting(self):
-        calls[0] += 1
-        return original(self)
+    def counting_hash(self):
+        hashes[0] += 1
+        return original_hash(self)
 
-    monkeypatch.setattr(ParamVar, "__hash__", counting)
+    def counting_key(self):
+        keys[0] += 1
+        return original_key(self)
+
+    monkeypatch.setattr(ParamVar, "__hash__", counting_hash)
+    monkeypatch.setattr(ParamVar, "sort_key", property(counting_key))
     eqs = scheme_equations(upper_power(5, 3))
-    assert calls[0] == 0
+    assert (hashes[0], keys[0]) == (0, 0)
     values = random_assignment(random.Random(107), eqs.generic.params)
     for run in (lambda: evaluate_equations(eqs, values), lambda: specialize(eqs.generic, values)):
-        calls[0] = 0
+        hashes[0] = 0
         run()
-        assert calls[0] <= len(eqs.generic.params)
+        assert hashes[0] <= len(eqs.generic.params)
+        assert keys[0] == 0
+    # the counter is live: hashing a polynomial decodes its parameters
+    hash(eqs.equations[0])
+    assert keys[0] > 0
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -496,23 +632,34 @@ def test_prolongation_residues_charge_their_coefficient_products(monkeypatch):
 
 def hand_built_tails(data, gm):
     """The generic tails with each coefficient kept, dropped, made a nonzero
-    constant, or made a sum of up to three parameter monomials of degree at
-    most 2 with nonzero coefficients."""
-    keys = [pv.sort_key for pv in gm.params]
+    constant, made one parameter on its own one-entry table (one of the set's,
+    or one of a generator that the set does not have), or made a sum of up to
+    three monomials of degree at most 2 over the set's table with nonzero
+    coefficients."""
+    positions = range(len(gm.params))
     coeff = st.integers(-3, 3).filter(bool)
+    kinds = st.sampled_from(["keep", "drop", "constant", "variable", "polynomial"])
     tails = {}
     for head, tail in gm.tails.items():
         tails[head] = {}
         for beta, p in tail.items():
-            kind = data.draw(st.sampled_from(["keep", "drop", "constant", "polynomial"]))
+            kind = data.draw(kinds)
             if kind == "keep":
                 tails[head][beta] = p
             elif kind == "constant":
                 tails[head][beta] = ParamPolynomial({(): data.draw(coeff)})
+            elif kind == "variable":
+                outside = ParamVar(len(gm.basis) + 1, beta)
+                pv = data.draw(st.sampled_from(gm.params + (outside,)))
+                tails[head][beta] = ParamPolynomial.variable(pv)
             elif kind == "polynomial":
-                monomial = st.lists(st.sampled_from(keys), max_size=2).map(lambda m: tuple(sorted(m)))
+                monomial = st.lists(st.sampled_from(positions), max_size=2).map(
+                    lambda m: tuple(sorted(m))
+                )
                 monomials = data.draw(st.lists(monomial, min_size=1, max_size=3, unique=True))
-                tails[head][beta] = ParamPolynomial({m: data.draw(coeff) for m in monomials})
+                tails[head][beta] = ParamPolynomial(
+                    {m: data.draw(coeff) for m in monomials}, gm.params
+                )
     return tails
 
 
@@ -524,12 +671,7 @@ def test_prolongation_residues_and_their_charge_match_the_reference(data):
     # up to 4 variables and on hand-built tails with constant and
     # multi-monomial coefficients
     n = data.draw(st.integers(2, 4))
-    term = st.lists(st.integers(1, n), min_size=1, max_size=4 if n < 4 else 3)
-    drawn = data.draw(st.lists(term, min_size=1, max_size=4))
-    gens = [tuple(vs.count(i) for i in range(1, n + 1)) for vs in drawn]
-    J = MonomialIdeal([Term(g) for g in gens], n)
-    if not classify(J).quasi_stable:
-        J = MonomialIdeal([Term(g) for g in stable_closure(gens, n)], n)
+    J = draw_quasi_stable(data, n)
     gm = generic_marked_set(J)
     if n < 4 and data.draw(st.booleans()):
         gm = GenericMarkedSet(J, gm.basis, gm.params, hand_built_tails(data, gm))
