@@ -198,7 +198,10 @@ class DivisionAssignment:
     lookup ``_head``, the flavour's descent bound to the basis's Janet tree:
     the tree the Janet variables were read off, else one built on the first
     cover question.  The lookup is kept off the dataclass fields, so results
-    compare and print by their fields alone.
+    compare and print by their fields alone.  A set that
+    :func:`janet_complete` returns carries its Janet assignment, read off the
+    tree the completion grew, so every question about it shares one tree and
+    one completeness scan.
     """
 
     flavor: str
@@ -207,9 +210,17 @@ class DivisionAssignment:
 
     @classmethod
     def janet(cls, M: TermSet) -> "DivisionAssignment":
-        tree = _janet_tree(M)
+        """The Janet assignment of M: the one M carries when
+        :func:`janet_complete` returned it, else a fresh one on a new tree."""
+        if M._janet is not None:
+            return M._janet
+        return cls._on_tree(M, _janet_tree(M))
+
+    @classmethod
+    def _on_tree(cls, M: TermSet, tree: _Node) -> "DivisionAssignment":
+        """The Janet assignment of M read off ``tree``, M's Janet tree, whose
+        descent its cover lookup binds."""
         assignment = cls(JANET, M, {t: _janet_vars(tree, t.lex_key) for t in M})
-        # the lookup descends the tree the variables were read off
         assignment.__dict__["_head"] = partial(_janet_head, tree)
         return assignment
 
@@ -420,6 +431,12 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
     after each addition.  An addition lies in no cone, while each member
     lies in its own, so it is never a member.  The call keeps its members in
     a list and builds a TermSet only of what it returns or raises.
+
+    The grown tree is the Janet tree of the result, which is returned with
+    its Janet assignment read off that tree (``DivisionAssignment.janet``
+    hands it out); the witness of that assignment is left to its own fresh
+    scan, so a completeness test still checks the result independently.
+    The partial set of DegreeCapExceeded carries no assignment.
     """
     if len(M) == 0:
         raise ValueError("cannot complete an empty set")
@@ -436,7 +453,9 @@ def janet_complete(M: TermSet, degree_cap: int) -> TermSet:
         )
         witness = worklist.first_uncovered()
         if witness is None:
-            return TermSet(terms, n)
+            C = TermSet(terms, n)
+            C._janet = DivisionAssignment._on_tree(C, tree)
+            return C
         d, k, j = witness
         if d + 1 > degree_cap:
             raise DegreeCapExceeded(

@@ -149,9 +149,13 @@ _sort_key = attrgetter("sort_key")
 class TermSet:
     """A finite set of distinct terms in canonical (degree, then lex) order,
     with the dict that deduplicated them kept for the ``in`` test.  Membership
-    in the ideal they generate scans the members' stored lex keys."""
+    in the ideal they generate scans the members' stored lex keys.
 
-    __slots__ = ("terms", "n", "_members")
+    ``_janet`` is the set's Janet assignment when ``janet_complete`` returned
+    the set, built on the tree the completion grew; None on every set built
+    otherwise, which gets a fresh assignment on each request."""
+
+    __slots__ = ("terms", "n", "_members", "_janet")
 
     def __init__(self, terms: Iterable[Term], n: Optional[int] = None):
         seen = {}
@@ -170,6 +174,7 @@ class TermSet:
         self.n = n
         self.terms = tuple(sorted(seen, key=_sort_key))
         self._members = seen
+        self._janet = None
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)

@@ -28,7 +28,7 @@ from involutive import (
     terms_of_degree,
     variable,
 )
-from involutive import errors
+from involutive import division, errors
 from involutive.division import (
     _Worklist,
     _cone_terms,
@@ -661,6 +661,66 @@ def test_the_worklist_finds_the_witness_of_a_fresh_scan(drawn):
         worklist.add(k)
         if heads - worklist.covers.keys():
             event("an addition queued again the pairs a demoted member covered")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(term_sets(max_vars=4, max_exp=3, max_size=7), st.sampled_from([2, 4, 6, 9, 12]))
+def test_a_completion_hands_over_the_assignment_of_a_fresh_tree(drawn, cap):
+    # the Janet assignment that a completed set carries is the one built
+    # afresh on a copy of the set: the same variables in the same order, the
+    # same tree node by node and the same cover answers.  Its witness is left
+    # to its own scan, which finds none, as the brute-force scan does; a
+    # capped completion's partial set carries no assignment
+    members, probes = drawn
+    try:
+        C = janet_complete(TermSet([Term(m) for m in members]), cap)
+    except DegreeCapExceeded as exc:
+        event("the cap stopped the completion")
+        assert exc.partial._janet is None
+        return
+    handed = DivisionAssignment.janet(C)
+    assert handed is C._janet and handed.basis is C
+    fresh = DivisionAssignment.janet(TermSet(list(C), C.n))
+    assert list(handed.mult.items()) == list(fresh.mult.items())
+    check_same_tree(handed._head.args[0], fresh._head.args[0])
+    assert "_uncovered" not in vars(handed)
+    assert handed._uncovered is None and fresh._uncovered is None
+    mult = {tau.exponents: set(vars_) for tau, vars_ in handed.mult.items()}
+    assert brute_is_complete(list(mult), mult) is None
+    n = C.n
+    prolongations = [o[:j] + (o[j] + 1,) + o[j + 1 :] for o in mult for j in range(n)]
+    for gamma in probes + list(mult) + prolongations:
+        assert handed.cover(Term(gamma)) == fresh.cover(Term(gamma))
+
+
+def test_a_completed_set_runs_one_completeness_scan(monkeypatch):
+    # is_complete, the Janet assignment, star_decompose, hilbert_function and
+    # a marked set on a completed set share the assignment its completion
+    # handed over, so one fresh completeness scan answers them all.  A set a
+    # caller builds gets a fresh assignment on each request, and a marked set
+    # on it builds its own
+    scans = []
+    scan = division._first_uncovered
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(division, "_first_uncovered", counting)
+    C = janet_complete(BROKEN_TRIPLE, 10)
+    assert is_complete(C) == (True, None)
+    A = DivisionAssignment.janet(C)
+    assert hilbert_function(C, 2, A) == 1  # x2^2 alone is outside the ideal
+    assert star_decompose(C, t(3, 1), A) == star_decompose(C, t(3, 1))
+    assert make_marked_set(C).assignment is A
+    assert len(scans) == 1
+    M = ts((2, 0), (1, 1), (1, 2), (0, 3))
+    assert M == C and M._janet is None
+    assert DivisionAssignment.janet(M) is not DivisionAssignment.janet(M)
+    G = make_marked_set(M)
+    assert G.assignment is not make_marked_set(M).assignment
+    assert G.assignment.mult == A.mult
+    assert M._janet is None
 
 
 @st.composite

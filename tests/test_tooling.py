@@ -392,9 +392,11 @@ def test_the_janet_tree_has_one_builder():
 
 def test_the_completion_builds_one_tree():
     # janet_complete builds one Janet tree of its input before its loop and
-    # grows that tree; inside the loop it builds no tree, and it builds no
-    # DivisionAssignment at all, nor writes one's __dict__: it keeps the
-    # members and a worklist of the pairs to probe again itself
+    # grows that tree; inside the loop it builds no tree.  It keeps the
+    # members and a worklist of the pairs to probe again itself, and names a
+    # DivisionAssignment only to hand the grown tree to its result, through
+    # the one wrapper of a tree that DivisionAssignment.janet also calls; it
+    # writes no __dict__
     tree = dict(library_trees())["division.py"]
     complete = next(
         node
@@ -413,18 +415,55 @@ def test_the_completion_builds_one_tree():
     assert loops
     assert [node.lineno for loop in loops for node in ast.walk(loop) if builds(node)] == []
     assert len([node for node in ast.walk(complete) if builds(node)]) == 1
-    assert [
-        node.lineno
+    assert [node for node in ast.walk(complete) if getattr(node, "attr", None) == "__dict__"] == []
+    named = [
+        node for node in ast.walk(complete) if getattr(node, "id", None) == "DivisionAssignment"
+    ]
+    handed = [
+        node.attr
         for node in ast.walk(complete)
-        if getattr(node, "id", None) == "DivisionAssignment"
-        or getattr(node, "attr", None) == "__dict__"
-    ] == []
+        if getattr(getattr(node, "value", None), "id", None) == "DivisionAssignment"
+    ]
+    assert len(named) == 1 and handed == ["_on_tree"]
+    wrappers = {scope for called, _, scope in scoped_names() if called == "_on_tree"}
+    assert wrappers == {"DivisionAssignment.janet", "janet_complete"}
+
+
+def test_only_the_completion_hands_over_an_assignment():
+    # a TermSet's Janet assignment is set to None by its constructor and
+    # written only by janet_complete, on the set it returns: no other code
+    # turns the slot into a memo on the sets a caller builds, not even by a
+    # setattr that names it as a string
+    writers = [
+        f"{module}:{scope}"
+        for node, module, scope in scoped_nodes()
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for inner in ast.walk(target)
+        if getattr(inner, "attr", None) == "_janet"
+    ]
+    assert sorted(writers) == ["division.py:janet_complete", "terms.py:TermSet.__init__"]
+    init = next(
+        node
+        for node, module, scope in scoped_nodes()
+        if scope == "TermSet.__init__"
+        and isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "attr", None) == "_janet"
+    )
+    assert isinstance(init.value, ast.Constant) and init.value.value is None
+    spelled = [
+        f"{module}:{scope}"
+        for node, module, scope in scoped_nodes()
+        if getattr(node, "value", None) == "_janet"
+    ]
+    assert spelled == ["terms.py:TermSet"]  # its __slots__
 
 
 def test_the_descents_have_one_caller():
     # the Janet and Pommaret descents are named by the assignment's one
-    # lookup, and the Janet descent also by the Janet assignment, which binds
-    # it to the tree it read the variables off, and by the completion's
+    # lookup, and the Janet descent also by the wrapper of a tree into a
+    # Janet assignment, which binds it to the tree it read the variables off
+    # (a fresh one, or the tree a completion grew), and by the completion's
     # worklist, which probes its queued pairs on the tree it grows; so every
     # cover question, completeness and nesting included, goes
     # through one of them and no function walks the tree beside them.
@@ -436,7 +475,7 @@ def test_the_descents_have_one_caller():
             callers.setdefault(name, set()).add(f"{module}:{scope}")
     assert callers == {
         "_janet_head": {
-            "division.py:DivisionAssignment.janet",
+            "division.py:DivisionAssignment._on_tree",
             "division.py:DivisionAssignment._head",
             "division.py:_Worklist.first_uncovered",
         },
