@@ -293,6 +293,8 @@ def hilbert_function(
     tau holds tau times the degree-(k - deg tau) terms in its multiplicative
     variables: just tau when it has none.
     """
+    if k < 0:
+        raise ValueError("degree must be non-negative")
     assignment = _own_assignment(M, assignment)
     ok, witness = is_complete(M, assignment)
     if not ok:
@@ -300,8 +302,6 @@ def hilbert_function(
     if assignment._nested:
         tau, outer = assignment._nested
         raise ValueError(f"{tau} lies in the cone of {outer}: cones must be disjoint")
-    if k < 0:
-        raise ValueError("degree must be non-negative")
     return _monomials(k, M.n) - _cone_terms(assignment.mult.items(), k)
 
 

@@ -695,10 +695,16 @@ def test_zero_ideal_is_rejected_by_star_set():
     "call, expected",
     [
         (lambda: hilbert_function(TermSet([t(1, 0)]), -1), ValueError),
+        (lambda: hilbert_function(TermSet([t(2, 0), t(0, 2)]), -1), ValueError),
         (lambda: MonomialIdeal([t(1, 0)]).contains(t(1, 0, 0)), MismatchedVariableCount),
         (lambda: MonomialIdeal([]), ValueError),
     ],
-    ids=["hilbert-at-a-negative-degree", "membership-of-a-foreign-term", "zero-ideal-without-n"],
+    ids=[
+        "hilbert-at-a-negative-degree",
+        "hilbert-at-a-negative-degree-of-an-incomplete-set",
+        "membership-of-a-foreign-term",
+        "zero-ideal-without-n",
+    ],
 )
 def test_ideals_input_edge_cases(call, expected):
     assert outcome(call) == expected

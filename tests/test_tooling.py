@@ -1,18 +1,31 @@
-"""The benchmark's tracer (``bench/tracer.py``) wraps library methods and
-reads library attributes by name.  A refactor that drops one must fail here,
-in the unit tests, and not only in the benchmark's own self-test.  The
-library's own checks must not vanish under ``python -O`` either, and its work
-budget has one meter."""
+"""Structural pins on the library's source.
+
+The library keeps one owner for each decision: one body for each
+divisibility question, one builder of the Janet tree, one reader of an
+assignment's flavour, one constructor of a marked set, one meter of the work
+budget.  ``OWNERS`` writes that architecture down as data: for each internal
+name, the place of its one definition and every place that may name it,
+with how many times; one walk of the library checks the table.  A refactor
+that moves an owner edits rows and leaves the walker alone.  The checks that
+are not about ownership, such as what a loop may name, stay as short code.
+
+The benchmark's tracer (``bench/tracer.py``) wraps library methods and reads
+library attributes by name, so a refactor that drops one fails here and not
+only in the benchmark's own self-test.  The library's own checks must not
+vanish under ``python -O``, and its lines fit in 100 columns."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
-from functools import cached_property
+from collections import Counter, defaultdict
+from functools import cache, cached_property
 from pathlib import Path
 
+import pytest
+
 import involutive
-from involutive import Term, TermSet, division, make_marked_set, reduce
+from involutive import Term, TermSet, division, errors, make_marked_set, reduce
 from involutive.marked import MarkedSet
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,32 +102,54 @@ def library_trees():
 
 
 def scoped_nodes():
-    """(node, module, scope) for each node in the library but the classes and
-    functions themselves; the scope is the dotted path of the enclosing
-    classes and functions, "" at module level."""
+    """(node, module, scope) for each node in the library; the scope is the
+    dotted path of the enclosing classes and functions, "" at module level,
+    so a class or function sits in the scope around it."""
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                yield from visit(child, module, scope + (child.name,))
-                continue
             yield child, module, ".".join(scope)
-            yield from visit(child, module, scope)
+            inner = (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else ()
+            yield from visit(child, module, scope + inner)
 
     for module, tree in library_trees():
         yield from visit(tree, module, ())
 
 
-def scoped_names(references=False):
-    """(name, module, scope) for each call in the library, by the called
-    name, or with ``references`` for each name it reads, a ``Name`` or an
-    ``Attribute``, with the scope of :func:`scoped_nodes`."""
+def spelled(node):
+    """The name a node spells: a Name, an Attribute, an import, an exception
+    bound by ``as`` or a string constant; None for any other node."""
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(node.value, str) else None
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+@cache
+def references():
+    """Where the library names what, by place: "module.py:scope", the module
+    alone at module level.  ``uses[name]`` counts the places of each node
+    that spells ``name``, ``uses["name()"]`` those of each call of it and
+    ``uses["name="]`` those of each write; ``defined[name]`` lists the places
+    of each def or class of it."""
+    uses, defined = defaultdict(Counter), defaultdict(list)
     for node, module, scope in scoped_nodes():
-        if references or isinstance(node, ast.Call):
-            named = node if references else node.func
-            name = getattr(named, "id", None) or getattr(named, "attr", None)
-            if name:
-                yield name, module, scope
+        place = f"{module}:{scope}" if scope else module
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defined[node.name].append(place)
+            continue
+        name = spelled(node)
+        if name:
+            uses[name][place] += 1
+            if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                uses[name + "="][place] += 1
+        if isinstance(node, ast.Call) and spelled(node.func):
+            uses[spelled(node.func) + "()"][place] += 1
+    return uses, defined
+
+
+def names(node):
+    """The names spelled anywhere inside a node."""
+    return {spelled(inner) for inner in ast.walk(node)}
 
 
 def test_library_checks_survive_optimisation():
@@ -128,78 +163,160 @@ def test_library_checks_survive_optimisation():
     assert found == []
 
 
-def test_the_work_budget_has_one_meter():
-    # errors._charge alone reads the budget and raises past it, so a test
-    # patches one name and every loop that can run away is refused alike
-    named, raised, meter = set(), [], None
-    for name, tree in library_trees():
-        for node in ast.walk(tree):
-            if "_WORK_BUDGET" in (getattr(node, key, None) for key in ("id", "name", "attr")):
-                named.add(name)
-            called = getattr(node, "func", None)
-            if getattr(called, "id", None) == "WorkBudgetExceeded":
-                raised.append((name, node.lineno))
-            if isinstance(node, ast.FunctionDef) and node.name == "_charge":
-                meter = (name, range(node.lineno, node.end_lineno + 1))
-    assert named == {"errors.py"}
-    assert len(raised) == 1 and raised[0][0] == meter[0] and raised[0][1] in meter[1]
+DA = "division.py:DivisionAssignment"
+
+# Who owns each internal.  A row maps a name to the place of its one def or
+# class (None: no def or class of it anywhere, as for an attribute or an
+# assigned name) and to every place that names it, each with its count, as
+# :func:`references` finds them; "name()" rows count the calls alone and
+# "name=" rows the writes alone.  Reads, writes, imports and strings all
+# name, so a descent handed on as a value, an import of it or a setattr of a
+# slot each count.
+OWNERS = {
+    # terms owns term divisibility, the membership scan over the members' lex
+    # keys, and the slot (spelled once, in TermSet.__slots__) in which
+    # janet_complete alone hands the Janet assignment of the tree it grew to
+    # the set it returns: no set that a caller builds gets a memo
+    "divides": ("terms.py:Term", {"terms.py:Term.__truediv__": 1}),
+    "_generates_key": (
+        "terms.py:TermSet",
+        {"terms.py:TermSet.generates": 1, "terms.py:_escalier_keys": 1},
+    ),
+    "_janet": (
+        None,
+        {"terms.py:TermSet": 1, "terms.py:TermSet.__init__": 1, f"{DA}.janet": 2,
+         "division.py:janet_complete": 1},
+    ),
+    "_janet=": (None, {"terms.py:TermSet.__init__": 1, "division.py:janet_complete": 1}),
+    # division owns the Janet tree.  The insertion of one key makes the nodes
+    # below the root; _janet_tree makes the one root, which an empty basis
+    # needs too, and inserts each member.  The tree is built by the Janet
+    # assignment, which reads its variables off it, by the cover lookup of any
+    # other assignment, and once by the completion, whose worklist grows it
+    "_Node": (
+        "division.py",
+        {"division.py:_janet_tree": 2, "division.py:_janet_insert": 2,
+         "division.py:_janet_vars": 1, "division.py:_janet_head": 1,
+         "division.py:_pommaret_head": 1, f"{DA}._on_tree": 1,
+         "division.py:_Worklist.__init__": 1},
+    ),
+    "_Node()": ("division.py", {"division.py:_janet_tree": 1, "division.py:_janet_insert": 1}),
+    "_janet_tree": (
+        "division.py",
+        {f"{DA}.janet": 1, f"{DA}._head": 1, "division.py:janet_complete": 1},
+    ),
+    "_janet_insert": (
+        "division.py",
+        {"division.py:_janet_tree": 1, "division.py:_Worklist.add": 1},
+    ),
+    "_keys_below": ("division.py", {"division.py:_Worklist.add": 1}),
+    "_janet_vars": (
+        "division.py",
+        {f"{DA}._on_tree": 1, "division.py:_Worklist.__init__": 1, "division.py:_Worklist.add": 1},
+    ),
+    # The Janet and Pommaret descents are named by the assignment's one cover
+    # lookup, and the Janet descent also by the wrapper of a tree into a Janet
+    # assignment, which binds it to the tree it read the variables off, and by
+    # the completion's worklist, which probes its queued pairs on the tree it
+    # grows; so every cover question goes through one of them.  The wrapper
+    # installs the bound lookup by the one __dict__ write; the Janet
+    # assignment calls it, and janet_complete, to hand the grown tree over
+    "_janet_head": (
+        "division.py",
+        {f"{DA}._on_tree": 1, f"{DA}._head": 1, "division.py:_Worklist.first_uncovered": 1},
+    ),
+    "_pommaret_head": ("division.py", {f"{DA}._head": 1}),
+    "_head": (
+        DA,
+        {f"{DA}._on_tree": 1, f"{DA}._cover": 1, f"{DA}._uncovered": 1, f"{DA}._nested": 1},
+    ),
+    "__dict__": (None, {f"{DA}._on_tree": 1}),
+    "_on_tree": (DA, {f"{DA}.janet": 1, "division.py:janet_complete": 1}),
+    "janet()": (
+        DA,
+        {"cli.py:_cmd_mult_vars": 1, "division.py:_own_assignment": 1,
+         "division.py:is_stably_complete": 1, "marked.py:MarkedSet.__init__": 1},
+    ),
+    # Which cones an assignment has is its flavour, and division alone reads
+    # it or names one, imports included: each assignment binds its descent
+    # once, in its cached cover lookup, and beside that only the nesting test
+    # and stable completeness read the flavour
+    "flavor": (
+        None,
+        {DA: 1, f"{DA}._head": 1, f"{DA}._nested": 1, "division.py:is_stably_complete": 1},
+    ),
+    "JANET": (
+        None,
+        {"division.py": 1, f"{DA}._on_tree": 1, f"{DA}._head": 1, f"{DA}._nested": 1,
+         "division.py:is_stably_complete": 1},
+    ),
+    "POMMARET": (None, {"division.py": 1, f"{DA}.pommaret": 1}),
+    # division owns the multiplicative structure: the cone count and the walk
+    # of the non-multiplicative pairs (tau, j), which the modules that count
+    # cones or walk prolongations import.  The one fresh completeness scan is
+    # the cached witness of an assignment; the completion seeds one worklist
+    "_cone_terms": (
+        "division.py",
+        {"ideals.py": 1, "ideals.py:hilbert_function": 1, "marked.py": 1,
+         "marked.py:build_Gs": 1, "scheme.py": 1, "scheme.py:_generic_work": 1},
+    ),
+    "_nonmultiplicative": (
+        "division.py",
+        {"division.py:_first_uncovered": 1, "division.py:_Worklist.__init__": 1,
+         "marked.py": 1, "marked.py:_prolongations": 1},
+    ),
+    "_first_uncovered": ("division.py", {f"{DA}._uncovered": 1}),
+    "_Worklist": ("division.py", {"division.py:janet_complete": 1}),
+    # ideals owns the fit-power index of a monomial ideal, a slot
+    "_fit_index": (
+        None,
+        {"ideals.py:MonomialIdeal": 1, "ideals.py:MonomialIdeal.__init__": 1,
+         "ideals.py:_fit_power": 1},
+    ),
+    # MarkedSet.__init__ alone makes marked polynomials, from the basis and
+    # the tails; make_marked_set validates the tails before calling it, and
+    # scheme's generic set and its specialisations call it directly
+    "MarkedPolynomial()": ("marked.py", {"marked.py:MarkedSet.__init__": 1}),
+    "MarkedSet()": (
+        "marked.py",
+        {"marked.py:make_marked_set": 1, "scheme.py:GenericMarkedSet.marked_set": 1,
+         "scheme.py:specialize": 1},
+    ),
+    # errors._charge alone reads the work budget and raises past it
+    "_WORK_BUDGET": (None, {"errors.py": 1, "errors.py:_charge": 3}),
+    "WorkBudgetExceeded()": ("errors.py", {"errors.py:_charge": 1}),
+}
 
 
-def test_each_divisibility_question_has_one_body():
-    # term divisibility and the membership scan over the members' lex keys
-    # live in terms, the Janet tree with its descents in division and the
-    # fit-power index in ideals: other modules ask them and name none of them
-    owners = {
-        "divides": "terms.py",
-        "_generates_key": "terms.py",
-        "_Node": "division.py",
-        "_janet_tree": "division.py",
-        "_janet_insert": "division.py",
-        "_keys_below": "division.py",
-        "_janet_vars": "division.py",
-        "_janet_head": "division.py",
-        "_pommaret_head": "division.py",
-        "_head": "division.py",
-        "_fit_index": "ideals.py",
+def test_the_ownership_table_matches_the_library():
+    # each name is defined where its row says, once, and named exactly where
+    # and as often as its row says; a stale row fails like a stray use
+    uses, defined = references()
+    wrong = {
+        name: (defined.get(name.rstrip("()="), []), dict(uses[name]))
+        for name, (where, places) in OWNERS.items()
+        if defined.get(name.rstrip("()="), []) != ([where] if where else [])
+        or dict(uses[name]) != places
     }
-    strays = [
-        f"{name}:{node.lineno}"
-        for name, tree in library_trees()
-        for node in ast.walk(tree)
-        for key in ("id", "name", "attr")
-        if owners.get(getattr(node, key, None), name) != name
-    ]
-    assert strays == []
+    assert wrong == {}
+
+
+def test_the_work_budget_has_one_meter(monkeypatch):
+    # the table makes errors._charge the one reader of the budget, so a test
+    # patches one name and every loop that can run away is refused alike; a
+    # charge within the budget formats no message, so a hot loop builds none
+    monkeypatch.setattr(errors, "_WORK_BUDGET", 3)
+    errors._charge(3, "{}")  # formatting "{}" with no argument would raise
+    with pytest.raises(errors.WorkBudgetExceeded) as refused:
+        errors._charge(4, "{} units", 4)
+    assert str(refused.value) == "4 units, past the budget of 3"
 
 
 def test_division_owns_the_multiplicative_structure():
     # marked and scheme take multiplicative variables from division and never
-    # read min(tau) themselves; the cone count and the walk of the
-    # non-multiplicative pairs (tau, j) are each defined once, in division,
-    # and the modules that count cones or walk prolongations call them
-    trees = dict(library_trees())
-    readers = [
-        f"{name}:{node.lineno}"
-        for name in ("marked.py", "scheme.py")
-        for node in ast.walk(trees[name])
-        if getattr(node, "attr", None) == "min_index"
-    ]
-    assert readers == []
-    owners = {"_cone_terms": set(), "_nonmultiplicative": set()}
-    callers = {"_cone_terms": set(), "_nonmultiplicative": set()}
-    for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name in owners:
-                owners[node.name].add(name)
-            called = getattr(node, "func", None)
-            called = getattr(called, "id", None) or getattr(called, "attr", None)
-            if called in callers:
-                callers[called].add(name)
-    assert owners == {"_cone_terms": {"division.py"}, "_nonmultiplicative": {"division.py"}}
-    assert callers == {
-        "_cone_terms": {"ideals.py", "marked.py", "scheme.py"},
-        "_nonmultiplicative": {"division.py", "marked.py"},
-    }
+    # read min(tau) themselves
+    uses, _ = references()
+    assert [at for at in uses["min_index"] if at.startswith(("marked.py", "scheme.py"))] == []
 
 
 def test_terms_alone_knows_the_exponent_orientation():
@@ -219,14 +336,9 @@ def test_terms_alone_knows_the_exponent_orientation():
         and getattr(node.step.operand, "value", None) == 1
     ]
     assert reversals == []
-    trees = dict(library_trees())
-    readers = [
-        f"{name}:{node.lineno}"
-        for name in ("division.py", "ideals.py", "marked.py", "_linalg.py")
-        for node in ast.walk(trees[name])
-        if getattr(node, "attr", None) == "exponents"
-    ]
-    assert readers == []
+    uses, _ = references()
+    computing = ("division.py", "ideals.py", "marked.py", "_linalg.py")
+    assert [at for at in uses["exponents"] if at.startswith(computing)] == []
     # terms also owns the one-slot edit of a lex key, k[:i] + (k[i] + by,) +
     # k[i + 1 :], in _bump, and the (degree, lex) sort key that every sort
     # of terms reads
@@ -234,7 +346,7 @@ def test_terms_alone_knows_the_exponent_orientation():
         return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
 
     splices, sort_keys = [], []
-    for name, tree in trees.items():
+    for name, tree in library_trees():
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.BinOp)
@@ -255,194 +367,90 @@ def test_terms_alone_knows_the_exponent_orientation():
 
 
 def test_a_marked_set_has_one_constructor():
-    # MarkedSet.__init__ alone makes marked polynomials, from the basis and
-    # the tails; make_marked_set validates the tails before calling it, and
-    # scheme's generic set and its specialisations call it directly.  Lex
-    # keys become terms through Term._of_key, with no memo on the set
-    calls = {
-        (called, f"{module}:{scope}")
-        for called, module, scope in scoped_names()
-        if called in ("MarkedPolynomial", "MarkedSet")
-    }
-    memo = [
-        f"{name}:{node.lineno}"
-        for name, tree in library_trees()
-        for node in ast.walk(tree)
-        if getattr(node, "attr", None) in ("_term", "_terms")
-    ]
-    assert calls == {
-        ("MarkedPolynomial", "marked.py:MarkedSet.__init__"),
-        ("MarkedSet", "marked.py:make_marked_set"),
-        ("MarkedSet", "scheme.py:GenericMarkedSet.marked_set"),
-        ("MarkedSet", "scheme.py:specialize"),
-    }
-    assert memo == []
+    # lex keys become terms through Term._of_key, with no memo on the set
+    # (the constructor calls are rows of OWNERS)
+    uses, _ = references()
+    assert uses["_term"] == uses["_terms"] == Counter()
     assert "_term" not in MarkedSet.__dict__
 
 
 def test_stable_completeness_is_decided_in_division():
     # outside division no function that asks for stable completeness builds
     # a DivisionAssignment to decide it
-    builders = []
-    for name, tree in library_trees():
-        if name == "division.py":
-            continue
-        for function in ast.walk(tree):
-            if not isinstance(function, ast.FunctionDef):
-                continue
-            names = {
-                getattr(node, "id", None) or getattr(node, "attr", None)
-                for node in ast.walk(function)
-            }
-            if names & {"is_stably_complete", "stable_completeness"} and names & {
-                "DivisionAssignment",
-                "janet",
-                "pommaret",
-            }:
-                builders.append(f"{name}:{function.name}")
+    builders = [
+        f"{name}:{function.name}"
+        for name, tree in library_trees()
+        if name != "division.py"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and names(function) & {"is_stably_complete", "stable_completeness"}
+        and names(function) & {"DivisionAssignment", "janet", "pommaret"}
+    ]
     assert builders == []
 
 
 def test_completeness_has_one_scan_body():
     # the walk of the non-multiplicative pairs that probes each prolongation
-    # for a covering head is defined once, in division, as a module-level
-    # function given the cover lookup (``head``): the cached witness of an
-    # assignment calls it, and no other function in division probes the
-    # heads over that walk.  The completion probes its own worklist instead
-    tree = dict(library_trees())["division.py"]
-    descents = {"head", "_head", "_janet_head", "_pommaret_head"}
-    scans = set()
-    for function in ast.walk(tree):
-        if isinstance(function, ast.FunctionDef):
-            named = {
-                getattr(node, "id", None) or getattr(node, "attr", None)
-                for node in ast.walk(function)
-            }
-            if "_nonmultiplicative" in named and named & descents:
-                scans.add(function.name)
-    assert scans == {"_first_uncovered"}
-    callers = {
-        scope
-        for called, module, scope in scoped_names()
-        if called == "_first_uncovered" and module == "division.py"
+    # for a covering head is _first_uncovered alone, given the cover lookup
+    # (``head``): no other scope in division names the walk and a lookup
+    uses, _ = references()
+    lookups = ("head", "_head", "_janet_head", "_pommaret_head")
+    scans = {
+        at
+        for at in uses["_nonmultiplicative"]
+        if at.startswith("division.py") and any(uses[name][at] for name in lookups)
     }
-    assert callers == {"DivisionAssignment._uncovered"}
-    outside = [
-        f"{module}:{scope}"
-        for name, module, scope in scoped_names(references=True)
-        if name == "_first_uncovered" and module != "division.py"
-    ]
-    assert outside == []
+    assert scans == {"division.py:_first_uncovered"}
 
 
-def test_the_completion_rounds_walk_no_pairs():
-    # janet_complete seeds one worklist with the input's non-multiplicative
-    # pairs, before its loop; no round walks the pairs or scans afresh: its
-    # while loop and the worklist's methods past the seeding name neither the
-    # walk, nor the fresh scan, nor a new worklist
+def division_definitions():
     tree = dict(library_trees())["division.py"]
-    defined = {
+    return {
         node.name: node
         for node in ast.walk(tree)
         if isinstance(node, (ast.ClassDef, ast.FunctionDef))
     }
 
-    def names(node):
-        return {
-            getattr(inner, "id", None) or getattr(inner, "attr", None)
-            for inner in ast.walk(node)
-        }
 
-    walks = {"_nonmultiplicative", "_first_uncovered", "_Worklist"}
-    loops = [node for node in ast.walk(defined["janet_complete"]) if isinstance(node, ast.While)]
-    assert loops
-    assert [sorted(names(loop) & walks) for loop in loops] == [[]] * len(loops)
+def test_the_completion_rounds_walk_no_pairs():
+    # janet_complete seeds one worklist with the input's non-multiplicative
+    # pairs and builds one tree, before its loop; no round walks the pairs,
+    # scans afresh or builds a tree: its loop and the worklist's methods
+    # past the seeding name neither the walk, nor the fresh scan, nor a new
+    # worklist, nor a tree or Janet assignment builder
+    defined = division_definitions()
+    loops = [
+        node
+        for node in ast.walk(defined["janet_complete"])
+        if isinstance(node, (ast.For, ast.While))
+    ]
     methods = [
         node
         for node in defined["_Worklist"].body
         if isinstance(node, ast.FunctionDef) and node.name != "__init__"
     ]
-    assert methods
-    assert [sorted(names(method) & walks) for method in methods] == [[]] * len(methods)
-    makers = [scope for called, _, scope in scoped_names() if called == "_Worklist"]
-    assert makers == ["janet_complete"]
-
-
-def test_the_janet_tree_has_one_builder():
-    # one function, the insertion of one key, makes the nodes of the Janet
-    # tree below its root; _janet_tree makes the one root, which an empty
-    # basis needs too, and inserts each member.  The tree is built by the
-    # Janet assignment, which reads its variables off it, by the cover lookup
-    # of any other assignment, and by the completion, whose worklist grows the
-    # tree of its input by inserting each addition
-    makers, callers = {}, {"_janet_tree": set(), "_janet_insert": set()}
-    for called, module, scope in scoped_names():
-        if module != "division.py":
-            continue
-        if called == "_Node":
-            makers[scope] = makers.get(scope, 0) + 1
-        if called in callers:
-            callers[called].add(scope)
-    assert makers == {"_janet_tree": 1, "_janet_insert": 1}
-    assert callers == {
-        "_janet_tree": {"DivisionAssignment.janet", "DivisionAssignment._head", "janet_complete"},
-        "_janet_insert": {"_janet_tree", "_Worklist.add"},
-    }
+    assert loops and methods
+    walks = {"_nonmultiplicative", "_first_uncovered", "_Worklist", "_janet_tree", "janet"}
+    assert [sorted(names(node) & walks) for node in loops + methods] == [[]] * len(loops + methods)
 
 
 def test_the_completion_builds_one_tree():
-    # janet_complete builds one Janet tree of its input before its loop and
-    # grows that tree; inside the loop it builds no tree.  It keeps the
-    # members and a worklist of the pairs to probe again itself, and names a
-    # DivisionAssignment only to hand the grown tree to its result, through
-    # the one wrapper of a tree that DivisionAssignment.janet also calls; it
-    # writes no __dict__
-    tree = dict(library_trees())["division.py"]
-    complete = next(
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "janet_complete"
-    )
-
-    def builds(node):
-        called = getattr(node, "func", None)
-        return (getattr(called, "id", None) or getattr(called, "attr", None)) in (
-            "janet",
-            "_janet_tree",
-        )
-
-    loops = [node for node in ast.walk(complete) if isinstance(node, (ast.For, ast.While))]
-    assert loops
-    assert [node.lineno for loop in loops for node in ast.walk(loop) if builds(node)] == []
-    assert len([node for node in ast.walk(complete) if builds(node)]) == 1
-    assert [node for node in ast.walk(complete) if getattr(node, "attr", None) == "__dict__"] == []
-    named = [
-        node for node in ast.walk(complete) if getattr(node, "id", None) == "DivisionAssignment"
-    ]
+    # janet_complete keeps the members and a worklist of the pairs to probe
+    # again itself, and names a DivisionAssignment once, to hand the grown
+    # tree to its result through _on_tree (its one tree build, the __dict__
+    # write and the _on_tree callers are rows of OWNERS)
+    uses, _ = references()
     handed = [
         node.attr
-        for node in ast.walk(complete)
+        for node in ast.walk(division_definitions()["janet_complete"])
         if getattr(getattr(node, "value", None), "id", None) == "DivisionAssignment"
     ]
-    assert len(named) == 1 and handed == ["_on_tree"]
-    wrappers = {scope for called, _, scope in scoped_names() if called == "_on_tree"}
-    assert wrappers == {"DivisionAssignment.janet", "janet_complete"}
+    assert uses["DivisionAssignment"]["division.py:janet_complete"] == 1 and handed == ["_on_tree"]
 
 
 def test_only_the_completion_hands_over_an_assignment():
-    # a TermSet's Janet assignment is set to None by its constructor and
-    # written only by janet_complete, on the set it returns: no other code
-    # turns the slot into a memo on the sets a caller builds, not even by a
-    # setattr that names it as a string
-    writers = [
-        f"{module}:{scope}"
-        for node, module, scope in scoped_nodes()
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        for inner in ast.walk(target)
-        if getattr(inner, "attr", None) == "_janet"
-    ]
-    assert sorted(writers) == ["division.py:janet_complete", "terms.py:TermSet.__init__"]
+    # a TermSet's Janet assignment is set to None by its constructor, in a
+    # declared slot (the writers of the slot are rows of OWNERS)
     init = next(
         node
         for node, module, scope in scoped_nodes()
@@ -451,65 +459,12 @@ def test_only_the_completion_hands_over_an_assignment():
         and getattr(node.targets[0], "attr", None) == "_janet"
     )
     assert isinstance(init.value, ast.Constant) and init.value.value is None
-    spelled = [
-        f"{module}:{scope}"
-        for node, module, scope in scoped_nodes()
-        if getattr(node, "value", None) == "_janet"
-    ]
-    assert spelled == ["terms.py:TermSet"]  # its __slots__
-
-
-def test_the_descents_have_one_caller():
-    # the Janet and Pommaret descents are named by the assignment's one
-    # lookup, and the Janet descent also by the wrapper of a tree into a
-    # Janet assignment, which binds it to the tree it read the variables off
-    # (a fresh one, or the tree a completion grew), and by the completion's
-    # worklist, which probes its queued pairs on the tree it grows; so every
-    # cover question, completeness and nesting included, goes
-    # through one of them and no function walks the tree beside them.
-    # References, not only calls, count: a descent passed on as a value is a
-    # caller too
-    callers = {}
-    for name, module, scope in scoped_names(references=True):
-        if name in ("_janet_head", "_pommaret_head"):
-            callers.setdefault(name, set()).add(f"{module}:{scope}")
-    assert callers == {
-        "_janet_head": {
-            "division.py:DivisionAssignment._on_tree",
-            "division.py:DivisionAssignment._head",
-            "division.py:_Worklist.first_uncovered",
-        },
-        "_pommaret_head": {"division.py:DivisionAssignment._head"},
-    }
+    assert "_janet" in TermSet.__slots__
 
 
 def test_the_flavour_is_decided_in_division():
-    # which cones an assignment has is its flavour, and division alone reads
-    # it or names one (imports count): each assignment binds its descent once,
-    # in its cached cover lookup, and beside that only the nesting test and
-    # stable completeness read the flavour, so no cover question compares it
-    flavour_names = ("JANET", "POMMARET")
-    outside = [
-        f"{module}:{scope}"
-        for node, module, scope in scoped_nodes()
-        if module != "division.py"
-        and (
-            getattr(node, "attr", None) == "flavor"
-            or getattr(node, "id", None) in flavour_names
-            or getattr(node, "name", None) in flavour_names
-        )
-    ]
-    assert outside == []
-    readers = {
-        scope
-        for node, module, scope in scoped_nodes()
-        if module == "division.py" and getattr(node, "attr", None) == "flavor"
-    }
-    assert readers == {
-        "DivisionAssignment._head",
-        "DivisionAssignment._nested",
-        "is_stably_complete",
-    }
+    # the one cover lookup that binds an assignment's descent is cached (who
+    # reads the flavour is a row of OWNERS)
     assert isinstance(vars(division.DivisionAssignment)["_head"], cached_property)
 
 
