@@ -288,17 +288,44 @@ OWNERS = {
 }
 
 
+def unowned(rows):
+    """The rows of ``OWNERS`` named in ``rows`` that the library breaks, each
+    with the defining places and the uses found instead."""
+    uses, defined = references()
+    wrong = {}
+    for name in rows:
+        where, places = OWNERS[name]
+        found = defined.get(name.rstrip("()="), [])
+        if found != ([where] if where else []) or dict(uses[name]) != places:
+            wrong[name] = (found, dict(uses[name]))
+    return wrong
+
+
 def test_the_ownership_table_matches_the_library():
     # each name is defined where its row says, once, and named exactly where
     # and as often as its row says; a stale row fails like a stray use
-    uses, defined = references()
-    wrong = {
-        name: (defined.get(name.rstrip("()="), []), dict(uses[name]))
-        for name, (where, places) in OWNERS.items()
-        if defined.get(name.rstrip("()="), []) != ([where] if where else [])
-        or dict(uses[name]) != places
-    }
-    assert wrong == {}
+    assert unowned(OWNERS) == {}
+
+
+def test_each_divisibility_question_has_one_body():
+    # term divisibility and the membership scan live in terms, the Janet tree
+    # with its descents in division and the fit-power index in ideals
+    rows = ("divides", "_generates_key", "_Node", "_janet_tree", "_janet_insert",
+            "_keys_below", "_janet_vars", "_janet_head", "_pommaret_head", "_head",
+            "_fit_index")
+    assert unowned(rows) == {}
+
+
+def test_the_janet_tree_has_one_builder():
+    # _janet_tree and _janet_insert alone make tree nodes, and the tree is
+    # built by the Janet assignment, the cover lookup and the completion
+    assert unowned(("_Node()", "_janet_tree", "_janet_insert")) == {}
+
+
+def test_the_descents_have_one_caller():
+    # every cover question goes through the Janet or the Pommaret descent,
+    # named only by the cover lookup, the tree wrapper and the worklist
+    assert unowned(("_janet_head", "_pommaret_head")) == {}
 
 
 def test_the_work_budget_has_one_meter(monkeypatch):
