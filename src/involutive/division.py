@@ -150,29 +150,29 @@ def _cone_terms(cones: Iterable[tuple[Term, Collection[int]]], d: int) -> int:
 
 
 def _nonmultiplicative(
-    terms: Iterable[Term], vars_of: Mapping, n: int
+    cones: Iterable[tuple[Term, Collection[int]]], n: int
 ) -> Iterator[tuple[Term, int]]:
-    """The pairs (tau, j) with x_j not multiplicative for tau, given the
-    variables of each term by its lex key, the terms in order and then j
-    ascending: completeness and the criterion range over them."""
+    """The pairs (tau, j) with x_j not multiplicative for tau, over the
+    (tau, vars_) pairs of the cones, an assignment's ``mult.items()`` in
+    basis order, and then j ascending: completeness and the criterion range
+    over them."""
     js = range(1, n + 1)
-    for tau in terms:
-        vars_ = vars_of[tau.lex_key]
+    for tau, vars_ in cones:
         for j in js:
             if j not in vars_:
                 yield tau, j
 
 
 def _first_uncovered(
-    terms: Iterable[Term], n: int, vars_of: Mapping, head: Callable
+    cones: Iterable[tuple[Term, Collection[int]]], n: int, head: Callable
 ) -> Optional[tuple[Term, int]]:
-    """The first (tau, j) over the terms in canonical order with x_j * tau in
-    no involutive cone, None when there is none: the one fresh completeness
-    scan, given the variables of each term by lex key and the cover lookup
-    ``head`` (the lex key of a term's covering head, None when no cone holds
-    it).  The completion keeps its own worklist of the pairs to probe again
+    """The first (tau, j) over the (tau, vars_) pairs of the cones in
+    canonical order with x_j * tau in no involutive cone, None when there is
+    none: the one fresh completeness scan, given the cover lookup ``head``
+    (the lex key of a term's covering head, None when no cone holds it).
+    The completion keeps its own worklist of the pairs to probe again
     instead (:func:`janet_complete`)."""
-    for tau, j in _nonmultiplicative(terms, vars_of, n):
+    for tau, j in _nonmultiplicative(cones, n):
         if head(_bump(tau.lex_key, n - j)) is None:  # x_j sits at slot n - j
             return tau, j
     return None
@@ -189,6 +189,10 @@ class StarFactorization:
 @dataclass(frozen=True, eq=False)
 class DivisionAssignment:
     """One multiplicative-variable set per term of a fixed TermSet, in its order.
+
+    ``mult`` is the one source of the cones: its items, the (term, variables)
+    pairs in basis order, are what the completeness scan, stable
+    completeness, the criterion's prolongations and the JSON report walk.
 
     The assignment answers every cover question about its own basis, on lex
     keys (``Term.lex_key``): which terms' involutive cones hold a term
@@ -253,16 +257,11 @@ class DivisionAssignment:
         return None if fact is None else StarFactorization(*map(Term._of_key, fact))
 
     @cached_property
-    def _vars_of(self) -> dict[tuple[int, ...], frozenset[int]]:
-        """``mult`` keyed by lex key, as the scan and the pair walk read it."""
-        return {t.lex_key: vars_ for t, vars_ in self.mult.items()}
-
-    @cached_property
     def _uncovered(self) -> Optional[tuple[Term, int]]:
         """The completeness witness of the basis: the first (tau, j) in
         canonical order with x_j * tau in no involutive cone, None when the
         basis is complete."""
-        return _first_uncovered(self.basis, self.basis.n, self._vars_of, self._head)
+        return _first_uncovered(self.mult.items(), self.basis.n, self._head)
 
     @cached_property
     def _nested(self) -> Optional[tuple[Term, Term]]:
@@ -345,8 +344,8 @@ def is_stably_complete(
     ok, witness = is_complete(M, assignment)
     if not ok:
         return False, witness
-    for tau in M:
-        mismatch = assignment.mult[tau] ^ pommaret_multiplicative_vars(tau)
+    for tau, vars_ in assignment.mult.items():
+        mismatch = vars_ ^ pommaret_multiplicative_vars(tau)
         if mismatch:
             return False, (tau, min(mismatch))
     return True, None
@@ -372,9 +371,9 @@ class _Worklist:
     __slots__ = ("tree", "n", "queue", "covers")
 
     def __init__(self, tree: _Node, terms: list[Term], n: int) -> None:
-        vars_of = {t.lex_key: _janet_vars(tree, t.lex_key) for t in terms}
+        cones = ((t, _janet_vars(tree, t.lex_key)) for t in terms)
         # in canonical order already, so the list is a heap
-        self.queue = [(t.degree, t.lex_key, j) for t, j in _nonmultiplicative(terms, vars_of, n)]
+        self.queue = [(t.degree, t.lex_key, j) for t, j in _nonmultiplicative(cones, n)]
         self.covers: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
         self.tree, self.n = tree, n
 

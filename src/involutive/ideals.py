@@ -239,8 +239,7 @@ def pommaret_termination_degree(J: MonomialIdeal) -> int:
     for g, _, j, power in _moves(J, strongly=False):
         if power is None:
             raise NotQuasiStable(
-                f"no power of x_{j} pushes {g}/min back into the ideal",
-                witness=(g, j),
+                "the ideal is not quasi-stable, its star set is infinite", witness=(g, j)
             )
         t = max(t, power)
     return J.generators.max_degree() + t * J.n
@@ -266,14 +265,7 @@ def star_set(J: MonomialIdeal, degree_bound: int) -> tuple[TermSet, bool]:
 
 def pommaret_basis(J: MonomialIdeal) -> TermSet:
     """The finite star set of a quasi-stable ideal (its Pommaret basis)."""
-    try:
-        d = pommaret_termination_degree(J)
-    except NotQuasiStable as exc:
-        raise NotQuasiStable(
-            "the ideal is not quasi-stable, its star set is infinite",
-            witness=exc.witness,
-        ) from None
-    found, beyond = _star_terms(J, d - 1)
+    found, beyond = _star_terms(J, pommaret_termination_degree(J) - 1)
     if beyond:
         raise AssertionError("star set failed to stabilize below the proven bound")
     basis = TermSet(map(Term._of_key, found), J.n)

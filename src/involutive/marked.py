@@ -308,7 +308,6 @@ def reduce(
         ok, witness = is_complete(G.basis, G.assignment)
         if not ok:
             raise NotComplete("reduction needs a complete basis", witness=witness)
-    if track_states:
         # the kept states, as copies by code; equal codes are compared exactly
         code = sum(_state_code(k, c) for k, c in work.items())
         seen = {code: [dict(work)]}
@@ -417,7 +416,7 @@ class MarkedBasisResult:
 def _prolongations(G: MarkedSet) -> Iterator[tuple[Term, int, dict[tuple, object]]]:
     """Each non-multiplicative prolongation as (head, j, f_head * x_j) on lex
     keys, in canonical order; over a stably complete basis, x_j above min(head)."""
-    for head, j in _nonmultiplicative(G.basis, G.assignment._vars_of, G.n):
+    for head, j in _nonmultiplicative(G.assignment.mult.items(), G.n):
         yield head, j, _times(G._keyed[head.lex_key], variable(G.n, j).lex_key)
 
 

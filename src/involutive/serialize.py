@@ -212,10 +212,7 @@ def parse_ideal(data) -> MonomialIdeal:
 
 
 def assignment_json(assignment: DivisionAssignment) -> list[dict]:
-    return [
-        {"term": term_json(t), "mult": sorted(assignment.mult[t])}
-        for t in assignment.basis
-    ]
+    return [{"term": term_json(t), "mult": sorted(vars_)} for t, vars_ in assignment.mult.items()]
 
 
 def poly_json(poly: Mapping[Term, object]) -> list[dict]:

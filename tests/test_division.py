@@ -504,6 +504,20 @@ def test_janet_tree_answers_where_prefixes_collide(drawn):
 
 
 @PROPERTY
+@given(term_sets())
+def test_mult_lists_the_terms_in_basis_order(drawn):
+    # the completeness scan, the criterion's prolongations and the JSON
+    # report walk mult.items() as the basis in order, so a constructor that
+    # built mult from a set or in key order would move their witnesses
+    members, _ = drawn
+    M = TermSet([Term(m) for m in members])
+    assert list(DivisionAssignment.janet(M).mult) == list(M)
+    assert list(DivisionAssignment.pommaret(M).mult) == list(M)
+    C = janet_complete(M, sum(max(col) for col in zip(*members)))
+    assert list(C._janet.mult) == list(C)
+
+
+@PROPERTY
 @given(term_sets(max_vars=4, max_exp=2, max_size=5), st.integers(0, 5))
 def test_nonmultiplicative_walk_and_cone_count_match_brute_force(drawn, d):
     # the walk is every (tau, j) with x_j not multiplicative for tau, in basis
@@ -518,7 +532,7 @@ def test_nonmultiplicative_walk_and_cone_count_match_brute_force(drawn, d):
         (DivisionAssignment.pommaret(M), brute_pommaret_vars),
     ):
         mult = {m: rule(m) for m in members}
-        walk = [(tau.exponents, j) for tau, j in _nonmultiplicative(M, assignment._vars_of, n)]
+        walk = [(tau.exponents, j) for tau, j in _nonmultiplicative(assignment.mult.items(), n)]
         assert walk == [
             (tau, j) for tau in canonical_order(members) for j in range(1, n + 1) if j not in mult[tau]
         ]
@@ -638,7 +652,7 @@ def test_the_worklist_finds_the_witness_of_a_fresh_scan(drawn):
         queued = [(k, j) for _, k, j in worklist.queue]
         recorded = [(k, j) for pairs in worklist.covers.values() for _, k, j in pairs]
         assert sorted(queued + recorded) == sorted(
-            (tau.lex_key, j) for tau, j in _nonmultiplicative(current, fresh._vars_of, n)
+            (tau.lex_key, j) for tau, j in _nonmultiplicative(fresh.mult.items(), n)
         )
         for h, pairs in worklist.covers.items():
             for _, k, j in pairs:

@@ -328,6 +328,36 @@ def test_the_descents_have_one_caller():
     assert unowned(("_janet_head", "_pommaret_head")) == {}
 
 
+# (module, class, method) of the methods that nothing in the library names:
+# the benchmark's tracer wraps them (its LEAF_METHODS) and so keeps them
+UNNAMED = {
+    ("terms", "Term", "predecessor"),
+    ("marked", "MarkedPolynomial", "times"),
+    ("marked", "MarkedSet", "contains"),
+    ("ideals", "MonomialIdeal", "contains"),
+    ("scheme", "ParamPolynomial", "evaluate"),
+}
+
+
+def test_every_library_function_is_named():
+    # a function or method that the library names nowhere outside its own
+    # body is dead code, unless it is a dunder or exported by the package
+    uses, _ = references()
+    exported = {name for names in involutive._EXPORTS.values() for name in names}
+    unnamed = set()
+    for node, module, scope in scoped_nodes():
+        if not isinstance(node, ast.FunctionDef) or node.name in exported:
+            continue
+        name = node.name
+        body = f"{module}:{scope}.{name}" if scope else f"{module}:{name}"
+        dunder = name.startswith("__") and name.endswith("__")
+        if not dunder and all(at == body or at.startswith(body + ".") for at in uses[name]):
+            unnamed.add((module.removesuffix(".py"), scope, name))
+    assert unnamed == UNNAMED
+    leaves = load_tracer().LEAF_METHODS
+    assert all(name in leaves.get((module, cls), ()) for module, cls, name in UNNAMED)
+
+
 def test_the_work_budget_has_one_meter(monkeypatch):
     # the table makes errors._charge the one reader of the budget, so a test
     # patches one name and every loop that can run away is refused alike; a
