@@ -17,7 +17,6 @@ from .division import (
     _cone_terms,
     _own_assignment,
     is_complete,
-    is_stably_complete,
 )
 from .errors import NotComplete, NotQuasiStable, _charge
 from .terms import Term, TermSet, _bump, _escalier_keys, _monomials
@@ -218,12 +217,7 @@ def classify(J: MonomialIdeal) -> StabilityReport:
             if t is None:
                 qw = StabilityWitness(g, j, i)
                 break
-    strongly, stable, quasi = sw is None, stw is None, qw is None
-    if (strongly and not stable) or (stable and not quasi):
-        raise AssertionError(
-            f"stability hierarchy violated: strongly={strongly}, stable={stable}, quasi={quasi}"
-        )
-    return StabilityReport(strongly, stable, quasi, sw, stw, qw)
+    return StabilityReport(sw is None, stw is None, qw is None, sw, stw, qw)
 
 
 def pommaret_termination_degree(J: MonomialIdeal) -> int:
@@ -264,15 +258,18 @@ def star_set(J: MonomialIdeal, degree_bound: int) -> tuple[TermSet, bool]:
 
 
 def pommaret_basis(J: MonomialIdeal) -> TermSet:
-    """The finite star set of a quasi-stable ideal (its Pommaret basis)."""
+    """The finite star set of a quasi-stable ideal, which is its Pommaret basis.
+
+    The paper's theorem: when J is quasi-stable its star set lies below the
+    termination degree and is stably complete, so it is J's Pommaret basis.
+    The result is returned as the star search finds it, without a re-proof;
+    the property and small-scope tests of ``tests/test_ideals.py`` check it
+    with ``is_stably_complete`` and against brute-force star sets.
+    """
     found, beyond = _star_terms(J, pommaret_termination_degree(J) - 1)
     if beyond:
         raise AssertionError("star set failed to stabilize below the proven bound")
-    basis = TermSet(map(Term._of_key, found), J.n)
-    ok, witness = is_stably_complete(basis)
-    if not ok:
-        raise AssertionError(f"star set is not stably complete, witness {witness}")
-    return basis
+    return TermSet(map(Term._of_key, found), J.n)
 
 
 def hilbert_function(

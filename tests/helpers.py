@@ -377,6 +377,26 @@ def stable_closure(gens, n):
     return found
 
 
+def antichains(n, top):
+    """The minimal generating sets of every monomial ideal in n variables
+    other than 0 and (1) whose minimal generators have degree <= top: the
+    non-empty antichains under divisibility of exponent tuples of degree 1 to
+    top.  Each is a list in canonical order, built by taking or skipping each
+    tuple in turn, lowest degree first, so a tuple is taken only when nothing
+    taken divides it."""
+    pool = canonical_order(t for d in range(1, top + 1) for t in exp_tuples(n, d))
+
+    def extend(chosen, start):
+        for at in range(start, len(pool)):
+            if not tuple_in_ideal(chosen, pool[at]):
+                chosen.append(pool[at])
+                yield list(chosen)
+                yield from extend(chosen, at + 1)
+                chosen.pop()
+
+    return extend([], 0)
+
+
 def divisor_tuples(gamma):
     return itertools.product(*(range(e + 1) for e in gamma))
 

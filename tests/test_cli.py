@@ -949,9 +949,8 @@ M300 = [[a, b, 300 - a - b] for a in range(301) for b in range(301 - a)]
 def test_large_inputs_answer_within_seconds(tmp_path, capsys, argv, document, expected):
     # the Janet scan of the maximal ideals (x_1..x_100) and (x_1..x_200), one
     # descent of the Janet tree per prolongation, their Hilbert values and
-    # stable completeness, decided on that scan, and the star search with its
-    # self-check on m^300 in 3 variables, whose 45,451 generators are its
-    # Pommaret basis
+    # stable completeness, decided on that scan, and the star search on m^300
+    # in 3 variables, whose 45,451 generators are its Pommaret basis
     source = tmp_path / "input.json"
     source.write_text(json.dumps(document))
     start = time.perf_counter()

@@ -26,6 +26,7 @@ from involutive import (
     escalier_slice,
     hilbert_function,
     involutive_test,
+    is_stably_complete,
     janet_complete,
     pommaret_basis,
     sigma_profile,
@@ -37,6 +38,7 @@ from involutive.ideals import _fit_power, pommaret_termination_degree, sigma_tot
 from involutive.serialize import parse_ideal
 from involutive.terms import _escalier_keys
 from helpers import (
+    antichains,
     exp_tuples,
     brute_escalier,
     brute_fit_power,
@@ -453,10 +455,49 @@ def test_pommaret_basis_examples():
         pommaret_basis(NOT_QUASI)
 
 
-def test_pommaret_basis_refuses_a_star_set_that_is_not_stably_complete(monkeypatch):
-    # the self-check is an explicit raise, so it holds under python -O too: a
-    # star search that loses x2*x3, the one star term of (x3^2, x2) that is
-    # not a generator, is caught with the Janet witness of what is left
+def pommaret_basis_faults(J):
+    """What the paper's theorem rules out for the Pommaret basis of a
+    quasi-stable J: is_stably_complete's verdict on it, with the witness as
+    exponents and checked against the verdict of the definitions, and the
+    terms in which it differs from the brute-force star set up to the
+    termination degree.  A sound basis gives ((True, None), set())."""
+    basis = pommaret_basis(J)
+    ok, witness = is_stably_complete(basis)
+    if witness is not None:
+        witness = (witness[0].exponents, witness[1])
+    assert brute_is_stably_complete([s.exponents for s in basis]) == (ok, witness)
+    gens = [g.exponents for g in J.generators]
+    star = brute_star_set(gens, J.n, pommaret_termination_degree(J))
+    return (ok, witness), {s.exponents for s in basis} ^ star
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_pommaret_basis_is_a_stably_complete_star_set(data):
+    # pommaret_basis returns the star search's terms without a re-proof, so
+    # the theorem is checked here: m^d with lower-degree generators, stable
+    # closures and random ideals kept when quasi-stable
+    kind = data.draw(st.sampled_from(["power", "closure", "random"]))
+    event(kind)
+    n = data.draw(st.integers(1, 4))
+    if kind == "power":
+        d = data.draw(st.integers(1, 4))
+        extra = data.draw(st.lists(st.tuples(*[st.integers(0, d)] * n), max_size=3))
+        gens = list(exp_tuples(n, d)) + [e for e in extra if 0 < sum(e) < d]
+    else:
+        exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+        gens = data.draw(st.lists(exps, min_size=1, max_size=4))
+        if kind == "closure":
+            gens = sorted(stable_closure(gens, n))
+    J = MonomialIdeal([Term(g) for g in gens], n)
+    assume(classify(J).quasi_stable)
+    assert pommaret_basis_faults(J) == ((True, None), set())
+
+
+def test_pommaret_basis_faults_catch_a_lossy_star_search(monkeypatch):
+    # a star search that loses x2*x3, the one star term of (x3^2, x2) that is
+    # not a generator, leaves a set that is not stably complete, with the
+    # Janet witness of what is left, and a hole in the star set
     search = ideals._star_terms
 
     def lossy(J, D):
@@ -464,12 +505,19 @@ def test_pommaret_basis_refuses_a_star_set_that_is_not_stably_complete(monkeypat
         del found[t(0, 1, 1).lex_key]
         return found, beyond
 
+    assert pommaret_basis_faults(QUASI) == ((True, None), set())
     monkeypatch.setattr(ideals, "_star_terms", lossy)
-    witness = (t(0, 1, 0), 3)
-    assert brute_is_stably_complete([(0, 1, 0), (0, 0, 2)]) == (False, ((0, 1, 0), 3))
-    with pytest.raises(AssertionError) as info:
-        pommaret_basis(QUASI)
-    assert str(info.value) == f"star set is not stably complete, witness {witness}"
+    assert pommaret_basis_faults(QUASI) == ((False, ((0, 1, 0), 3)), {(0, 1, 1)})
+
+
+def test_pommaret_basis_of_every_small_ideal_in_two_variables():
+    # the small scope: every monomial ideal in 2 variables whose minimal
+    # generators have degree <= 6, checked against the definitions
+    scope = [MonomialIdeal([Term(g) for g in gens], 2) for gens in antichains(2, 6)]
+    quasi = [J for J in scope if classify(J).quasi_stable]
+    assert (len(scope), len(quasi)) == (1428, 1000)
+    for J in quasi:
+        assert pommaret_basis_faults(J) == ((True, None), set()), J
 
 
 def test_pommaret_basis_is_the_star_set_of_its_ideal():

@@ -267,6 +267,15 @@ OWNERS = {
     ),
     "_first_uncovered": ("division.py", {f"{DA}._uncovered": 1}),
     "_Worklist": ("division.py", {"division.py:janet_complete": 1}),
+    # division owns the stable completeness verdict, which the CLI and a
+    # marked set ask for.  ideals does not name it: the star set of a
+    # quasi-stable ideal is its Pommaret basis by the paper's theorem, which
+    # the tests check, so pommaret_basis returns it without a re-proof
+    "is_stably_complete": (
+        "division.py",
+        {"__init__.py": 1, "cli.py": 1, "marked.py": 1,
+         "marked.py:MarkedSet.stable_completeness": 1},
+    ),
     # ideals owns the fit-power index of a monomial ideal, a slot
     "_fit_index": (
         None,
