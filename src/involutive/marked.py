@@ -360,14 +360,18 @@ def reduce(
     )
 
 
-def _star_multiples(G: MarkedSet, s: int) -> list[tuple[tuple, dict[tuple, object]]]:
-    """G^(s) on lex keys, as :func:`build_Gs` lists it."""
+def _star_multiples(
+    G: MarkedSet, s: int, table: Mapping[tuple, Iterable[tuple[tuple, object]]]
+) -> list[tuple[tuple, dict[tuple, object]]]:
+    """G^(s) on lex keys, as :func:`build_Gs` lists it, each multiple made
+    from ``table``: the (key, coefficient) pairs of each marked polynomial
+    under its head's key, the head's pair first."""
     out = []
     for head, vars_ in G.assignment.mult.items():
         e = s - head.degree
         if e < 0:
             break
-        f = G._keyed[head.lex_key]
+        f = table[head.lex_key]
         for eta in islice(_lex_keys(G.n, e), _monomials(e, len(vars_))):
             poly = _times(f, eta)
             out.append((next(iter(poly)), poly))  # the head's product comes first
@@ -390,7 +394,9 @@ def build_Gs(G: MarkedSet, s: int) -> list[tuple[Term, dict[Term, object]]]:
     G._require_stably_complete("G^(s)")
     work = _cone_terms(G.assignment.mult.items(), s)
     _charge(work, "G^(s) at degree {} has {} multiples", s, work)
-    return [(Term._of_key(k), _terms_of(poly.items())) for k, poly in _star_multiples(G, s)]
+    return [
+        (Term._of_key(k), _terms_of(poly.items())) for k, poly in _star_multiples(G, s, G._keyed)
+    ]
 
 
 @dataclass(frozen=True)
@@ -462,7 +468,11 @@ def oracle_check(G: MarkedSet, max_degree: int) -> bool:
     of the marked polynomials equals the span of G^(s), and that G^(s)
     together with the escalier monomials fills the degree-s slice P_s with
     trivial intersection.  G^(s) is eliminated once per degree; the direct-sum
-    rank extends a copy of its echelon form by the escalier unit rows.
+    rank extends a copy of its echelon form by the escalier unit rows.  The
+    plain multiples tested against that span are those outside G^(s): the
+    multiples f_head * eta of G^(s) are rows of the span, inside it by
+    construction.  Each marked polynomial is scaled to a primitive integer
+    row once, and every multiple of it is a shift of that row's keys.
     Independent of the reduction relation and of the cover lookup: G^(s)
     comes from the cones of the Janet assignment, which over the stably
     complete basis are the Pommaret cones, and the escalier monomials from the
@@ -484,7 +494,13 @@ def _oracle_failure(G: MarkedSet, max_degree: int) -> Optional[_OracleFailure]:
     """The first failure of :func:`oracle_check`, with its witness, or None
     when the oracle passes: the degree, then the first plain multiple in
     basis order and lex order of the multiplier outside the span of G^(s),
-    else the ranks of the direct-sum test."""
+    else the ranks of the direct-sum test.
+
+    Each head's multipliers are walked from the first past its star
+    multipliers, the first ``_monomials(e, m)`` degree-e terms in lex order
+    for the head's m multiplicative variables: the multiples skipped are rows
+    of G^(s), so the first multiple outside its span, the witness, is the
+    one a walk over every multiplier finds."""
     top = G.basis.max_degree()
     if max_degree <= top:
         raise ValueError(
@@ -496,15 +512,17 @@ def _oracle_failure(G: MarkedSet, max_degree: int) -> Optional[_OracleFailure]:
         _monomials(max_degree - head.degree, n + 1) for head in G.basis
     )
     _charge(work, "the oracle needs {} terms and multiples up to degree {}", work, max_degree)
+    rows = {k: _linalg._integer_row(dict(f)).items() for k, f in G._keyed.items()}
     for s in range(1, max_degree + 1):
         outside = _escalier_keys(G.basis, s)
-        span = _linalg.rref([poly for _, poly in _star_multiples(G, s)], {})
-        # Every plain multiple must already lie in the span of the star multiples.
-        for head in G.basis:
-            if head.degree > s:
+        span = _linalg.rref([poly for _, poly in _star_multiples(G, s, rows)], {})
+        # Every plain multiple outside G^(s) must lie in the span of the star multiples.
+        for head, vars_ in G.assignment.mult.items():
+            e = s - head.degree
+            if e < 0:
                 break
-            f = G._keyed[head.lex_key]
-            for eta in _lex_keys(n, s - head.degree):
+            f = rows[head.lex_key]
+            for eta in islice(_lex_keys(n, e), _monomials(e, len(vars_)), None):
                 if not _linalg.in_rowspace(_times(f, eta), span):
                     return _OracleFailure(s, multiple=(head, Term._of_key(eta)))
         # Star multiples plus escalier monomials must give a direct sum filling P_s.

@@ -67,6 +67,15 @@ class ParamPolynomial:
             raise ValueError("a monomial needs the parameter table that it indexes")
 
     @classmethod
+    def _of_coeffs(cls, coeffs: dict, params: tuple) -> "ParamPolynomial":
+        """The polynomial with the zero-free coefficient map ``coeffs`` over the
+        table ``params``, which the library made: not checked, and not copied."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        p.params = params
+        return p
+
+    @classmethod
     def constant(cls, c: int) -> "ParamPolynomial":
         return cls({(): int(c)})
 
@@ -398,9 +407,17 @@ def prolongation_residues(
         acc: dict[tuple, dict] = {}
         for t, c in h.items():
             add_normal_form(acc, t, _multiplier(coefficient(c)))
-        # One degree throughout, so key order is sort_key order.
-        residue = ((t, ParamPolynomial(acc[t], table)) for t in sorted(acc))
-        out.append((head, j, _terms_of((t, p) for t, p in residue if p)))
+        # One degree throughout, so key order is sort_key order.  Cancelled
+        # monomials stay as zeros in acc: each map that holds one drops them
+        # once, and a map left empty is a zero coefficient, which no residue maps.
+        residue = []
+        for t in sorted(acc):
+            coeffs = acc[t]
+            if 0 in coeffs.values():
+                coeffs = {m: c for m, c in coeffs.items() if c}
+            if coeffs:
+                residue.append((t, ParamPolynomial._of_coeffs(coeffs, table)))
+        out.append((head, j, _terms_of(residue)))
     return out
 
 

@@ -37,7 +37,7 @@ from involutive import (
     variable,
 )
 from involutive import _linalg, errors, marked
-from involutive.terms import _lex_keys
+from involutive.terms import _lex_keys, _monomials
 from helpers import (
     brute_build_Gs,
     dense_in_rowspace,
@@ -470,6 +470,66 @@ def test_oracle_failure_reports_the_ranks_of_a_faulty_escalier(monkeypatch):
     assert marked._oracle_failure(G, 5) is None
 
 
+def outside_multiples(G, s):
+    """The number of plain multiples f_head * eta of degree s outside G^(s):
+    per head, the degree-e multipliers less those in its m multiplicative
+    variables."""
+    return sum(
+        _monomials(s - head.degree, G.n) - _monomials(s - head.degree, len(vars_))
+        for head, vars_ in G.assignment.mult.items()
+    )
+
+
+def test_the_oracle_tests_each_plain_multiple_outside_G_s_once(monkeypatch):
+    # the multiples of G^(s) are rows of its span and are not tested again:
+    # one membership test per other plain multiple, up to the failing one
+    calls = []
+    in_rowspace = _linalg.in_rowspace
+    monkeypatch.setattr(_linalg, "in_rowspace", lambda *a: calls.append(a) or in_rowspace(*a))
+    G = example_basis()
+    assert oracle_check(G, 5)
+    assert len(calls) == sum(outside_multiples(G, s) for s in range(1, 6))
+    # degrees 1 and 2 pass, and (x2 + x1) * x3^2 fails: the third multiple of
+    # the first head x2 outside G^(3), after those by x1*x3 and x2*x3
+    basis = TermSet([t(0, 1, 0), t(0, 1, 1), t(0, 1, 2), t(0, 0, 3)])
+    tails = {
+        t(0, 1, 0): {t(1, 0, 0): fr(1)},
+        t(0, 1, 1): {t(1, 0, 1): fr(1)},
+        t(0, 1, 2): {t(3, 0, 0): fr(-1), t(2, 0, 1): fr(-1), t(1, 0, 2): fr(2)},
+        t(0, 0, 3): {t(1, 0, 2): fr(-1)},
+    }
+    G = make_marked_set(basis, tails)
+    calls.clear()
+    failure = marked._oracle_failure(G, 4)
+    assert (failure.degree, failure.multiple) == (3, (t(0, 1, 0), t(0, 0, 2)))
+    assert len(calls) == outside_multiples(G, 1) + outside_multiples(G, 2) + 3
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_the_oracle_witness_is_the_first_multiple_outside_the_span(data):
+    # over heads in basis order and multipliers in lex order, the first plain
+    # multiple whose dense vector leaves the dense span of G^(s), or none when
+    # the oracle fails on the ranks of the direct sum
+    G = draw_marked_set(data)
+    top = G.basis.max_degree() + data.draw(st.integers(1, 2))
+    failure = marked._oracle_failure(G, top)
+    if failure is None:
+        return
+    s = failure.degree
+    cols, star, _ = dense_slice(G, s, [])
+    basis, pivots = dense_rref(star)
+    outside = (
+        (head, eta)
+        for head in G.basis
+        if head.degree <= s
+        for eta in terms_of_degree(G.n, s - head.degree)
+        if not dense_in_rowspace(dense_vector(G.polys[head].times(eta), cols), basis, pivots)
+    )
+    assert failure.multiple == next(outside, None)
+    event("a multiple fails" if failure.multiple else "the ranks fail")
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.data())
 def test_build_Gs_lists_the_slice_probe(data):
@@ -609,24 +669,32 @@ def test_the_cycle_detector_compares_states_exactly_when_codes_collide(data):
         event(f"a tracked reduction ends {got.status}")
 
 
+RATIONAL = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.data())
 def test_integer_elimination_matches_the_dense_rank(data):
     # sparse rows on tuple keys with int and Fraction coefficients, zero rows
-    # and repeated rows: the fraction-free echelon form has the dense rank,
-    # its rows are primitive integer rows led by their pivots, and row-space
-    # membership agrees with the dense test
+    # and repeated rows, each scaled to an integer row first as the oracle
+    # scales its polynomials: the fraction-free echelon form has the dense
+    # rank, its rows are primitive integer rows led by their pivots, the rows
+    # it was given are left as they were, and row-space membership agrees
+    # with the dense test
     width = data.draw(st.integers(1, 3))
     keys = data.draw(
         st.lists(st.tuples(*[st.integers(0, 2)] * width), min_size=1, max_size=6, unique=True)
     )
-    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    coeff = st.one_of(st.integers(-4, 4), fraction)
-    row = st.dictionaries(st.sampled_from(keys), coeff, max_size=len(keys))
+    row = st.dictionaries(st.sampled_from(keys), RATIONAL, max_size=len(keys))
     rows = data.draw(st.lists(row, max_size=6))
     if rows:
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
-    pivots = _linalg.rref(rows, {})
+    integer_rows = [_linalg._integer_row(r) for r in rows]
+    given_rows = [dict(r) for r in integer_rows]
+    pivots = _linalg.rref(integer_rows, {})
+    assert integer_rows == given_rows
     dense = [dense_vector(r, keys) for r in rows]
     assert len(pivots) == dense_rank(dense)
     for lead, pivot in pivots.items():
@@ -636,15 +704,32 @@ def test_integer_elimination_matches_the_dense_rank(data):
     probes = data.draw(st.lists(row, max_size=4))
     if rows:
         # a combination of the rows, which lies in their span
-        scales = data.draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+        scales = data.draw(st.lists(RATIONAL, min_size=len(rows), max_size=len(rows)))
         combo = {}
         for r, a in zip(rows, scales):
             combo = padd(combo, pscale(r, a))
         probes.append(combo)
     for probe in probes:
-        assert _linalg.in_rowspace(probe, pivots) == dense_in_rowspace(
+        integer = _linalg._integer_row(probe)
+        given_probe = dict(integer)
+        assert _linalg.in_rowspace(integer, pivots) == dense_in_rowspace(
             dense_vector(probe, keys), basis, cols
         )
+        assert integer == given_probe
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), RATIONAL))
+def test_integer_row_is_a_primitive_multiple_of_its_row(row):
+    # zeros dropped, the order of the rest kept, int coefficients sharing no
+    # factor, and one nonzero rational ratio to the row it was given
+    got = _linalg._integer_row(row)
+    assert list(got) == [k for k, c in row.items() if c]
+    assert all(type(c) is int and c for c in got.values())
+    if got:
+        assert gcd(*got.values()) == 1
+        ratio = Fraction(row[next(iter(got))], got[next(iter(got))])
+        assert all(row[k] == ratio * c for k, c in got.items())
 
 
 def test_oracle_bound_must_pass_the_top_basis_degree():

@@ -291,6 +291,19 @@ OWNERS = {
         {"marked.py:make_marked_set": 1, "scheme.py:GenericMarkedSet.marked_set": 1,
          "scheme.py:specialize": 1},
     ),
+    # The oracle scales each marked polynomial to a primitive integer row
+    # once, through _linalg's one scaling, and hands the rows to the walk of
+    # the star multiples that build_Gs calls on the keyed polynomials: the
+    # elimination takes integer rows and never scales them itself
+    "_integer_row": ("_linalg.py", {"marked.py:_oracle_failure": 1}),
+    "lcm": (
+        None,
+        {"_linalg.py": 1, "_linalg.py:_integer_row": 1, "scheme.py": 1, "scheme.py:_evaluate": 1},
+    ),
+    "_star_multiples()": (
+        "marked.py",
+        {"marked.py:build_Gs": 1, "marked.py:_oracle_failure": 1},
+    ),
     # errors._charge alone reads the work budget and raises past it
     "_WORK_BUDGET": (None, {"errors.py": 1, "errors.py:_charge": 3}),
     "WorkBudgetExceeded()": ("errors.py", {"errors.py:_charge": 1}),
@@ -314,6 +327,12 @@ def test_the_ownership_table_matches_the_library():
     # each name is defined where its row says, once, and named exactly where
     # and as often as its row says; a stale row fails like a stray use
     assert unowned(OWNERS) == {}
+
+
+def test_the_oracle_scales_each_polynomial_once():
+    # no second path to integer rows: the elimination clears the rows the
+    # oracle scaled, and G^(s) is listed by one walk for both callers
+    assert unowned(("_integer_row", "lcm", "_star_multiples()")) == {}
 
 
 def test_each_divisibility_question_has_one_body():
